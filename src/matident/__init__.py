@@ -11,7 +11,6 @@ equality tests, not tolerance tests.
 from .bench import (
     CountingRing,
     MethodDisagreement,
-    OpCountReport,
     compare_methods,
     count_ops,
     evaluate_method,
@@ -60,11 +59,9 @@ from .rings import (
     MatrixElement,
     MatrixRing,
     Poly,
-    PolynomialRing,
-    RationalRing,
     Ring,
 )
-from .verify import SUITE_ORDER, SUITES, run_suites
+from .verify import SUITES, run_suites
 
 __version__ = "0.1.0"
 
@@ -78,15 +75,11 @@ __all__ = [
     "MatrixElement",
     "MatrixRing",
     "MethodDisagreement",
-    "OpCountReport",
     "Permutation",
     "Poly",
-    "PolynomialRing",
     "RATIONAL",
-    "RationalRing",
     "Ring",
     "SUITES",
-    "SUITE_ORDER",
     "SYMBOLIC",
     "SignedDiagonal",
     "SquareMatrix",

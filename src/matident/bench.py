@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping
 
 from . import identities
@@ -24,12 +24,14 @@ from .sampling import derive_rng, random_integer_matrix
 
 @dataclass
 class OpCounts:
-    """Mutable tally of ring operations.
+    """Mutable tally of ring operations, and the report of one evaluator run.
 
     adds counts additions and subtractions; muls counts multiplications
     issued outside Ring.power while power_muls counts the ones inside it;
     f_evals counts diagonal-restriction calls made by polarization-based
-    methods.
+    methods.  count_ops fills in method, n and wall_time; wall_time is kept
+    on the report but never printed by the CLI surfaces, which must be
+    byte-identical for a fixed seed.
     """
 
     adds: int = 0
@@ -39,26 +41,9 @@ class OpCounts:
     powers: int = 0
     int_divs: int = 0
     f_evals: int = 0
-
-
-@dataclass(frozen=True)
-class OpCountReport:
-    """Operation counts for one evaluator run.
-
-    wall_time is measured and kept on the report but never printed by the
-    CLI surfaces, which must be byte-identical for a fixed seed.
-    """
-
-    method: str
-    n: int
-    adds: int
-    negs: int
-    muls: int
-    power_muls: int
-    powers: int
-    int_divs: int
-    f_evals: int
-    wall_time: float
+    method: str = ""
+    n: int = 0
+    wall_time: float = 0.0
 
 
 class CountingRing(Ring):
@@ -212,7 +197,7 @@ def evaluate_method(
 
 def count_ops(
     method: str, obj: SquareMatrix | CubeMatrix, params: Mapping | None = None
-) -> OpCountReport:
+) -> OpCounts:
     """Run a registered evaluator in a counting ring and report its op counts.
 
     The instrumented value is checked against an uninstrumented run; a
@@ -229,19 +214,7 @@ def count_ops(
         raise MethodDisagreement(
             f"instrumented {method} produced {counted_value} but plain run produced {plain_value}"
         )
-    tally = counting.counts
-    return OpCountReport(
-        method=method,
-        n=obj.n,
-        adds=tally.adds,
-        negs=tally.negs,
-        muls=tally.muls,
-        power_muls=tally.power_muls,
-        powers=tally.powers,
-        int_divs=tally.int_divs,
-        f_evals=tally.f_evals,
-        wall_time=elapsed,
-    )
+    return replace(counting.counts, method=method, n=obj.n, wall_time=elapsed)
 
 
 COMPARED_METHODS = (

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .bench import (
     MAX_BENCH_N,
+    METHODS,
     MethodDisagreement,
     compare_methods,
     count_ops,
@@ -28,26 +29,13 @@ from .bench import (
     write_records,
 )
 from .document import DocumentError, MatrixDocument, parse_document, parse_scalar
-from .verify import SUITE_ORDER, SUITES, run_suites
+from .verify import SUITES, run_suites
 
 WORKERS_ENV_VAR = "MATIDENT_WORKERS"
 
 
 class UsageError(ValueError):
     """Bad flag combination or argument value."""
-
-
-_METHOD_TABLE = {
-    ("per", "definitional"): "per_definitional",
-    ("per", "identity"): "per_identity",
-    ("per", "ryser"): "per_ryser",
-    ("det", "definitional"): "det_definitional",
-    ("det", "identity"): "det_identity",
-    ("eper", "definitional"): "eper_definitional",
-    ("eper", "identity"): "eper_identity",
-    ("detp", "definitional"): "detp_definitional",
-    ("detp", "identity"): "detp_identity",
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument("file", metavar="FILE")
 
     verify = sub.add_parser("verify", help="run randomized identity cross-checks")
-    verify.add_argument("--suite", default="all", choices=SUITE_ORDER + ("all",))
+    verify.add_argument("--suite", default="all", choices=(*SUITES, "all"))
     verify.add_argument("--n", type=int, default=None, help="run one size instead of the defaults")
     verify.add_argument("--trials", type=int, default=5)
     verify.add_argument("--seed", type=int, default=1)
@@ -120,8 +108,8 @@ def _gamma_values(document: MatrixDocument, raw: str, count: int) -> tuple:
 
 
 def _run_compute(args: argparse.Namespace) -> int:
-    method = _METHOD_TABLE.get((args.fn, args.method))
-    if method is None:
+    method = f"{args.fn}_{args.method}"
+    if method not in METHODS:
         raise UsageError(f"method {args.method!r} does not apply to {args.fn}")
     document = _load_document(args.file)
     expected_kind = "cube" if args.fn == "detp" else "matrix"
@@ -171,7 +159,7 @@ def _worker_count() -> int:
 def _run_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
-    names = SUITE_ORDER if args.suite == "all" else (args.suite,)
+    names = tuple(SUITES) if args.suite == "all" else (args.suite,)
     ns = None
     if args.n is not None:
         if args.n < 1:

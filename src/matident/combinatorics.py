@@ -1,8 +1,7 @@
 """Permutation, diagonal, and submatrix streams with parity bookkeeping.
 
 All enumerators are pure generators in a fixed, documented order, so they are
-restartable and can be split into independent chunks (see partition_ranges)
-for parallel summation.
+restartable.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Literal, Sequence
+from typing import Any, Iterator, Literal, Sequence
 
 from .rings import Ring
 
@@ -157,14 +156,6 @@ def enumerate_submatrices(n: int) -> Iterator[SubmatrixSelector]:
                     yield SubmatrixSelector(rows, cols)
 
 
-def element_sum(ring: Ring, elements: Iterable[Any]) -> Any:
-    """Ring sum of the elements of a diagonal or submatrix selection.
-
-    The empty selection sums to zero.
-    """
-    return ring.sum(elements)
-
-
 def symmetrize(ring: Ring, factors: Sequence[Any]) -> Any:
     """Average the products of the factors over all orderings.
 
@@ -181,24 +172,3 @@ def symmetrize(ring: Ring, factors: Sequence[Any]) -> Any:
         total = term if total is None else ring.add(total, term)
     return ring.div_int(total, math.factorial(len(items)))
 
-
-def partition_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    """Split range(total) into at most `parts` contiguous nonempty chunks.
-
-    Chunk sizes differ by at most one; concatenating the chunks in order
-    reproduces range(total), which lets callers fan summation work out to
-    workers and combine partial sums in a fixed order.
-    """
-    if total < 0:
-        raise ValueError("total must be nonnegative")
-    if parts < 1:
-        raise ValueError("parts must be at least 1")
-    base, extra = divmod(total, parts)
-    ranges = []
-    start = 0
-    for index in range(parts):
-        size = base + (1 if index < extra else 0)
-        if size:
-            ranges.append((start, start + size))
-            start += size
-    return ranges

@@ -1,17 +1,16 @@
 """Exact ring arithmetic behind one small interface.
 
-Three concrete rings are provided: arbitrary-precision rationals, sparse
-multivariate polynomials over the rationals, and small square matrices of
-rationals (the stock noncommutative test ring).  Every evaluator in this
-package performs arithmetic exclusively through a :class:`Ring` object, which
-is what lets the benchmark layer swap in a counting wrapper without touching
-evaluator code.
+Three rings are provided as :class:`Ring` instances: arbitrary-precision
+rationals (RATIONAL), sparse multivariate polynomials over the rationals
+(SYMBOLIC), and small square matrices of rationals (MATRIX2, the stock
+noncommutative test ring).  Every evaluator in this package performs
+arithmetic exclusively through a ring object, which is what lets the
+benchmark layer swap in a counting wrapper without touching evaluator code.
 """
 
 from __future__ import annotations
 
 import re
-from abc import ABC, abstractmethod
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping
 
@@ -43,41 +42,59 @@ def binary_power(one: Any, mul: Callable[[Any, Any], Any], x: Any, exponent: int
         base = mul(base, base)
 
 
-class Ring(ABC):
-    """Minimal exact-arithmetic ring contract used by all evaluators."""
+class Ring:
+    """An exact ring whose elements supply ``+ - * / ==`` themselves.
 
-    name: str = "ring"
-    commutative: bool = True
+    A ring is an instance: it names itself, builds elements from integers and
+    recognises its own elements, and every operation is the element type's
+    operator.  Wrapper rings (the counting ring) subclass it and override the
+    operation methods, so operations stay methods, never instance attributes.
+    """
 
-    @abstractmethod
-    def zero(self) -> Any: ...
+    def __init__(
+        self,
+        name: str,
+        from_int: Callable[[int], Any],
+        is_element: Callable[[Any], bool],
+        commutative: bool = True,
+    ):
+        self.name = name
+        self.commutative = commutative
+        self._from_int = from_int
+        self._is_element = is_element
+        # Elements are immutable values, so zero and one are built once.
+        self._zero = from_int(0)
+        self._one = from_int(1)
 
-    @abstractmethod
-    def one(self) -> Any: ...
+    def zero(self) -> Any:
+        return self._zero
 
-    @abstractmethod
-    def from_int(self, value: int) -> Any: ...
+    def one(self) -> Any:
+        return self._one
 
-    @abstractmethod
-    def add(self, x: Any, y: Any) -> Any: ...
+    def from_int(self, value: int) -> Any:
+        return self._from_int(value)
 
-    @abstractmethod
-    def sub(self, x: Any, y: Any) -> Any: ...
+    def is_element(self, x: Any) -> bool:
+        return self._is_element(x)
 
-    @abstractmethod
-    def neg(self, x: Any) -> Any: ...
+    def add(self, x: Any, y: Any) -> Any:
+        return x + y
 
-    @abstractmethod
-    def mul(self, x: Any, y: Any) -> Any: ...
+    def sub(self, x: Any, y: Any) -> Any:
+        return x - y
 
-    @abstractmethod
-    def eq(self, x: Any, y: Any) -> bool: ...
+    def neg(self, x: Any) -> Any:
+        return -x
 
-    @abstractmethod
-    def is_element(self, x: Any) -> bool: ...
+    def mul(self, x: Any, y: Any) -> Any:
+        return x * y
 
-    @abstractmethod
-    def _div_exact(self, x: Any, k: int) -> Any: ...
+    def eq(self, x: Any, y: Any) -> bool:
+        return x == y
+
+    def _div_exact(self, x: Any, k: int) -> Any:
+        return x / k
 
     def div_int(self, x: Any, k: int) -> Any:
         """Exact division by a nonzero integer.
@@ -109,47 +126,6 @@ class Ring(ABC):
         for item in items:
             total = item if total is None else self.mul(total, item)
         return self.one() if total is None else total
-
-
-class RationalRing(Ring):
-    """Arbitrary-precision rationals backed by fractions.Fraction.
-
-    Fraction already keeps values reduced with a positive denominator, which
-    is the canonical form this package relies on.
-    """
-
-    name = "rationals"
-    commutative = True
-
-    def zero(self) -> Fraction:
-        return _ZERO
-
-    def one(self) -> Fraction:
-        return _ONE
-
-    def from_int(self, value: int) -> Fraction:
-        return Fraction(value)
-
-    def add(self, x: Fraction, y: Fraction) -> Fraction:
-        return x + y
-
-    def sub(self, x: Fraction, y: Fraction) -> Fraction:
-        return x - y
-
-    def neg(self, x: Fraction) -> Fraction:
-        return -x
-
-    def mul(self, x: Fraction, y: Fraction) -> Fraction:
-        return x * y
-
-    def eq(self, x: Fraction, y: Fraction) -> bool:
-        return x == y
-
-    def is_element(self, x: Any) -> bool:
-        return isinstance(x, Fraction)
-
-    def _div_exact(self, x: Fraction, k: int) -> Fraction:
-        return x / k
 
 
 def _merge_monomials(a: tuple, b: tuple) -> tuple:
@@ -354,46 +330,6 @@ class Poly:
         return f"Poly({self})"
 
 
-class PolynomialRing(Ring):
-    """Multivariate polynomials over the rationals as a commutative ring."""
-
-    name = "polynomials over the rationals"
-    commutative = True
-
-    def zero(self) -> Poly:
-        return Poly.zero()
-
-    def one(self) -> Poly:
-        return Poly.one()
-
-    def from_int(self, value: int) -> Poly:
-        return Poly.constant(value)
-
-    def variable(self, name: str) -> Poly:
-        return Poly.variable(name)
-
-    def add(self, x: Poly, y: Poly) -> Poly:
-        return x + y
-
-    def sub(self, x: Poly, y: Poly) -> Poly:
-        return x - y
-
-    def neg(self, x: Poly) -> Poly:
-        return -x
-
-    def mul(self, x: Poly, y: Poly) -> Poly:
-        return x * y
-
-    def eq(self, x: Poly, y: Poly) -> bool:
-        return x == y
-
-    def is_element(self, x: Any) -> bool:
-        return isinstance(x, Poly)
-
-    def _div_exact(self, x: Poly, k: int) -> Poly:
-        return x / k
-
-
 class MatrixElement:
     """Square matrix of rationals used as a noncommutative ring element."""
 
@@ -494,47 +430,22 @@ class MatrixElement:
         return f"MatrixElement({self})"
 
 
-class MatrixRing(Ring):
+def MatrixRing(dim: int = 2) -> Ring:
     """Ring of dim x dim rational matrices; noncommutative for dim >= 2."""
-
-    def __init__(self, dim: int = 2):
-        if dim < 1:
-            raise ValueError("matrix ring dimension must be at least 1")
-        self.dim = dim
-        self.name = f"{dim}x{dim} rational matrices"
-        self.commutative = dim == 1
-
-    def zero(self) -> MatrixElement:
-        return MatrixElement.zeros(self.dim)
-
-    def one(self) -> MatrixElement:
-        return MatrixElement.identity(self.dim)
-
-    def from_int(self, value: int) -> MatrixElement:
-        return MatrixElement.scalar(self.dim, value)
-
-    def add(self, x: MatrixElement, y: MatrixElement) -> MatrixElement:
-        return x + y
-
-    def sub(self, x: MatrixElement, y: MatrixElement) -> MatrixElement:
-        return x - y
-
-    def neg(self, x: MatrixElement) -> MatrixElement:
-        return -x
-
-    def mul(self, x: MatrixElement, y: MatrixElement) -> MatrixElement:
-        return x * y
-
-    def eq(self, x: MatrixElement, y: MatrixElement) -> bool:
-        return x == y
-
-    def is_element(self, x: Any) -> bool:
-        return isinstance(x, MatrixElement) and x.dim == self.dim
-
-    def _div_exact(self, x: MatrixElement, k: int) -> MatrixElement:
-        return x / k
+    if dim < 1:
+        raise ValueError("matrix ring dimension must be at least 1")
+    return Ring(
+        f"{dim}x{dim} rational matrices",
+        lambda value: MatrixElement.scalar(dim, value),
+        lambda x: isinstance(x, MatrixElement) and x.dim == dim,
+        commutative=dim == 1,
+    )
 
 
-RATIONAL = RationalRing()
-SYMBOLIC = PolynomialRing()
+# Fraction keeps values reduced with a positive denominator, which is the
+# canonical form this package relies on.
+RATIONAL = Ring("rationals", Fraction, lambda x: isinstance(x, Fraction))
+SYMBOLIC = Ring(
+    "polynomials over the rationals", Poly.constant, lambda x: isinstance(x, Poly)
+)
 MATRIX2 = MatrixRing(2)

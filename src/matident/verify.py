@@ -216,12 +216,14 @@ SUITES: dict[str, SuiteSpec] = {
     )
 }
 
-SUITE_ORDER = ("thm2", "thm3", "thm4", "thm5", "cor1", "cor2", "polarization")
-
 
 def _run_job(job: tuple[str, int, int, int]) -> tuple[bool, str]:
+    """Run one trial; an exception becomes a failed trial, not a crashed run."""
     suite, n, seed, trial = job
-    return SUITES[suite].run_trial(n, seed, trial)
+    try:
+        return SUITES[suite].run_trial(n, seed, trial)
+    except Exception as exc:
+        return False, f"raised {type(exc).__name__}: {exc}"
 
 
 def _map_jobs(jobs, workers: int):

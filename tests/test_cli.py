@@ -1,9 +1,11 @@
 """Exit codes, output shapes, and determinism of the command-line surface."""
 
+import dataclasses
 import json
 
 import pytest
 
+from matident import verify
 from matident.cli import main
 
 
@@ -167,6 +169,21 @@ def test_verify_output_is_deterministic_in_process(capsys):
     second = run(capsys, "verify", "--suite", "cor1", "--trials", "2", "--seed", "9")
     assert first == second
     assert first[0] == 0
+
+
+def test_verify_reports_a_raising_trial_as_a_failure(monkeypatch, capsys):
+    def boom(n, seed, trial):
+        raise ArithmeticError(f"boom at n={n}")
+
+    raising = dataclasses.replace(verify.SUITES["thm3"], run_trial=boom)
+    monkeypatch.setitem(verify.SUITES, "thm3", raising)
+    monkeypatch.setenv("MATIDENT_WORKERS", "1")
+    code, out, _ = run(capsys, "verify", "--suite", "thm3", "--n", "2", "--trials", "2")
+    assert code == 1
+    lines = out.splitlines()
+    note = "raised ArithmeticError: boom at n=2"
+    assert lines[1] == f"thm3 n=2: 0/2 ok: FAIL [trial 1: {note}; trial 2: {note}]"
+    assert lines[-1] == "result: FAIL (0/2 checks)"
 
 
 def test_bench_prints_table_and_writes_records(tmp_path, capsys):

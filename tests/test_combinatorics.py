@@ -1,23 +1,18 @@
 """Enumeration order, parity, and the symmetrization operator."""
 
 import math
-from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from matident.combinatorics import (
     EVEN,
     MAX_ENUMERATION_N,
     ODD,
-    element_sum,
     enumerate_diagonals,
     enumerate_permutations,
     enumerate_subdiagonals,
     enumerate_submatrices,
     inversion_count,
-    partition_ranges,
     symmetrize,
 )
 from matident.rings import MATRIX2, RATIONAL, MatrixElement, Poly, SYMBOLIC
@@ -113,11 +108,6 @@ def test_submatrix_selector_enumeration():
     assert next(s.sign for s in selectors if (len(s.rows), len(s.cols)) == (1, 2)) == -1
 
 
-def test_element_sum_folds_in_order():
-    assert element_sum(RATIONAL, []) == 0
-    assert element_sum(RATIONAL, [Fraction(1, 2), 3]) == Fraction(7, 2)
-
-
 def test_symmetrize_is_order_free():
     a = MatrixElement([[1, 2], [3, 4]])
     b = MatrixElement([[0, 1], [1, 0]])
@@ -144,12 +134,3 @@ def test_symmetrize_rejects_empty_input():
     with pytest.raises(ValueError):
         symmetrize(RATIONAL, [])
 
-
-@given(st.integers(1, 40), st.integers(1, 8))
-def test_partition_ranges_cover_without_overlap(total, parts):
-    ranges = partition_ranges(total, parts)
-    assert ranges[0][0] == 0 and ranges[-1][1] == total
-    for (_, stop), (start, _) in zip(ranges, ranges[1:]):
-        assert stop == start
-    sizes = [stop - start for start, stop in ranges]
-    assert max(sizes) - min(sizes) <= 1

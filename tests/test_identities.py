@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from matident.bench import CountingRing
 from matident.identities import (
     check_diagonal_power_identity,
     check_submatrix_power_identity,
@@ -124,6 +125,16 @@ def test_integer_determinants_stay_integral():
         entries = [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
         value = determinant_identity(SquareMatrix(RATIONAL, entries))
         assert value.denominator == 1
+
+
+def test_integrality_guard_holds_under_a_wrapper_ring():
+    class OffByHalf(CountingRing):
+        def _div_exact(self, x, k):
+            return super()._div_exact(x, k) + Fraction(1, 2)
+
+    matrix = SquareMatrix(RATIONAL, [[1, 2], [3, 4]])
+    with pytest.raises(ArithmeticError):
+        determinant_identity(matrix.with_ring(OffByHalf(RATIONAL)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
