@@ -16,10 +16,6 @@ from .bench import (
     evaluate_method,
 )
 from .combinatorics import (
-    Permutation,
-    SignedDiagonal,
-    SubmatrixSelector,
-    enumerate_diagonals,
     enumerate_permutations,
     enumerate_subdiagonals,
     enumerate_submatrices,
@@ -75,15 +71,12 @@ __all__ = [
     "MatrixElement",
     "MatrixRing",
     "MethodDisagreement",
-    "Permutation",
     "Poly",
     "RATIONAL",
     "Ring",
     "SUITES",
     "SYMBOLIC",
-    "SignedDiagonal",
     "SquareMatrix",
-    "SubmatrixSelector",
     "check_diagonal_power_identity",
     "check_submatrix_power_identity",
     "compare_methods",
@@ -93,7 +86,6 @@ __all__ = [
     "determinant_identity",
     "determinant_zero_criterion",
     "diagonal_power_residual",
-    "enumerate_diagonals",
     "enumerate_permutations",
     "enumerate_subdiagonals",
     "enumerate_submatrices",

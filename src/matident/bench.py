@@ -117,9 +117,7 @@ def _run_per_polarization(matrix: SquareMatrix, params: Mapping, counts: OpCount
         counts.f_evals += 1
         return identities.permanent(SquareMatrix.from_columns(ring, [column] * n))
 
-    gamma = params.get("gamma_column")
-    if gamma is None:
-        gamma = tuple(ring.zero() for _ in range(n))
+    gamma = tuple(ring.zero() for _ in range(n))
     func = DiagonalFunction(n, diagonal_eval)
     return polarize(func, matrix.columns(), gamma, componentwise_add(ring), ring)
 

@@ -1,30 +1,28 @@
-"""Permutation, diagonal, and submatrix streams with parity bookkeeping.
+"""Permutation, diagonal, and submatrix streams as plain tuples.
 
-All enumerators are pure generators in a fixed, documented order, so they are
-restartable.
+Every index is 0-based and every stream is a generator in a fixed,
+documented order, so it is restartable:
+
+- enumerate_permutations(n) yields (image, sign): image[i] is the column
+  picked in row i, and sign is EVEN (1) or ODD (-1).
+- enumerate_subdiagonals(n, k, sign) yields a tuple of k (row, col)
+  positions.
+- enumerate_submatrices(n) yields (rows, cols), two sorted nonempty tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Any, Iterator, Literal, Sequence
+from typing import Any, Iterator, Sequence
 
 from .rings import Ring
 
-Parity = Literal["even", "odd"]
-
-EVEN: Parity = "even"
-ODD: Parity = "odd"
+EVEN = 1
+ODD = -1
 
 # Full permutation streams above this size are unreasonable on a desk machine.
 MAX_ENUMERATION_N = 10
-
-
-def _check_parity(parity: str) -> None:
-    if parity not in (EVEN, ODD):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
 def _check_n(n: int) -> None:
@@ -34,126 +32,52 @@ def _check_n(n: int) -> None:
         raise ValueError(f"matrix order {n} exceeds the enumeration cap {MAX_ENUMERATION_N}")
 
 
-def inversion_count(mapping: Sequence[int]) -> int:
-    """Number of out-of-order pairs in a 1-based permutation image tuple."""
-    count = 0
-    for i in range(len(mapping)):
-        for j in range(i + 1, len(mapping)):
-            if mapping[i] > mapping[j]:
-                count += 1
-    return count
+def enumerate_permutations(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """All permutations of 0..n-1 with their signs, in lexicographic order.
 
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1..n} with the parity of its inversion count."""
-
-    mapping: tuple[int, ...]
-    sign: int
-
-    @property
-    def n(self) -> int:
-        return len(self.mapping)
-
-    @property
-    def is_even(self) -> bool:
-        return self.sign == 1
-
-    @property
-    def parity(self) -> Parity:
-        return EVEN if self.sign == 1 else ODD
-
-    def image(self, i: int) -> int:
-        """The image of 1-based index i."""
-        return self.mapping[i - 1]
-
-
-@dataclass(frozen=True)
-class SignedDiagonal:
-    """Positions picked from a parent diagonal, one per chosen row.
-
-    A full diagonal of an n x n matrix is the position set
-    ((1, s(1)), ..., (n, s(n))) of a permutation s; a subdiagonal of length k
-    keeps the positions in k chosen rows.  The parent permutation is retained,
-    so the same position set reached from different parents stays distinct.
+    Row i picks the r_i-th smallest column not used yet; that pick adds r_i
+    inversions, so the sign is (-1)**(r_0 + ... + r_{n-1}).  The codes
+    (r_0, ..., r_{n-1}) run in lexicographic order, and so do the images.
     """
-
-    parent: Permutation
-    positions: tuple[tuple[int, int], ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.positions)
-
-    @property
-    def sign(self) -> int:
-        return self.parent.sign
-
-    @property
-    def parity(self) -> Parity:
-        return self.parent.parity
-
-
-@dataclass(frozen=True)
-class SubmatrixSelector:
-    """A nonempty set of rows and a nonempty set of columns, both sorted."""
-
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-
-    @property
-    def sign(self) -> int:
-        """(-1) ** (row count + column count)."""
-        return 1 if (len(self.rows) + len(self.cols)) % 2 == 0 else -1
-
-
-def enumerate_permutations(n: int) -> Iterator[Permutation]:
-    """All permutations of {1..n} in lexicographic order of the image tuple."""
     _check_n(n)
-    for mapping in itertools.permutations(range(1, n + 1)):
-        sign = 1 if inversion_count(mapping) % 2 == 0 else -1
-        yield Permutation(mapping, sign)
+    for code in itertools.product(*(range(n - i) for i in range(n))):
+        unused = list(range(n))
+        image = tuple(unused.pop(r) for r in code)
+        yield image, ODD if sum(code) % 2 else EVEN
 
 
-def enumerate_diagonals(n: int, parity: Parity) -> Iterator[SignedDiagonal]:
-    """Full diagonals of the given parity, ordered by parent permutation."""
-    _check_parity(parity)
-    for perm in enumerate_permutations(n):
-        if perm.parity == parity:
-            positions = tuple((i, perm.image(i)) for i in range(1, n + 1))
-            yield SignedDiagonal(perm, positions)
+def enumerate_subdiagonals(n: int, k: int, sign: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Length-k subdiagonals of the full diagonals with the given sign.
 
-
-def enumerate_subdiagonals(n: int, k: int, parity: Parity) -> Iterator[SignedDiagonal]:
-    """Length-k subdiagonals of the parity-matching parent diagonals.
-
-    For each parent (lexicographic order) every k-subset of rows is selected
-    in lexicographic order.  k = n reproduces the full diagonals; k = 0 yields
-    one empty subdiagonal per parent (element sum zero).
+    For each parent permutation (lexicographic order) every k-subset of rows
+    is selected in lexicographic order, so the same positions reached from
+    different parents come out once per parent.  k = n gives the full
+    diagonals; k = 0 yields one empty subdiagonal per parent.
     """
-    _check_parity(parity)
+    if sign not in (EVEN, ODD):
+        raise ValueError(f"sign must be {EVEN} or {ODD}, got {sign!r}")
     _check_n(n)
     if k < 0 or k > n:
         raise ValueError(f"subdiagonal length must be in 0..{n}, got {k}")
-    for diagonal in enumerate_diagonals(n, parity):
-        for row_subset in itertools.combinations(range(n), k):
-            positions = tuple(diagonal.positions[i] for i in row_subset)
-            yield SignedDiagonal(diagonal.parent, positions)
+    row_subsets = tuple(itertools.combinations(range(n), k))
+    for image, parent_sign in enumerate_permutations(n):
+        if parent_sign == sign:
+            for rows in row_subsets:
+                yield tuple((i, image[i]) for i in rows)
 
 
-def enumerate_submatrices(n: int) -> Iterator[SubmatrixSelector]:
-    """All (nonempty rows) x (nonempty columns) selectors of an n x n matrix.
+def enumerate_submatrices(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All (nonempty rows, nonempty columns) selections of an n x n matrix.
 
     Ordered by row-set size, then column-set size, then lexicographically
-    within each size; there are (2**n - 1)**2 selectors in total.
+    within each size; there are (2**n - 1)**2 selections in total.
     """
     _check_n(n)
-    indices = range(1, n + 1)
     for r in range(1, n + 1):
         for s in range(1, n + 1):
-            for rows in itertools.combinations(indices, r):
-                for cols in itertools.combinations(indices, s):
-                    yield SubmatrixSelector(rows, cols)
+            for rows in itertools.combinations(range(n), r):
+                for cols in itertools.combinations(range(n), s):
+                    yield rows, cols
 
 
 def symmetrize(ring: Ring, factors: Sequence[Any]) -> Any:
@@ -171,4 +95,3 @@ def symmetrize(ring: Ring, factors: Sequence[Any]) -> Any:
         term = ring.product(items[index] for index in ordering)
         total = term if total is None else ring.add(total, term)
     return ring.div_int(total, math.factorial(len(items)))
-

@@ -57,10 +57,10 @@ def permanent(matrix: SquareMatrix) -> Any:
     """Sum of products over all diagonals (the definitional permanent)."""
     ring = matrix.ring
     _require_commutative(ring, "permanent")
-    n = matrix.n
+    rows = matrix.entries
     total = ring.zero()
-    for perm in enumerate_permutations(n):
-        term = ring.product(matrix.entry(i, perm.image(i)) for i in range(1, n + 1))
+    for image, _ in enumerate_permutations(matrix.n):
+        term = ring.product(row[col] for row, col in zip(rows, image))
         total = ring.add(total, term)
     return total
 
@@ -79,11 +79,11 @@ def permanent_identity(matrix: SquareMatrix, gammas: Sequence[Any] | None = None
     params = _checked_gammas(matrix, gammas)
     total = ring.zero()
     for mask in range(1 << n):
-        cols = [j + 1 for j in range(n) if mask >> j & 1]
+        cols = [j for j in range(n) if mask >> j & 1]
         factors = []
-        for i in range(1, n + 1):
-            col_sum = ring.sum(matrix.entry(i, j) for j in cols)
-            factors.append(ring.sub(params[i - 1], col_sum))
+        for row, param in zip(matrix.entries, params):
+            col_sum = ring.sum(row[j] for j in cols)
+            factors.append(ring.sub(param, col_sum))
         term = ring.product(factors)
         if mask.bit_count() % 2 == 0:
             total = ring.add(total, term)
@@ -99,8 +99,8 @@ def permanent_ryser(matrix: SquareMatrix) -> Any:
     n = matrix.n
     total = ring.zero()
     for mask in range(1, 1 << n):
-        cols = [j + 1 for j in range(n) if mask >> j & 1]
-        row_sums = (ring.sum(matrix.entry(i, j) for j in cols) for i in range(1, n + 1))
+        cols = [j for j in range(n) if mask >> j & 1]
+        row_sums = (ring.sum(row[j] for j in cols) for row in matrix.entries)
         term = ring.product(row_sums)
         if mask.bit_count() % 2 == 0:
             total = ring.add(total, term)
@@ -113,11 +113,11 @@ def determinant(matrix: SquareMatrix) -> Any:
     """Alternating sum of products over all diagonals (the definitional determinant)."""
     ring = matrix.ring
     _require_commutative(ring, "determinant")
-    n = matrix.n
+    rows = matrix.entries
     total = ring.zero()
-    for perm in enumerate_permutations(n):
-        term = ring.product(matrix.entry(i, perm.image(i)) for i in range(1, n + 1))
-        if perm.is_even:
+    for image, sign in enumerate_permutations(matrix.n):
+        term = ring.product(row[col] for row, col in zip(rows, image))
+        if sign == EVEN:
             total = ring.add(total, term)
         else:
             total = ring.sub(total, term)
@@ -128,13 +128,13 @@ def _signed_diagonal_bracket(matrix: SquareMatrix, k: int, exponent: int, gamma:
     """Sum of (gamma + element sum)**exponent over even length-k subdiagonals
     minus the same sum over odd ones."""
     ring = matrix.ring
-    n = matrix.n
+    rows = matrix.entries
     total = ring.zero()
-    for parity, positive in ((EVEN, True), (ODD, False)):
-        for diagonal in enumerate_subdiagonals(n, k, parity):
-            selected = ring.sum(matrix.entry(i, j) for i, j in diagonal.positions)
+    for sign in (EVEN, ODD):
+        for positions in enumerate_subdiagonals(matrix.n, k, sign):
+            selected = ring.sum(rows[i][j] for i, j in positions)
             powered = ring.power(ring.add(gamma, selected), exponent)
-            if positive:
+            if sign == EVEN:
                 total = ring.add(total, powered)
             else:
                 total = ring.sub(total, powered)
@@ -208,10 +208,10 @@ def symmetrized_permanent(matrix: SquareMatrix) -> Any:
     permanent.
     """
     ring = matrix.ring
-    n = matrix.n
+    rows = matrix.entries
     total = ring.zero()
-    for perm in enumerate_permutations(n):
-        factors = [matrix.entry(i, perm.image(i)) for i in range(1, n + 1)]
+    for image, _ in enumerate_permutations(matrix.n):
+        factors = [row[col] for row, col in zip(rows, image)]
         total = ring.add(total, symmetrize(ring, factors))
     return total
 
@@ -220,11 +220,12 @@ def _signed_submatrix_power_sum(matrix: SquareMatrix, exponent: int, delta: Any)
     """Sum of (-1)**(rows+cols) * (delta + submatrix element sum)**exponent
     over all nonempty row and column selections."""
     ring = matrix.ring
+    entries = matrix.entries
     total = ring.zero()
-    for selector in enumerate_submatrices(matrix.n):
-        selected = ring.sum(matrix.entry(i, j) for i in selector.rows for j in selector.cols)
+    for rows, cols in enumerate_submatrices(matrix.n):
+        selected = ring.sum(entries[i][j] for i in rows for j in cols)
         powered = ring.power(ring.add(delta, selected), exponent)
-        if selector.sign > 0:
+        if (len(rows) + len(cols)) % 2 == 0:
             total = ring.add(total, powered)
         else:
             total = ring.sub(total, powered)
@@ -277,13 +278,10 @@ def symmetrized_permanent_zero_criterion(matrix: SquareMatrix) -> bool:
     return matrix.ring.is_zero(submatrix_power_residual(matrix, matrix.n))
 
 
-def _assembled_rows(cube: CubeMatrix, perm) -> list[list]:
-    """Rows of the matrix whose column i is column perm(i) of section i."""
-    n = cube.n
-    return [
-        [cube.entry(t, perm.image(i), i) for i in range(1, n + 1)]
-        for t in range(1, n + 1)
-    ]
+def _assembled_rows(cube: CubeMatrix, image: tuple[int, ...]) -> list[list]:
+    """Rows of the matrix whose column i is column image[i] of section i."""
+    sections = cube.sections
+    return [[sections[i][t][col] for i, col in enumerate(image)] for t in range(cube.n)]
 
 
 def space_determinant(cube: CubeMatrix) -> Any:
@@ -295,9 +293,9 @@ def space_determinant(cube: CubeMatrix) -> Any:
     ring = cube.ring
     n = cube.n
     total = ring.zero()
-    for perm in enumerate_permutations(n):
-        value = permanent(SquareMatrix(ring, _assembled_rows(cube, perm)))
-        if perm.is_even:
+    for image, sign in enumerate_permutations(n):
+        value = permanent(SquareMatrix(ring, _assembled_rows(cube, image)))
+        if sign == EVEN:
             total = ring.add(total, value)
         else:
             total = ring.sub(total, value)
@@ -315,11 +313,11 @@ def space_determinant_identity(cube: CubeMatrix) -> Any:
     ring = cube.ring
     n = cube.n
     total = ring.zero()
-    for perm in enumerate_permutations(n):
-        rows = _assembled_rows(cube, perm)
+    for image, sign in enumerate_permutations(n):
+        rows = _assembled_rows(cube, image)
         row_sums = [ring.sum(row) for row in rows]
         first = ring.product(row_sums)
-        if perm.is_even:
+        if sign == EVEN:
             total = ring.add(total, first)
         else:
             total = ring.sub(total, first)
@@ -328,7 +326,7 @@ def space_determinant_identity(cube: CubeMatrix) -> Any:
                 ring.sub(row_sums[t], rows[t][r]) for t in range(n)
             )
             # The depleted-product bracket enters with the opposite sign.
-            if perm.is_even:
+            if sign == EVEN:
                 total = ring.sub(total, term)
             else:
                 total = ring.add(total, term)

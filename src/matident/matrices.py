@@ -48,10 +48,6 @@ class SquareMatrix:
         """Entry in row i, column j (1-based)."""
         return self.entries[i - 1][j - 1]
 
-    def column(self, j: int) -> tuple:
-        """Column j (1-based) as a tuple."""
-        return tuple(row[j - 1] for row in self.entries)
-
     def columns(self) -> tuple[tuple, ...]:
         return tuple(zip(*self.entries))
 
@@ -95,10 +91,6 @@ class CubeMatrix:
     def entry(self, i: int, j: int, k: int) -> Any:
         """Entry in row i, column j of section k (1-based)."""
         return self.sections[k - 1][i - 1][j - 1]
-
-    def section(self, k: int) -> SquareMatrix:
-        """Section k (1-based) as a SquareMatrix."""
-        return SquareMatrix(self.ring, self.sections[k - 1])
 
     def with_ring(self, ring: Ring) -> "CubeMatrix":
         return CubeMatrix(ring, self.sections)

@@ -348,10 +348,6 @@ class MatrixElement:
         raise AttributeError("MatrixElement instances are immutable")
 
     @classmethod
-    def zeros(cls, dim: int) -> "MatrixElement":
-        return cls([[0] * dim for _ in range(dim)])
-
-    @classmethod
     def identity(cls, dim: int) -> "MatrixElement":
         return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
 

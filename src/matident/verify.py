@@ -229,7 +229,7 @@ def _run_job(job: tuple[str, int, int, int]) -> tuple[bool, str]:
 def _map_jobs(jobs, workers: int):
     if workers <= 1 or len(jobs) <= 1:
         return [_run_job(job) for job in jobs]
-    with multiprocessing.Pool(workers) as pool:
+    with multiprocessing.Pool(min(workers, len(jobs))) as pool:
         return pool.map(_run_job, jobs)
 
 

@@ -186,6 +186,30 @@ def test_verify_reports_a_raising_trial_as_a_failure(monkeypatch, capsys):
     assert lines[-1] == "result: FAIL (0/2 checks)"
 
 
+def test_verify_pool_is_no_larger_than_the_job_count(monkeypatch, capsys):
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(verify.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setenv("MATIDENT_WORKERS", "64")
+    code, out, _ = run(capsys, "verify", "--suite", "thm4", "--n", "2", "--trials", "2")
+    assert code == 0
+    assert out.splitlines()[-1] == "result: PASS (2/2 checks)"
+    assert started == [2]
+
+
 def test_bench_prints_table_and_writes_records(tmp_path, capsys):
     out_path = tmp_path / "rows.jsonl"
     code, out, _ = run(

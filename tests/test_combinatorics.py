@@ -1,4 +1,4 @@
-"""Enumeration order, parity, and the symmetrization operator."""
+"""Enumeration order, signs, and the symmetrization operator."""
 
 import math
 
@@ -8,11 +8,9 @@ from matident.combinatorics import (
     EVEN,
     MAX_ENUMERATION_N,
     ODD,
-    enumerate_diagonals,
     enumerate_permutations,
     enumerate_subdiagonals,
     enumerate_submatrices,
-    inversion_count,
     symmetrize,
 )
 from matident.rings import MATRIX2, RATIONAL, MatrixElement, Poly, SYMBOLIC
@@ -24,33 +22,26 @@ from oracles import cycle_sign
 def test_permutation_count_and_parity_split(n):
     perms = list(enumerate_permutations(n))
     assert len(perms) == math.factorial(n)
-    evens = sum(1 for p in perms if p.is_even)
+    evens = sum(1 for _, sign in perms if sign == EVEN)
     assert evens == math.factorial(n) // 2 if n > 1 else evens == 1
+    assert {sign for _, sign in perms} <= {EVEN, ODD}
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_permutation_sign_matches_cycle_decomposition(n):
-    for perm in enumerate_permutations(n):
-        zero_based = tuple(v - 1 for v in perm.mapping)
-        assert perm.sign == cycle_sign(zero_based)
+    for image, sign in enumerate_permutations(n):
+        assert sign == cycle_sign(image)
 
 
 def test_permutations_come_out_in_lexicographic_order():
-    mappings = [p.mapping for p in enumerate_permutations(3)]
-    assert mappings == [
-        (1, 2, 3),
-        (1, 3, 2),
-        (2, 1, 3),
-        (2, 3, 1),
-        (3, 1, 2),
-        (3, 2, 1),
+    assert list(enumerate_permutations(3)) == [
+        ((0, 1, 2), EVEN),
+        ((0, 2, 1), ODD),
+        ((1, 0, 2), ODD),
+        ((1, 2, 0), EVEN),
+        ((2, 0, 1), EVEN),
+        ((2, 1, 0), ODD),
     ]
-
-
-def test_inversion_count_examples():
-    assert inversion_count((1, 2, 3)) == 0
-    assert inversion_count((3, 2, 1)) == 3
-    assert inversion_count((2, 3, 1)) == 2
 
 
 def test_enumeration_size_cap():
@@ -61,51 +52,57 @@ def test_enumeration_size_cap():
 
 
 def test_diagonals_split_by_parity():
-    even = list(enumerate_diagonals(3, EVEN))
-    odd = list(enumerate_diagonals(3, ODD))
-    assert len(even) == len(odd) == 3
-    assert all(d.sign == 1 for d in even)
-    assert all(d.sign == -1 for d in odd)
-    assert even[0].positions == ((1, 1), (2, 2), (3, 3))
+    # k = n gives the full diagonals of the requested sign
+    assert list(enumerate_subdiagonals(3, 3, EVEN)) == [
+        ((0, 0), (1, 1), (2, 2)),
+        ((0, 1), (1, 2), (2, 0)),
+        ((0, 2), (1, 0), (2, 1)),
+    ]
+    assert list(enumerate_subdiagonals(3, 3, ODD)) == [
+        ((0, 0), (1, 2), (2, 1)),
+        ((0, 1), (1, 0), (2, 2)),
+        ((0, 2), (1, 1), (2, 0)),
+    ]
 
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_subdiagonal_counts(n):
     # every parent contributes C(n, k) length-k subdiagonals
     for k in range(n + 1):
-        for parity in (EVEN, ODD):
+        for sign in (EVEN, ODD):
             expected = (math.factorial(n) // 2) * math.comb(n, k)
-            assert sum(1 for _ in enumerate_subdiagonals(n, k, parity)) == expected
+            assert sum(1 for _ in enumerate_subdiagonals(n, k, sign)) == expected
 
 
 def test_subdiagonals_retain_their_parent():
     subs = list(enumerate_subdiagonals(3, 2, EVEN))
     assert len(subs) == 9
-    # same position set, different parents: both (1,1),(2,2) truncations exist
-    first_two = [s for s in subs if s.positions == ((1, 1), (2, 2))]
-    assert len(first_two) == 1  # only the identity parent produces it
-    assert all(s.length == 2 and s.parity == EVEN for s in subs)
+    # rows 0 and 1 on the main diagonal come only from the identity parent
+    assert subs.count(((0, 0), (1, 1))) == 1
+    assert all(len(positions) == 2 for positions in subs)
 
 
 def test_zero_length_subdiagonals_one_per_parent():
-    subs = list(enumerate_subdiagonals(2, 0, ODD))
-    assert len(subs) == 1
-    assert subs[0].positions == ()
+    assert list(enumerate_subdiagonals(2, 0, ODD)) == [()]
     with pytest.raises(ValueError):
         list(enumerate_subdiagonals(2, 3, EVEN))
+    with pytest.raises(ValueError):
+        list(enumerate_subdiagonals(2, 1, 0))
 
 
 def test_submatrix_selector_enumeration():
-    selectors = list(enumerate_submatrices(3))
-    assert len(selectors) == (2**3 - 1) ** 2
-    assert selectors[0].rows == (1,) and selectors[0].cols == (1,)
-    # size-major order: all 1x1 selectors come before any 1x2 selector
-    sizes = [(len(s.rows), len(s.cols)) for s in selectors]
+    selections = list(enumerate_submatrices(3))
+    assert len(selections) == (2**3 - 1) ** 2
+    assert selections[0] == ((0,), (0,))
+    # size-major order: all 1x1 selections come before any 1x2 selection
+    sizes = [(len(rows), len(cols)) for rows, cols in selections]
     assert sizes == sorted(sizes)
-    full = selectors[-1]
-    assert full.rows == (1, 2, 3) and full.cols == (1, 2, 3)
-    assert full.sign == 1
-    assert next(s.sign for s in selectors if (len(s.rows), len(s.cols)) == (1, 2)) == -1
+    assert selections[-1] == ((0, 1, 2), (0, 1, 2))
+    # the sign (-1)**(rows + cols) is +1 for the full 3x3 and -1 for a 1x2;
+    # the nonempty row sets alone have signs adding up to -1, so all add to 1
+    signs = [(-1) ** (r + s) for r, s in sizes]
+    assert signs[-1] == 1 and signs[sizes.index((1, 2))] == -1
+    assert sum(signs) == 1
 
 
 def test_symmetrize_is_order_free():
