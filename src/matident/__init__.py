@@ -8,20 +8,6 @@ multivariate polynomials, small rational matrices), so all cross-checks are
 equality tests, not tolerance tests.
 """
 
-from .bench import (
-    CountingRing,
-    MethodDisagreement,
-    compare_methods,
-    count_ops,
-    evaluate_method,
-)
-from .combinatorics import (
-    enumerate_permutations,
-    enumerate_subdiagonals,
-    enumerate_submatrices,
-    symmetrize,
-)
-from .document import DocumentError, MatrixDocument, parse_document
 from .identities import (
     check_diagonal_power_identity,
     check_submatrix_power_identity,
@@ -57,45 +43,31 @@ from .rings import (
     Poly,
     Ring,
 )
-from .verify import SUITES, run_suites
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CountingRing",
     "CubeMatrix",
     "DiagonalFunction",
-    "DocumentError",
     "MATRIX2",
-    "MatrixDocument",
     "MatrixElement",
     "MatrixRing",
-    "MethodDisagreement",
     "Poly",
     "RATIONAL",
     "Ring",
-    "SUITES",
     "SYMBOLIC",
     "SquareMatrix",
     "check_diagonal_power_identity",
     "check_submatrix_power_identity",
-    "compare_methods",
     "componentwise_add",
-    "count_ops",
     "determinant",
     "determinant_identity",
     "determinant_zero_criterion",
     "diagonal_power_residual",
-    "enumerate_permutations",
-    "enumerate_subdiagonals",
-    "enumerate_submatrices",
-    "evaluate_method",
-    "parse_document",
     "permanent",
     "permanent_identity",
     "permanent_ryser",
     "polarize",
-    "run_suites",
     "space_determinant",
     "space_determinant_identity",
     "submatrix_power_residual",
@@ -103,7 +75,6 @@ __all__ = [
     "symbolic_delta",
     "symbolic_gammas",
     "symbolic_matrix",
-    "symmetrize",
     "symmetrized_permanent",
     "symmetrized_permanent_identity",
     "symmetrized_permanent_zero_criterion",

@@ -46,9 +46,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="evaluate one function on a document")
-    compute.add_argument("--fn", required=True, choices=("per", "det", "eper", "detp"))
+    halves = [name.split("_") for name in METHODS]  # registry names are <fn>_<method>
+    compute.add_argument("--fn", required=True, choices=list(dict.fromkeys(f for f, _ in halves)))
     compute.add_argument(
-        "--method", required=True, choices=("definitional", "identity", "ryser")
+        "--method", required=True, choices=list(dict.fromkeys(m for _, m in halves))
     )
     compute.add_argument(
         "--gamma", help="comma-separated shift scalars for per/det --method identity"
@@ -87,6 +88,8 @@ def _parse_flag_scalar(ring_name: str, token: str, where: str):
         data = json.loads(text)
     except json.JSONDecodeError:
         data = text
+    except RecursionError:
+        raise UsageError(f"{where}: nested too deeply") from None
     try:
         return parse_scalar(ring_name, data, where)
     except DocumentError as exc:
@@ -111,28 +114,25 @@ def _run_compute(args: argparse.Namespace) -> int:
     if method not in METHODS:
         raise UsageError(f"method {args.method!r} does not apply to {args.fn}")
     document = _load_document(args.file)
-    expected_kind = "cube" if args.fn == "detp" else "matrix"
-    if document.kind != expected_kind:
-        raise UsageError(
-            f"{args.fn} expects a {expected_kind} document, got kind {document.kind!r}"
-        )
-    if args.fn in ("per", "det") and not document.ring.commutative:
-        raise UsageError(f"{args.fn} requires a commutative ring, got {document.ring_name!r}")
     params: dict = {}
     if args.gamma is not None:
-        if args.fn == "per" and args.method == "identity":
+        if method == "per_identity":
             params["gammas"] = _gamma_values(document, args.gamma, document.n)
-        elif args.fn == "det" and args.method == "identity":
+        elif method == "det_identity":
             params["gamma"] = _gamma_values(document, args.gamma, 1)[0]
         else:
             raise UsageError("--gamma applies only to per or det with --method identity")
     if args.delta is not None:
-        if args.fn == "eper" and args.method == "identity":
+        if method == "eper_identity":
             params["delta"] = _parse_flag_scalar(document.ring_name, args.delta, "--delta")
         else:
             raise UsageError("--delta applies only to eper with --method identity")
     value = evaluate_method(method, document.content, params)
     report = count_ops(method, document.content, params)
+    if not document.content.ring.eq(report.value, value):
+        raise MethodDisagreement(
+            f"instrumented {method} produced {report.value} but plain run produced {value}"
+        )
     print(f"value: {value}")
     print(
         f"ops: adds={report.adds} negs={report.negs} muls={report.muls} "

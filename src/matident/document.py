@@ -220,6 +220,8 @@ def parse_document(text: str) -> MatrixDocument:
         raise DocumentError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise DocumentError("document is nested too deeply") from None
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
     unknown = sorted(set(data) - set(_REQUIRED_FIELDS))

@@ -1,8 +1,9 @@
 """Randomized cross-check suites behind the ``verify`` command.
 
-Each suite draws seeded random instances and compares an identity-based
-evaluator against the definitional one, or checks that a claimed invariant
-(vanishing power sums, zero criteria, reconstruction counts) holds exactly.
+Each suite draws seeded random instances and compares identity-based
+evaluators against the definitional one, all run through the bench method
+registry, or checks that a claimed invariant (vanishing power sums, zero
+criteria, reconstruction counts) holds exactly.
 Trials are independent jobs keyed by (suite, n, seed, trial) so a pool of
 workers can run them in any order while the report stays deterministic.
 """
@@ -14,19 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .bench import evaluate_method
 from .identities import (
     check_diagonal_power_identity,
     check_submatrix_power_identity,
     determinant,
-    determinant_identity,
     determinant_zero_criterion,
     permanent,
-    permanent_identity,
-    permanent_ryser,
-    space_determinant,
-    space_determinant_identity,
     symmetrized_permanent,
-    symmetrized_permanent_identity,
     symmetrized_permanent_zero_criterion,
 )
 from .matrices import SquareMatrix
@@ -46,58 +42,45 @@ from .sampling import (
 TrialFunction = Callable[[int, int, int], "tuple[bool, str]"]
 
 
+def _agree(obj, reference: str, runs) -> tuple[bool, str]:
+    """Whether every (method, params) run on obj equals the reference method's value."""
+    expected = evaluate_method(reference, obj)
+    for method, params in runs:
+        value = evaluate_method(method, obj, params)
+        if not obj.ring.eq(value, expected):
+            return False, f"{method}({params}) gave {value}, {reference} gave {expected}"
+    return True, ""
+
+
 def _trial_permanent(n: int, seed: int, trial: int) -> tuple[bool, str]:
     rng = derive_rng(seed, "thm2", n, trial)
     matrix = random_integer_matrix(rng, n)
-    ring = matrix.ring
-    reference = permanent(matrix)
-    ryser = permanent_ryser(matrix)
-    if not ring.eq(ryser, reference):
-        return False, f"ryser gave {ryser}, definitional gave {reference}"
     shifts = [tuple(Fraction(0) for _ in range(n))]
     shifts.append(tuple(random_rational(rng) for _ in range(n)))
     shifts.append(tuple(random_rational(rng) for _ in range(n)))
-    for gammas in shifts:
-        value = permanent_identity(matrix, gammas)
-        if not ring.eq(value, reference):
-            note = ", ".join(str(g) for g in gammas)
-            return False, f"identity gave {value} at gammas ({note}), expected {reference}"
-    return True, ""
+    runs = [("per_ryser", {})] + [("per_identity", {"gammas": gammas}) for gammas in shifts]
+    return _agree(matrix, "per_definitional", runs)
 
 
 def _trial_determinant(n: int, seed: int, trial: int) -> tuple[bool, str]:
     rng = derive_rng(seed, "thm3", n, trial)
     matrix = random_rational_matrix(rng, n)
-    ring = matrix.ring
-    reference = determinant(matrix)
-    for gamma in (Fraction(0), Fraction(1), Fraction(-3, 2), random_rational(rng)):
-        value = determinant_identity(matrix, gamma)
-        if not ring.eq(value, reference):
-            return False, f"identity gave {value} at gamma {gamma}, expected {reference}"
-    return True, ""
+    gammas = (Fraction(0), Fraction(1), Fraction(-3, 2), random_rational(rng))
+    runs = [("det_identity", {"gamma": gamma}) for gamma in gammas]
+    return _agree(matrix, "det_definitional", runs)
 
 
 def _trial_symmetrized(n: int, seed: int, trial: int) -> tuple[bool, str]:
     rng = derive_rng(seed, "thm4", n, trial)
     matrix = random_matrix2_matrix(rng, n)
-    ring = matrix.ring
-    reference = symmetrized_permanent(matrix)
-    deltas = [ring.zero(), random_matrix2_element(rng), random_matrix2_element(rng)]
-    for delta in deltas:
-        value = symmetrized_permanent_identity(matrix, delta)
-        if not ring.eq(value, reference):
-            return False, f"identity gave {value} at delta {delta}, expected {reference}"
-    return True, ""
+    deltas = [matrix.ring.zero(), random_matrix2_element(rng), random_matrix2_element(rng)]
+    runs = [("eper_identity", {"delta": delta}) for delta in deltas]
+    return _agree(matrix, "eper_definitional", runs)
 
 
 def _trial_space_determinant(n: int, seed: int, trial: int) -> tuple[bool, str]:
     rng = derive_rng(seed, "thm5", n, trial)
-    cube = random_integer_cube(rng, n)
-    reference = space_determinant(cube)
-    value = space_determinant_identity(cube)
-    if not cube.ring.eq(value, reference):
-        return False, f"identity gave {value}, definitional gave {reference}"
-    return True, ""
+    return _agree(random_integer_cube(rng, n), "detp_definitional", [("detp_identity", {})])
 
 
 def _trial_diagonal_power_sums(n: int, seed: int, trial: int) -> tuple[bool, str]:
@@ -124,12 +107,15 @@ def _trial_diagonal_power_sums(n: int, seed: int, trial: int) -> tuple[bool, str
 def _vanishing_symmetrized_instance(rng, n: int) -> SquareMatrix:
     """Random matrix whose symmetrized permanent is exactly zero.
 
-    For n = 2 the two diagonals are Sym(x, y) and Sym(x, -y), which cancel
-    for any ring elements x, y.  For larger n the entries are scalar
-    matrices (which commute, so the symmetrized permanent collapses to the
-    plain permanent of the underlying rationals) and one entry is solved to
-    make that permanent vanish.
+    For n = 1 it is the zero entry, the only choice.  For n = 2 the two
+    diagonals are Sym(x, y) and Sym(x, -y), which cancel for any ring
+    elements x, y.  For larger n the entries are scalar matrices (which
+    commute, so the symmetrized permanent collapses to the plain permanent
+    of the underlying rationals) and one entry is solved to make that
+    permanent vanish.
     """
+    if n == 1:
+        return SquareMatrix(MATRIX2, [[MATRIX2.zero()]])
     if n == 2:
         x = random_matrix2_element(rng)
         y = random_matrix2_element(rng)

@@ -1,13 +1,16 @@
 """Instrumented operation counting and the method comparison table."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
+from matident import bench
 from matident.bench import (
     COMPARED_METHODS,
     CountingRing,
+    MethodDisagreement,
     compare_methods,
     count_ops,
     evaluate_method,
@@ -66,8 +69,9 @@ def test_polarization_evaluation_count():
 def test_instrumented_value_matches_plain_value():
     for method in COMPARED_METHODS:
         value = evaluate_method(method, M3)
-        report = count_ops(method, M3)  # raises on disagreement
+        report = count_ops(method, M3)
         assert report.method == method and report.n == 3
+        assert report.value == value
         assert evaluate_method(method, M3) == value
 
 
@@ -99,6 +103,18 @@ def test_compare_methods_is_deterministic_and_consistent():
         assert by_key[("per_identity", n)]["value"] == per_value
         det_value = by_key[("det_definitional", n)]["value"]
         assert by_key[("det_identity", n)]["value"] == det_value
+
+
+def test_compare_methods_rejects_a_counted_run_that_disagrees(monkeypatch):
+    spec = bench.METHODS["det_identity"]
+
+    def skewed(matrix, params, counts):
+        value = spec.run(matrix, params, counts)
+        return value + 1 if isinstance(matrix.ring, CountingRing) else value
+
+    monkeypatch.setitem(bench.METHODS, "det_identity", dataclasses.replace(spec, run=skewed))
+    with pytest.raises(MethodDisagreement, match="instrumented det_identity"):
+        compare_methods(2, 2, seed=1)
 
 
 def test_compare_methods_validates_bounds():

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from matident import verify
+from matident import bench, verify
+from matident.bench import CountingRing
 from matident.cli import main
 
 
@@ -19,6 +20,8 @@ def docs(tmp_path):
         paths[name] = str(path)
 
     write("m2", {"kind": "matrix", "ring": "rational", "n": 2, "entries": [[1, 2], [3, 4]]})
+    m3 = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    write("m3", {"kind": "matrix", "ring": "rational", "n": 3, "entries": m3})
     write("singular", {"kind": "matrix", "ring": "rational", "n": 2, "entries": [[1, 2], [2, 4]]})
     write(
         "symbolic",
@@ -45,6 +48,11 @@ def docs(tmp_path):
             ],
         },
     )
+    nested = "[" * 5000 + "]" * 5000
+    path = tmp_path / "nested.json"
+    path.write_text('{"kind": "matrix", "ring": "rational", "n": 1, "entries": ' + nested + "}")
+    paths["nested"] = str(path)
+    paths["nested_scalar"] = nested
     return paths
 
 
@@ -80,6 +88,50 @@ def test_compute_value_is_gamma_independent(docs, capsys):
     )
     assert baseline[0] == shifted[0] == 0
     assert baseline[1].splitlines()[0] == shifted[1].splitlines()[0] == "value: 10"
+
+
+def test_compute_permanent_by_polarization(docs, capsys):
+    code, out, _ = run(capsys, "compute", "--fn", "per", "--method", "polarization", docs["m3"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "value: 450"
+    assert lines[1].endswith(" f_evals=8")
+
+
+def _wrapped_run(monkeypatch, method, wrap):
+    """Replace one registry entry's run, as the benchmark's tracing does."""
+    spec = bench.METHODS[method]
+    monkeypatch.setitem(bench.METHODS, method, dataclasses.replace(spec, run=wrap(spec.run)))
+
+
+def test_compute_runs_the_evaluator_once_plain_and_once_counted(docs, capsys, monkeypatch):
+    counted = []
+
+    def wrap(real):
+        def run_spy(matrix, params, counts):
+            counted.append(isinstance(matrix.ring, CountingRing))
+            return real(matrix, params, counts)
+
+        return run_spy
+
+    _wrapped_run(monkeypatch, "det_identity", wrap)
+    code, out, _ = run(capsys, "compute", "--fn", "det", "--method", "identity", docs["m2"])
+    assert code == 0 and out.splitlines()[0] == "value: -2"
+    assert sorted(counted) == [False, True]
+
+
+def test_compute_exits_1_when_the_counted_run_disagrees(docs, capsys, monkeypatch):
+    def wrap(real):
+        def skewed(matrix, params, counts):
+            value = real(matrix, params, counts)
+            return value + 1 if isinstance(matrix.ring, CountingRing) else value
+
+        return skewed
+
+    _wrapped_run(monkeypatch, "per_ryser", wrap)
+    code, out, err = run(capsys, "compute", "--fn", "per", "--method", "ryser", docs["m2"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: instrumented per_ryser produced 11")
 
 
 def test_compute_determinant_on_singular_matrix(docs, capsys):
@@ -129,6 +181,11 @@ def test_usage_errors_exit_2(docs, capsys):
         ("compute", "--fn", "per", "--method", "definitional", docs["cube"]),
         ("compute", "--fn", "per", "--method", "definitional", docs["mm"]),
         ("compute", "--fn", "per", "--method", "definitional", "/no/such/file.json"),
+        ("compute", "--fn", "per", "--method", "definitional", docs["nested"]),
+        ("compute", "--fn", "det", "--method", "identity", "--gamma", docs["nested_scalar"],
+         docs["m2"]),
+        ("compute", "--fn", "eper", "--method", "identity", "--delta", docs["nested_scalar"],
+         docs["mm"]),
         ("verify", "--suite", "thm4", "--n", "4"),
         ("verify", "--trials", "0"),
         ("bench", "--nmin", "3", "--nmax", "2"),
@@ -162,6 +219,12 @@ def test_verify_single_suite_passes(capsys):
     assert lines[0] == "verify: suite=thm2 trials=2 seed=1"
     assert lines[1] == "thm2 n=2: 2/2 ok: PASS"
     assert lines[-1] == "result: PASS (2/2 checks)"
+
+
+def test_verify_runs_at_n_1(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "cor2", "--n", "1", "--trials", "2")
+    assert code == 0
+    assert out.splitlines()[1] == "cor2 n=1: 2/2 ok: PASS"
 
 
 def test_verify_output_is_deterministic_in_process(capsys):
