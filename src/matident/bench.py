@@ -11,11 +11,14 @@ powers" is checked.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Any, Callable, Mapping
 
 from . import identities
+from .combinatorics import MAX_ENUMERATION_N
 from .matrices import CubeMatrix, SquareMatrix
 from .polarization import DiagonalFunction, componentwise_add, polarize
 from .rings import Ring, binary_power
@@ -128,6 +131,7 @@ class MethodSpec:
     name: str
     kind: str  # "matrix" or "cube"
     run: Callable[[Any, Mapping, OpCounts], Any]
+    max_n: int = MAX_ENUMERATION_N
 
 
 METHODS: dict[str, MethodSpec] = {
@@ -144,7 +148,8 @@ METHODS: dict[str, MethodSpec] = {
         MethodSpec(
             "per_ryser", "matrix", lambda m, p, c: identities.permanent_ryser(m)
         ),
-        MethodSpec("per_polarization", "matrix", _run_per_polarization),
+        # 2^n permanents of n x n matrices: n = 7 takes seconds, n = 8 minutes.
+        MethodSpec("per_polarization", "matrix", _run_per_polarization, max_n=7),
         MethodSpec(
             "det_definitional", "matrix", lambda m, p, c: identities.determinant(m)
         ),
@@ -183,15 +188,78 @@ def _checked_spec(method: str, obj: SquareMatrix | CubeMatrix) -> MethodSpec:
         raise ValueError(f"method {method} expects a square matrix")
     if spec.kind == "cube" and not isinstance(obj, CubeMatrix):
         raise ValueError(f"method {method} expects a cube")
+    if obj.n > spec.max_n:
+        raise ValueError(f"method {method} supports n up to {spec.max_n}, got {obj.n}")
     return spec
+
+
+class _IntegerRing(Ring):
+    """Python ints, whose exact division refuses to leave a remainder."""
+
+    def _div_exact(self, x: int, k: int) -> int:
+        quotient, remainder = divmod(x, k)
+        if remainder:
+            raise ArithmeticError(f"{x} is not divisible by {k}")
+        return quotient
+
+
+_INTEGER = _IntegerRing(
+    "integers", int, lambda x: isinstance(x, int) and not isinstance(x, bool)
+)
+
+
+def _lift(
+    obj: SquareMatrix | CubeMatrix, params: dict
+) -> tuple[SquareMatrix | CubeMatrix, dict, Callable[[Any], Any]]:
+    """The request moved onto the integers, and the map that moves its value back.
+
+    Every function in the registry is homogeneous of degree n in the entries
+    and shifts together, so f(A, gamma) = f(L*A, L*gamma) / L**n for the least
+    common denominator L of them all.  Only inputs made entirely of Fractions
+    are lifted; anything else is returned unchanged, so its errors stay the
+    evaluators' own.
+    """
+    unchanged = obj, params, lambda value: value
+    square = isinstance(obj, SquareMatrix)
+    rows = obj.entries if square else [row for section in obj.sections for row in section]
+    values = [entry for row in rows for entry in row]
+    gammas = params.get("gammas")
+    if gammas is not None:
+        if not isinstance(gammas, (tuple, list)):
+            return unchanged
+        values += gammas
+    shifts = {key: params[key] for key in ("gamma", "delta") if params.get(key) is not None}
+    values += shifts.values()
+    if not all(isinstance(value, Fraction) for value in values):
+        return unchanged
+    scale = math.lcm(*(value.denominator for value in values))
+
+    def up(value: Fraction) -> int:
+        return value.numerator * (scale // value.denominator)
+
+    lifted_params = {**params, **{key: up(value) for key, value in shifts.items()}}
+    if gammas is not None:
+        lifted_params["gammas"] = tuple(up(value) for value in gammas)
+    if square:
+        lifted = SquareMatrix(_INTEGER, [[up(x) for x in row] for row in obj.entries])
+    else:
+        lifted = CubeMatrix(
+            _INTEGER, [[[up(x) for x in row] for row in section] for section in obj.sections]
+        )
+    return lifted, lifted_params, lambda value: Fraction(value, scale**obj.n)
 
 
 def evaluate_method(
     method: str, obj: SquareMatrix | CubeMatrix, params: Mapping | None = None
 ) -> Any:
-    """Run a registered evaluator without instrumentation."""
+    """Run a registered evaluator without instrumentation.
+
+    A request made entirely of Fractions runs on the integers (see _lift);
+    its value comes back as the same Fraction.
+    """
     spec = _checked_spec(method, obj)
-    return spec.run(obj, dict(params or {}), OpCounts())
+    lifted, params, lower = _lift(obj, dict(params or {}))
+    return lower(spec.run(lifted, params, OpCounts()))
 
 
 def count_ops(
@@ -201,14 +269,18 @@ def count_ops(
     counts and the value it computed.
 
     Callers compare report.value with a plain run: a mismatch means the
-    wrapper ring changed semantics.
+    wrapper ring changed semantics.  A lifted request (see _lift) counts the
+    same operations on integers; moving its value back is not counted.
     """
     spec = _checked_spec(method, obj)
-    counting = CountingRing(obj.ring)
+    lifted, params, lower = _lift(obj, dict(params or {}))
+    counting = CountingRing(lifted.ring)
     started = time.perf_counter()
-    value = spec.run(obj.with_ring(counting), dict(params or {}), counting.counts)
+    value = spec.run(lifted.with_ring(counting), params, counting.counts)
     elapsed = time.perf_counter() - started
-    return replace(counting.counts, value=value, method=method, n=obj.n, wall_time=elapsed)
+    return replace(
+        counting.counts, value=lower(value), method=method, n=obj.n, wall_time=elapsed
+    )
 
 
 COMPARED_METHODS = (

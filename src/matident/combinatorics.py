@@ -60,10 +60,26 @@ def enumerate_subdiagonals(n: int, k: int, sign: int) -> Iterator[tuple[tuple[in
     if k < 0 or k > n:
         raise ValueError(f"subdiagonal length must be in 0..{n}, got {k}")
     row_subsets = tuple(itertools.combinations(range(n), k))
-    for image, parent_sign in enumerate_permutations(n):
-        if parent_sign == sign:
-            for rows in row_subsets:
-                yield tuple((i, image[i]) for i in rows)
+    for image in _signed_images(n, sign):
+        for rows in row_subsets:
+            yield tuple((i, image[i]) for i in rows)
+
+
+def _signed_images(n: int, sign: int) -> Iterator[tuple[int, ...]]:
+    """The images of enumerate_permutations(n) that have the given sign, in order.
+
+    The last Lehmer digit is always 0 and the one before it is 0 or 1, so
+    each prefix r_0 .. r_{n-3} has exactly one completion of each sign.
+    """
+    if n == 1:
+        if sign == EVEN:
+            yield (0,)
+        return
+    odd = sign == ODD
+    for prefix in itertools.product(*(range(n - i) for i in range(n - 2))):
+        unused = list(range(n))
+        code = (*prefix, (sum(prefix) + odd) % 2, 0)
+        yield tuple(unused.pop(r) for r in code)
 
 
 def enumerate_submatrices(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -3,23 +3,32 @@
 import dataclasses
 import json
 import math
+import re
+from fractions import Fraction
 
 import pytest
 
 from matident import bench
 from matident.bench import (
     COMPARED_METHODS,
+    METHODS,
     CountingRing,
     MethodDisagreement,
+    OpCounts,
     compare_methods,
     count_ops,
     evaluate_method,
     format_table,
     write_records,
 )
-from matident.matrices import SquareMatrix
-from matident.rings import RATIONAL
-from matident.sampling import derive_rng, random_matrix2_matrix, random_rational_matrix
+from matident.matrices import CubeMatrix, SquareMatrix
+from matident.rings import RATIONAL, MatrixElement, Poly
+from matident.sampling import (
+    derive_rng,
+    random_matrix2_matrix,
+    random_rational,
+    random_rational_matrix,
+)
 
 M3 = SquareMatrix(RATIONAL, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
 
@@ -159,3 +168,92 @@ def test_economy_of_the_identity_form():
             assert identity_muls < definitional_muls
         ratios.append(identity_muls / definitional_muls)
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
+
+
+COUNT_FIELDS = ("adds", "negs", "muls", "power_muls", "powers", "int_divs", "f_evals")
+
+
+def _rational_request(method, n):
+    """A seeded p/q matrix or cube for method, with a random value for every shift."""
+    rng = derive_rng(45, "lift", method, n)
+    if METHODS[method].kind == "cube":
+        obj = CubeMatrix(
+            RATIONAL,
+            [[[random_rational(rng) for _ in range(n)] for _ in range(n)] for _ in range(n)],
+        )
+    else:
+        obj = random_rational_matrix(rng, n)
+    params = {
+        "gammas": tuple(random_rational(rng) for _ in range(n)),
+        "gamma": random_rational(rng),
+        "delta": random_rational(rng),
+    }
+    return obj, params
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_rational_requests_run_on_integers_with_the_same_value_and_counts(method):
+    spec = METHODS[method]
+    for n in range(1, 6):
+        obj, params = _rational_request(method, n)
+        value = evaluate_method(method, obj, params)
+        assert isinstance(value, Fraction)
+        assert value == spec.run(obj, params, OpCounts())
+        counting = CountingRing(RATIONAL)
+        expected = spec.run(obj.with_ring(counting), params, counting.counts)
+        report = count_ops(method, obj, params)
+        assert isinstance(report.value, Fraction) and report.value == expected == value
+        for field in COUNT_FIELDS:
+            assert getattr(report, field) == getattr(counting.counts, field), (n, field)
+
+
+def test_only_all_fraction_requests_reach_the_evaluator_as_integers(monkeypatch):
+    seen = []
+    for method in ("det_identity", "eper_identity"):
+        spec = METHODS[method]
+
+        def run_spy(matrix, params, counts, _run=spec.run):
+            shift = params.get("gamma", params.get("delta"))
+            seen.append({type(x) for row in matrix.entries for x in row} | {type(shift)})
+            return _run(matrix, params, counts)
+
+        monkeypatch.setitem(METHODS, method, dataclasses.replace(spec, run=run_spy))
+    matrix = SquareMatrix(RATIONAL, [[Fraction(1, 2), 2], [Fraction(-3, 4), 5]])
+    # gamma = 1/3 makes L = 12: det(12 * matrix) / 12**2 = 576 / 144
+    assert evaluate_method("det_identity", matrix, {"gamma": Fraction(1, 3)}) == 4
+    with pytest.raises(ValueError, match="free parameter 1 is not an element of rationals"):
+        evaluate_method("det_identity", matrix, {"gamma": 1})
+    evaluate_method("eper_identity", random_matrix2_matrix(derive_rng(46, "unlifted"), 2))
+    assert [sorted(types, key=str) for types in seen] == [
+        [int],
+        [Fraction, int],
+        [type(None), MatrixElement],
+    ]
+
+
+def test_integer_division_refuses_a_remainder():
+    assert bench._INTEGER.div_int(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        bench._INTEGER.div_int(7, 2)
+
+
+def test_a_polynomial_shift_on_a_rational_matrix_keeps_its_error():
+    matrix = SquareMatrix(RATIONAL, [[Fraction(1, 2), 2], [3, 4]])
+    message = re.escape("free parameter Poly(g) is not an element of rationals")
+    with pytest.raises(ValueError, match=message):
+        evaluate_method("det_identity", matrix, {"gamma": Poly.variable("g")})
+    with pytest.raises(ValueError, match=r"is not an element of counting\(rationals\)"):
+        count_ops("det_identity", matrix, {"gamma": Poly.variable("g")})
+
+
+def test_polarization_is_refused_above_its_size_limit(monkeypatch):
+    spec = METHODS["per_polarization"]
+
+    def never(matrix, params, counts):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setitem(METHODS, "per_polarization", dataclasses.replace(spec, run=never))
+    matrix = SquareMatrix(RATIONAL, [[1] * 8] * 8)
+    for run in (evaluate_method, count_ops):
+        with pytest.raises(ValueError, match="per_polarization supports n up to 7, got 8"):
+            run("per_polarization", matrix)

@@ -98,6 +98,22 @@ def test_compute_permanent_by_polarization(docs, capsys):
     assert lines[1].endswith(" f_evals=8")
 
 
+def test_compute_refuses_polarization_above_n_7(tmp_path, capsys, monkeypatch):
+    def wrap(real):
+        def never(matrix, params, counts):
+            raise AssertionError("evaluated")
+
+        return never
+
+    _wrapped_run(monkeypatch, "per_polarization", wrap)
+    path = tmp_path / "m8.json"
+    entries = [[f"{i + j}/3" for j in range(8)] for i in range(8)]
+    path.write_text(json.dumps({"kind": "matrix", "ring": "rational", "n": 8, "entries": entries}))
+    code, out, err = run(capsys, "compute", "--fn", "per", "--method", "polarization", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: method per_polarization supports n up to 7, got 8\n"
+
+
 def _wrapped_run(monkeypatch, method, wrap):
     """Replace one registry entry's run, as the benchmark's tracing does."""
     spec = bench.METHODS[method]

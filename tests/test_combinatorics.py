@@ -74,6 +74,14 @@ def test_subdiagonal_counts(n):
             assert sum(1 for _ in enumerate_subdiagonals(n, k, sign)) == expected
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_full_diagonals_are_the_parents_of_that_sign_in_order(n):
+    for sign in (EVEN, ODD):
+        parents = [image for image, parent_sign in enumerate_permutations(n) if parent_sign == sign]
+        diagonals = [tuple(col for _, col in d) for d in enumerate_subdiagonals(n, n, sign)]
+        assert diagonals == parents
+
+
 def test_subdiagonals_retain_their_parent():
     subs = list(enumerate_subdiagonals(3, 2, EVEN))
     assert len(subs) == 9
