@@ -54,20 +54,11 @@ class CountingRing(Ring):
     """Wrapper ring that counts operations and delegates values to a base ring."""
 
     def __init__(self, base: Ring):
+        name = f"counting({base.name})"
+        super().__init__(name, base.from_int, base.is_element, base.commutative)
         self.base = base
-        self.name = f"counting({base.name})"
-        self.commutative = base.commutative
         self.counts = OpCounts()
         self._power_depth = 0
-
-    def zero(self) -> Any:
-        return self.base.zero()
-
-    def one(self) -> Any:
-        return self.base.one()
-
-    def from_int(self, value: int) -> Any:
-        return self.base.from_int(value)
 
     def add(self, x: Any, y: Any) -> Any:
         self.counts.adds += 1
@@ -88,12 +79,6 @@ class CountingRing(Ring):
             self.counts.muls += 1
         return self.base.mul(x, y)
 
-    def eq(self, x: Any, y: Any) -> bool:
-        return self.base.eq(x, y)
-
-    def is_element(self, x: Any) -> bool:
-        return self.base.is_element(x)
-
     def _div_exact(self, x: Any, k: int) -> Any:
         self.counts.int_divs += 1
         return self.base._div_exact(x, k)
@@ -103,7 +88,7 @@ class CountingRing(Ring):
         self._power_depth += 1
         try:
             # Same square-and-multiply as the base ring, so values agree.
-            return binary_power(self.base.one(), self.mul, x, exponent)
+            return binary_power(self.one(), self.mul, x, exponent)
         finally:
             self._power_depth -= 1
 
@@ -158,18 +143,24 @@ METHODS: dict[str, MethodSpec] = {
             "matrix",
             lambda m, p, c: identities.determinant_identity(m, p.get("gamma")),
         ),
+        # n! diagonals of n! orderings each: n = 5 takes seconds, n = 6 minutes.
         MethodSpec(
             "eper_definitional",
             "matrix",
             lambda m, p, c: identities.symmetrized_permanent(m),
+            max_n=5,
         ),
         MethodSpec(
             "eper_identity",
             "matrix",
             lambda m, p, c: identities.symmetrized_permanent_identity(m, p.get("delta")),
         ),
+        # n! permanents of n! diagonals each: n = 6 takes seconds, n = 7 minutes.
         MethodSpec(
-            "detp_definitional", "cube", lambda m, p, c: identities.space_determinant(m)
+            "detp_definitional",
+            "cube",
+            lambda m, p, c: identities.space_determinant(m),
+            max_n=6,
         ),
         MethodSpec(
             "detp_identity",

@@ -8,6 +8,8 @@ documented order, so it is restartable:
 - enumerate_subdiagonals(n, k, sign) yields a tuple of k (row, col)
   positions.
 - enumerate_submatrices(n) yields (rows, cols), two sorted nonempty tuples.
+- enumerate_subsets(n) yields (cols, sign): a sorted tuple of columns and
+  (-1)**len(cols).
 """
 
 from __future__ import annotations
@@ -96,6 +98,22 @@ def enumerate_submatrices(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, 
                     yield rows, cols
 
 
+def enumerate_subsets(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """All 2**n subsets of 0..n-1 with the sign (-1)**size, in binary-counter order.
+
+    Subset number m holds the columns j whose bit j is set in m, so the empty
+    subset comes first.  The stream has only 2**n items, so no size cap
+    applies.
+    """
+    if n < 0:
+        raise ValueError(f"set size must be nonnegative, got {n}")
+    for mask in range(1 << n):
+        # A list comprehension: on CPython 3.11 tuple() over a generator
+        # expression here leaves garbage that only the cycle collector frees.
+        cols = tuple([j for j in range(n) if mask >> j & 1])
+        yield cols, ODD if len(cols) % 2 else EVEN
+
+
 def symmetrize(ring: Ring, factors: Sequence[Any]) -> Any:
     """Average the products of the factors over all orderings.
 
@@ -106,8 +124,5 @@ def symmetrize(ring: Ring, factors: Sequence[Any]) -> Any:
     items = tuple(factors)
     if not items:
         raise ValueError("symmetrize needs at least one factor")
-    total = None
-    for ordering in itertools.permutations(range(len(items))):
-        term = ring.product(items[index] for index in ordering)
-        total = term if total is None else ring.add(total, term)
+    total = ring.sum(ring.product(ordering) for ordering in itertools.permutations(items))
     return ring.div_int(total, math.factorial(len(items)))

@@ -2,14 +2,18 @@
 
 Each function family pairs a brute-force definitional evaluator (the oracle)
 with an algebraic identity that rebuilds the same value from sums of entries
-raised to the n-th power.  The identity forms use only addition, subtraction,
-raising to the power n, and one exact division by n!; their agreement with
-the definitional forms over every supported ring is the package's central
-claim and is what the verify suites check.
+raised to the n-th power.  Every evaluator is one signed sum over a stream
+from `combinatorics`, folded by `Ring.signed_sum`.  The determinant and
+symmetrized-permanent identities use only addition, subtraction, n-th powers
+and one exact division by n!; the permanent and space-determinant identities
+multiply row sums instead.  Their agreement with the definitional forms over
+every supported ring is the package's central claim and is what the verify
+suites check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Any, Sequence
@@ -20,6 +24,7 @@ from .combinatorics import (
     enumerate_permutations,
     enumerate_subdiagonals,
     enumerate_submatrices,
+    enumerate_subsets,
     symmetrize,
 )
 from .matrices import CubeMatrix, SquareMatrix
@@ -58,11 +63,10 @@ def permanent(matrix: SquareMatrix) -> Any:
     ring = matrix.ring
     _require_commutative(ring, "permanent")
     rows = matrix.entries
-    total = ring.zero()
-    for image, _ in enumerate_permutations(matrix.n):
-        term = ring.product(row[col] for row, col in zip(rows, image))
-        total = ring.add(total, term)
-    return total
+    return ring.signed_sum(
+        (EVEN, ring.product(row[col] for row, col in zip(rows, image)))
+        for image, _ in enumerate_permutations(matrix.n)
+    )
 
 
 def permanent_identity(matrix: SquareMatrix, gammas: Sequence[Any] | None = None) -> Any:
@@ -75,38 +79,28 @@ def permanent_identity(matrix: SquareMatrix, gammas: Sequence[Any] | None = None
     """
     ring = matrix.ring
     _require_commutative(ring, "permanent")
-    n = matrix.n
     params = _checked_gammas(matrix, gammas)
-    total = ring.zero()
-    for mask in range(1 << n):
-        cols = [j for j in range(n) if mask >> j & 1]
-        factors = []
-        for row, param in zip(matrix.entries, params):
-            col_sum = ring.sum(row[j] for j in cols)
-            factors.append(ring.sub(param, col_sum))
-        term = ring.product(factors)
-        if mask.bit_count() % 2 == 0:
-            total = ring.add(total, term)
-        else:
-            total = ring.sub(total, term)
-    return total
+    rows = tuple(zip(matrix.entries, params))
+    return ring.signed_sum(
+        (
+            sign,
+            ring.product([ring.sub(param, ring.sum(row[j] for j in cols)) for row, param in rows]),
+        )
+        for cols, sign in enumerate_subsets(matrix.n)
+    )
 
 
 def permanent_ryser(matrix: SquareMatrix) -> Any:
     """Inclusion-exclusion permanent from products of row sums over column subsets."""
     ring = matrix.ring
     _require_commutative(ring, "permanent")
-    n = matrix.n
-    total = ring.zero()
-    for mask in range(1, 1 << n):
-        cols = [j for j in range(n) if mask >> j & 1]
-        row_sums = (ring.sum(row[j] for j in cols) for row in matrix.entries)
-        term = ring.product(row_sums)
-        if mask.bit_count() % 2 == 0:
-            total = ring.add(total, term)
-        else:
-            total = ring.sub(total, term)
-    return ring.neg(total) if n % 2 else total
+    rows = matrix.entries
+    nonempty = itertools.islice(enumerate_subsets(matrix.n), 1, None)
+    total = ring.signed_sum(
+        (sign, ring.product(ring.sum(row[j] for j in cols) for row in rows))
+        for cols, sign in nonempty
+    )
+    return ring.neg(total) if matrix.n % 2 else total
 
 
 def determinant(matrix: SquareMatrix) -> Any:
@@ -114,14 +108,10 @@ def determinant(matrix: SquareMatrix) -> Any:
     ring = matrix.ring
     _require_commutative(ring, "determinant")
     rows = matrix.entries
-    total = ring.zero()
-    for image, sign in enumerate_permutations(matrix.n):
-        term = ring.product(row[col] for row, col in zip(rows, image))
-        if sign == EVEN:
-            total = ring.add(total, term)
-        else:
-            total = ring.sub(total, term)
-    return total
+    return ring.signed_sum(
+        (sign, ring.product(row[col] for row, col in zip(rows, image)))
+        for image, sign in enumerate_permutations(matrix.n)
+    )
 
 
 def _signed_diagonal_bracket(matrix: SquareMatrix, k: int, exponent: int, gamma: Any) -> Any:
@@ -129,16 +119,21 @@ def _signed_diagonal_bracket(matrix: SquareMatrix, k: int, exponent: int, gamma:
     minus the same sum over odd ones."""
     ring = matrix.ring
     rows = matrix.entries
-    total = ring.zero()
-    for sign in (EVEN, ODD):
-        for positions in enumerate_subdiagonals(matrix.n, k, sign):
-            selected = ring.sum(rows[i][j] for i, j in positions)
-            powered = ring.power(ring.add(gamma, selected), exponent)
-            if sign == EVEN:
-                total = ring.add(total, powered)
-            else:
-                total = ring.sub(total, powered)
-    return total
+    return ring.signed_sum(
+        (sign, ring.power(ring.add(gamma, ring.sum(rows[i][j] for i, j in positions)), exponent))
+        for sign in (EVEN, ODD)
+        for positions in enumerate_subdiagonals(matrix.n, k, sign)
+    )
+
+
+def _diagonal_residual(matrix: SquareMatrix, t: int, shift: Any) -> Any:
+    """The signed bracket of t-th powers over full diagonals minus the one
+    over length-(n-1) subdiagonals."""
+    n = matrix.n
+    return matrix.ring.sub(
+        _signed_diagonal_bracket(matrix, n, t, shift),
+        _signed_diagonal_bracket(matrix, n - 1, t, shift),
+    )
 
 
 def _all_integral(values) -> bool:
@@ -157,9 +152,7 @@ def determinant_identity(matrix: SquareMatrix, gamma: Any = None) -> Any:
     _require_commutative(ring, "determinant")
     n = matrix.n
     shift = _checked_param(matrix, gamma)
-    bracket_full = _signed_diagonal_bracket(matrix, n, n, shift)
-    bracket_short = _signed_diagonal_bracket(matrix, n - 1, n, shift)
-    value = ring.div_int(ring.sub(bracket_full, bracket_short), math.factorial(n))
+    value = ring.div_int(_diagonal_residual(matrix, n, shift), math.factorial(n))
     # The division by n! is exact for integer inputs; anything else is a bug.
     # Deciding from the values keeps the guard on under any wrapper ring.
     inputs = [entry for row in matrix.entries for entry in row] + [shift]
@@ -175,14 +168,9 @@ def diagonal_power_residual(matrix: SquareMatrix, t: int) -> Any:
     """
     ring = matrix.ring
     _require_commutative(ring, "the diagonal power-sum identity")
-    n = matrix.n
-    if t < 1 or t > n:
-        raise ValueError(f"power must be in 1..{n}, got {t}")
-    zero = ring.zero()
-    return ring.sub(
-        _signed_diagonal_bracket(matrix, n, t, zero),
-        _signed_diagonal_bracket(matrix, n - 1, t, zero),
-    )
+    if t < 1 or t > matrix.n:
+        raise ValueError(f"power must be in 1..{matrix.n}, got {t}")
+    return _diagonal_residual(matrix, t, ring.zero())
 
 
 def check_diagonal_power_identity(matrix: SquareMatrix, t: int) -> tuple[bool, Any]:
@@ -209,11 +197,10 @@ def symmetrized_permanent(matrix: SquareMatrix) -> Any:
     """
     ring = matrix.ring
     rows = matrix.entries
-    total = ring.zero()
-    for image, _ in enumerate_permutations(matrix.n):
-        factors = [row[col] for row, col in zip(rows, image)]
-        total = ring.add(total, symmetrize(ring, factors))
-    return total
+    return ring.signed_sum(
+        (EVEN, symmetrize(ring, [row[col] for row, col in zip(rows, image)]))
+        for image, _ in enumerate_permutations(matrix.n)
+    )
 
 
 def _signed_submatrix_power_sum(matrix: SquareMatrix, exponent: int, delta: Any) -> Any:
@@ -221,15 +208,15 @@ def _signed_submatrix_power_sum(matrix: SquareMatrix, exponent: int, delta: Any)
     over all nonempty row and column selections."""
     ring = matrix.ring
     entries = matrix.entries
-    total = ring.zero()
-    for rows, cols in enumerate_submatrices(matrix.n):
-        selected = ring.sum(entries[i][j] for i in rows for j in cols)
-        powered = ring.power(ring.add(delta, selected), exponent)
-        if (len(rows) + len(cols)) % 2 == 0:
-            total = ring.add(total, powered)
-        else:
-            total = ring.sub(total, powered)
-    return total
+    return ring.signed_sum(
+        (
+            (-1) ** (len(rows) + len(cols)),
+            ring.power(
+                ring.add(delta, ring.sum(entries[i][j] for i in rows for j in cols)), exponent
+            ),
+        )
+        for rows, cols in enumerate_submatrices(matrix.n)
+    )
 
 
 def symmetrized_permanent_identity(matrix: SquareMatrix, delta: Any = None) -> Any:
@@ -291,15 +278,10 @@ def space_determinant(cube: CubeMatrix) -> Any:
     section i is assembled and its permanent weighted by the sign of s.
     """
     ring = cube.ring
-    n = cube.n
-    total = ring.zero()
-    for image, sign in enumerate_permutations(n):
-        value = permanent(SquareMatrix(ring, _assembled_rows(cube, image)))
-        if sign == EVEN:
-            total = ring.add(total, value)
-        else:
-            total = ring.sub(total, value)
-    return total
+    return ring.signed_sum(
+        (sign, permanent(SquareMatrix(ring, _assembled_rows(cube, image))))
+        for image, sign in enumerate_permutations(cube.n)
+    )
 
 
 def space_determinant_identity(cube: CubeMatrix) -> Any:
@@ -312,22 +294,14 @@ def space_determinant_identity(cube: CubeMatrix) -> Any:
     """
     ring = cube.ring
     n = cube.n
-    total = ring.zero()
-    for image, sign in enumerate_permutations(n):
-        rows = _assembled_rows(cube, image)
-        row_sums = [ring.sum(row) for row in rows]
-        first = ring.product(row_sums)
-        if sign == EVEN:
-            total = ring.add(total, first)
-        else:
-            total = ring.sub(total, first)
-        for r in range(n):
-            term = ring.product(
-                ring.sub(row_sums[t], rows[t][r]) for t in range(n)
-            )
+
+    def terms():
+        for image, sign in enumerate_permutations(n):
+            rows = _assembled_rows(cube, image)
+            row_sums = [ring.sum(row) for row in rows]
+            yield sign, ring.product(row_sums)
             # The depleted-product bracket enters with the opposite sign.
-            if sign == EVEN:
-                total = ring.sub(total, term)
-            else:
-                total = ring.add(total, term)
-    return total
+            for r in range(n):
+                yield -sign, ring.product(ring.sub(row_sums[t], rows[t][r]) for t in range(n))
+
+    return ring.signed_sum(terms())

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from .combinatorics import enumerate_subsets
 from .rings import Ring
 
 
@@ -54,13 +55,14 @@ def polarize(
     if len(points) != n:
         raise ValueError(f"expected {n} input points, got {len(points)}")
     total = None
-    for mask in range(1 << n):
+    for cols, sign in enumerate_subsets(n):
         shifted = gamma
-        for j in range(n):
-            if mask >> j & 1:
-                shifted = add(shifted, points[j])
+        for j in cols:
+            shifted = add(shifted, points[j])
         value = func.evaluate(shifted)
-        positive = (n - mask.bit_count()) % 2 == 0
+        positive = sign * (-1) ** n > 0
+        # Not Ring.signed_sum: the first term is negated, not subtracted from
+        # zero, and the printed adds and negs count exactly that.
         if total is None:
             total = value if positive else ring.neg(value)
         elif positive:

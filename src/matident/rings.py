@@ -48,7 +48,8 @@ class Ring:
     A ring is an instance: it names itself, builds elements from integers and
     recognises its own elements, and every operation is the element type's
     operator.  Wrapper rings (the counting ring) subclass it and override the
-    operation methods, so operations stay methods, never instance attributes.
+    operation methods, so operations stay methods, never instance attributes,
+    and the folds (sum, signed_sum, product) go through the overrides.
     """
 
     def __init__(
@@ -119,6 +120,15 @@ class Ring:
         for item in items:
             total = item if total is None else self.add(total, item)
         return self.zero() if total is None else total
+
+    def signed_sum(self, pairs: Iterable[tuple[int, Any]]) -> Any:
+        """Fold (sign, item) pairs onto zero: add the item for sign 1, subtract
+        it for sign -1, so every item costs exactly one add or sub."""
+        add, sub = self.add, self.sub
+        total = self.zero()
+        for sign, item in pairs:
+            total = add(total, item) if sign > 0 else sub(total, item)
+        return total
 
     def product(self, items: Iterable[Any]) -> Any:
         """Fold items with mul (left to right); the empty product is one."""

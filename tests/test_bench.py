@@ -22,9 +22,11 @@ from matident.bench import (
     write_records,
 )
 from matident.matrices import CubeMatrix, SquareMatrix
-from matident.rings import RATIONAL, MatrixElement, Poly
+from matident.rings import MATRIX2, RATIONAL, SYMBOLIC, MatrixElement, Poly
 from matident.sampling import (
     derive_rng,
+    random_integer,
+    random_matrix2_element,
     random_matrix2_matrix,
     random_rational,
     random_rational_matrix,
@@ -246,14 +248,113 @@ def test_a_polynomial_shift_on_a_rational_matrix_keeps_its_error():
         count_ops("det_identity", matrix, {"gamma": Poly.variable("g")})
 
 
-def test_polarization_is_refused_above_its_size_limit(monkeypatch):
-    spec = METHODS["per_polarization"]
+SIZE_LIMITS = {"per_polarization": 7, "eper_definitional": 5, "detp_definitional": 6}
+
+
+@pytest.mark.parametrize("method", SIZE_LIMITS)
+def test_costly_methods_are_refused_above_their_size_limit(monkeypatch, method):
+    spec = METHODS[method]
+    limit = SIZE_LIMITS[method]
+    assert spec.max_n == limit
 
     def never(matrix, params, counts):
         raise AssertionError("evaluated")
 
-    monkeypatch.setitem(METHODS, "per_polarization", dataclasses.replace(spec, run=never))
-    matrix = SquareMatrix(RATIONAL, [[1] * 8] * 8)
+    monkeypatch.setitem(METHODS, method, dataclasses.replace(spec, run=never))
+    n = limit + 1
+    if spec.kind == "cube":
+        obj = CubeMatrix(RATIONAL, [[[1] * n] * n] * n)
+    else:
+        obj = SquareMatrix(RATIONAL, [[1] * n] * n)
     for run in (evaluate_method, count_ops):
-        with pytest.raises(ValueError, match="per_polarization supports n up to 7, got 8"):
-            run("per_polarization", matrix)
+        with pytest.raises(ValueError, match=f"{method} supports n up to {limit}, got {n}"):
+            run(method, obj)
+
+
+def test_signed_sum_makes_one_add_or_sub_per_item_starting_from_zero():
+    counting = CountingRing(RATIONAL)
+    assert counting.signed_sum([]) == 0 and counting.counts.adds == 0
+    assert counting.signed_sum([(-1, Fraction(5))]) == -5
+    assert (counting.counts.adds, counting.counts.negs) == (1, 0)
+    pairs = [(1, Fraction(3)), (-1, Fraction(5)), (-1, Fraction(1, 2)), (1, Fraction(7))]
+    assert counting.signed_sum(pairs) == Fraction(9, 2)
+    assert counting.counts.adds == 1 + len(pairs)
+
+
+# (adds, negs, muls, power_muls, powers, int_divs, f_evals) for every method
+# and n; they depend on nothing else.  Recorded before the evaluators moved
+# onto Ring.signed_sum, which must not change any of them.
+PINNED_COUNTS = {
+    ("per_definitional", 1): (1, 0, 0, 0, 0, 0, 0),
+    ("per_definitional", 2): (2, 0, 2, 0, 0, 0, 0),
+    ("per_definitional", 3): (6, 0, 12, 0, 0, 0, 0),
+    ("per_definitional", 4): (24, 0, 72, 0, 0, 0, 0),
+    ("per_identity", 1): (4, 0, 0, 0, 0, 0, 0),
+    ("per_identity", 2): (14, 0, 4, 0, 0, 0, 0),
+    ("per_identity", 3): (47, 0, 16, 0, 0, 0, 0),
+    ("per_identity", 4): (148, 0, 48, 0, 0, 0, 0),
+    ("per_ryser", 1): (1, 1, 0, 0, 0, 0, 0),
+    ("per_ryser", 2): (5, 0, 3, 0, 0, 0, 0),
+    ("per_ryser", 3): (22, 1, 14, 0, 0, 0, 0),
+    ("per_ryser", 4): (83, 0, 45, 0, 0, 0, 0),
+    ("per_polarization", 1): (4, 1, 0, 0, 0, 1, 2),
+    ("per_polarization", 2): (19, 0, 8, 0, 0, 1, 4),
+    ("per_polarization", 3): (91, 1, 96, 0, 0, 1, 8),
+    ("per_polarization", 4): (527, 0, 1152, 0, 0, 1, 16),
+    ("det_definitional", 1): (1, 0, 0, 0, 0, 0, 0),
+    ("det_definitional", 2): (2, 0, 2, 0, 0, 0, 0),
+    ("det_definitional", 3): (6, 0, 12, 0, 0, 0, 0),
+    ("det_definitional", 4): (24, 0, 72, 0, 0, 0, 0),
+    ("det_identity", 1): (5, 0, 0, 0, 2, 1, 0),
+    ("det_identity", 2): (15, 0, 0, 6, 6, 1, 0),
+    ("det_identity", 3): (79, 0, 0, 48, 24, 1, 0),
+    ("det_identity", 4): (505, 0, 0, 240, 120, 1, 0),
+    ("eper_definitional", 1): (1, 0, 0, 0, 0, 1, 0),
+    ("eper_definitional", 2): (4, 0, 4, 0, 0, 2, 0),
+    ("eper_definitional", 3): (36, 0, 72, 0, 0, 6, 0),
+    ("eper_definitional", 4): (576, 0, 1728, 0, 0, 24, 0),
+    ("eper_identity", 1): (3, 0, 0, 0, 2, 1, 0),
+    ("eper_identity", 2): (26, 0, 0, 10, 10, 1, 0),
+    ("eper_identity", 3): (194, 0, 0, 100, 50, 1, 0),
+    ("eper_identity", 4): (1250, 0, 0, 452, 226, 1, 0),
+    ("detp_definitional", 1): (2, 0, 0, 0, 0, 0, 0),
+    ("detp_definitional", 2): (6, 0, 4, 0, 0, 0, 0),
+    ("detp_definitional", 3): (42, 0, 72, 0, 0, 0, 0),
+    ("detp_identity", 1): (3, 0, 0, 0, 0, 0, 0),
+    ("detp_identity", 2): (18, 0, 6, 0, 0, 0, 0),
+    ("detp_identity", 3): (114, 0, 48, 0, 0, 0, 0),
+}
+
+
+def _pinned_count_requests(method, n):
+    """Integer, p/q and symbolic requests (and matrix2 ones for eper), each
+    once without shifts and once with a random value for every shift."""
+    rng = derive_rng(47, "pinned", method, n)
+    x = Poly.variable("x")
+    draws = [
+        (RATIONAL, lambda: random_integer(rng)),
+        (RATIONAL, lambda: random_rational(rng)),
+        (SYMBOLIC, lambda: x * random_integer(rng) + random_rational(rng)),
+    ]
+    if method.startswith("eper"):
+        draws.append((MATRIX2, lambda: random_matrix2_element(rng)))
+    for ring, draw in draws:
+        rows = lambda: [[draw() for _ in range(n)] for _ in range(n)]
+        if METHODS[method].kind == "cube":
+            obj = CubeMatrix(ring, [rows() for _ in range(n)])
+        else:
+            obj = SquareMatrix(ring, rows())
+        yield obj, {}
+        yield obj, {"gammas": tuple(draw() for _ in range(n)), "gamma": draw(), "delta": draw()}
+
+
+def test_every_method_has_pinned_counts():
+    assert {method for method, _ in PINNED_COUNTS} == set(METHODS)
+
+
+@pytest.mark.parametrize("method, n", PINNED_COUNTS)
+def test_counts_are_pinned_and_depend_only_on_method_and_n(method, n):
+    for obj, params in _pinned_count_requests(method, n):
+        report = count_ops(method, obj, params)
+        counts = tuple(getattr(report, field) for field in COUNT_FIELDS)
+        assert counts == PINNED_COUNTS[method, n], (obj.ring.name, params)

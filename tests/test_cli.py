@@ -237,6 +237,13 @@ def test_verify_single_suite_passes(capsys):
     assert lines[-1] == "result: PASS (2/2 checks)"
 
 
+def test_verify_refuses_a_size_above_the_suite_limit_before_printing(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "thm4", "--n", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: suite thm4 supports n up to 3, got 4\n"
+
+
 def test_verify_runs_at_n_1(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "cor2", "--n", "1", "--trials", "2")
     assert code == 0

@@ -11,6 +11,7 @@ from matident.combinatorics import (
     enumerate_permutations,
     enumerate_subdiagonals,
     enumerate_submatrices,
+    enumerate_subsets,
     symmetrize,
 )
 from matident.rings import MATRIX2, RATIONAL, MatrixElement, Poly, SYMBOLIC
@@ -139,3 +140,19 @@ def test_symmetrize_rejects_empty_input():
     with pytest.raises(ValueError):
         symmetrize(RATIONAL, [])
 
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_subsets_follow_the_binary_counter_with_their_signs(n):
+    expected = [
+        (tuple(j for j in range(n) if mask >> j & 1), (-1) ** bin(mask).count("1"))
+        for mask in range(2**n)
+    ]
+    assert list(enumerate_subsets(n)) == expected
+
+
+def test_subsets_have_no_size_cap():
+    assert 12 > MAX_ENUMERATION_N
+    assert sum(1 for _ in enumerate_subsets(12)) == 4096
+    with pytest.raises(ValueError):
+        list(enumerate_subsets(-1))
