@@ -33,13 +33,12 @@ from .matrices import (
     symbolic_gammas,
     symbolic_matrix,
 )
-from .polarization import DiagonalFunction, componentwise_add, polarize
+from .polarization import DiagonalFunction, polarize
 from .rings import (
     MATRIX2,
     RATIONAL,
     SYMBOLIC,
     MatrixElement,
-    MatrixRing,
     Poly,
     Ring,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "DiagonalFunction",
     "MATRIX2",
     "MatrixElement",
-    "MatrixRing",
     "Poly",
     "RATIONAL",
     "Ring",
@@ -59,7 +57,6 @@ __all__ = [
     "SquareMatrix",
     "check_diagonal_power_identity",
     "check_submatrix_power_identity",
-    "componentwise_add",
     "determinant",
     "determinant_identity",
     "determinant_zero_criterion",

@@ -20,7 +20,7 @@ from typing import Any, Callable, Mapping
 from . import identities
 from .combinatorics import MAX_ENUMERATION_N
 from .matrices import CubeMatrix, SquareMatrix
-from .polarization import DiagonalFunction, componentwise_add, polarize
+from .polarization import DiagonalFunction, polarize
 from .rings import Ring, binary_power
 from .sampling import derive_rng, random_integer_matrix
 
@@ -108,7 +108,7 @@ def _run_per_polarization(matrix: SquareMatrix, params: Mapping, counts: OpCount
 
     gamma = tuple(ring.zero() for _ in range(n))
     func = DiagonalFunction(n, diagonal_eval)
-    return polarize(func, matrix.columns(), gamma, componentwise_add(ring), ring)
+    return polarize(func, matrix.columns(), gamma, ring)
 
 
 @dataclass(frozen=True)

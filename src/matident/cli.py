@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Any
 
 from .bench import (
     METHODS,
@@ -109,6 +110,24 @@ def _gamma_values(document: MatrixDocument, raw: str, count: int) -> tuple:
     )
 
 
+def _uncapped_str(value: Any) -> str:
+    """str(value) with CPython's int-to-str digit cap lifted for this one call.
+
+    The cap would refuse a value that has already been computed.  It is
+    restored at once, so the document parser stays under it (which keeps
+    quadratic parsing of huge inputs refused and bounds every value's size).
+    Interpreters older than 3.10.7 have no cap.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _run_compute(args: argparse.Namespace) -> int:
     method = f"{args.fn}_{args.method}"
     if method not in METHODS:
@@ -133,7 +152,7 @@ def _run_compute(args: argparse.Namespace) -> int:
         raise MethodDisagreement(
             f"instrumented {method} produced {report.value} but plain run produced {value}"
         )
-    print(f"value: {value}")
+    print(f"value: {_uncapped_str(value)}")
     print(
         f"ops: adds={report.adds} negs={report.negs} muls={report.muls} "
         f"power_muls={report.power_muls} powers={report.powers} "

@@ -136,10 +136,6 @@ class MatrixDocument:
     n: int
     content: SquareMatrix | CubeMatrix
 
-    @property
-    def ring(self) -> Ring:
-        return RINGS[self.ring_name]
-
     def to_json(self) -> str:
         """Canonical single-line JSON rendering."""
         if self.kind == "matrix":

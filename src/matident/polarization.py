@@ -24,29 +24,14 @@ class DiagonalFunction:
     evaluate: Callable[[Any], Any]
 
 
-def componentwise_add(ring: Ring) -> Callable[[tuple, tuple], tuple]:
-    """Addition of equal-length tuples of ring elements, componentwise."""
-
-    def add(u: tuple, v: tuple) -> tuple:
-        return tuple(ring.add(a, b) for a, b in zip(u, v))
-
-    return add
-
-
-def polarize(
-    func: DiagonalFunction,
-    xs: Sequence[Any],
-    gamma: Any,
-    add: Callable[[Any, Any], Any],
-    ring: Ring,
-) -> Any:
+def polarize(func: DiagonalFunction, xs: Sequence[tuple], gamma: tuple, ring: Ring) -> Any:
     """Recover f(x_1, ..., x_n) from the diagonal restriction F.
 
-    `add` combines input-space points (which need not be ring elements, e.g.
-    matrix columns); `ring` supplies the output-side arithmetic including the
-    exact division by n!.  Subsets are visited in binary-counter order; the
-    empty subset contributes F(gamma) with sign (-1)**n, and the result does
-    not depend on gamma.
+    Input-space points are equal-length tuples of ring elements, added
+    componentwise; `ring` also supplies the output-side arithmetic including
+    the exact division by n!.  Subsets are visited in binary-counter order;
+    the empty subset contributes F(gamma) with sign (-1)**n, and the result
+    does not depend on gamma.
     """
     n = func.arity
     if n < 1:
@@ -58,7 +43,7 @@ def polarize(
     for cols, sign in enumerate_subsets(n):
         shifted = gamma
         for j in cols:
-            shifted = add(shifted, points[j])
+            shifted = tuple(ring.add(a, b) for a, b in zip(shifted, points[j]))
         value = func.evaluate(shifted)
         positive = sign * (-1) ** n > 0
         # Not Ring.signed_sum: the first term is negated, not subtracted from

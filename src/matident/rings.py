@@ -2,10 +2,10 @@
 
 Three rings are provided as :class:`Ring` instances: arbitrary-precision
 rationals (RATIONAL), sparse multivariate polynomials over the rationals
-(SYMBOLIC), and small square matrices of rationals (MATRIX2, the stock
-noncommutative test ring).  Every evaluator in this package performs
-arithmetic exclusively through a ring object, which is what lets the
-benchmark layer swap in a counting wrapper without touching evaluator code.
+(SYMBOLIC), and 2x2 rational matrices (MATRIX2, the stock noncommutative
+test ring).  Every evaluator in this package performs arithmetic exclusively
+through a ring object, which is what lets the benchmark layer swap in a
+counting wrapper without touching evaluator code.
 """
 
 from __future__ import annotations
@@ -341,83 +341,65 @@ class Poly:
 
 
 class MatrixElement:
-    """Square matrix of rationals used as a noncommutative ring element."""
+    """2x2 matrix of rationals, the package's noncommutative ring element."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
         frozen = tuple(tuple(Fraction(entry) for entry in row) for row in rows)
-        if not frozen:
-            raise ValueError("matrix element needs at least one row")
-        dim = len(frozen)
-        if any(len(row) != dim for row in frozen):
-            raise ValueError("matrix element must be square")
+        if len(frozen) != 2 or any(len(row) != 2 for row in frozen):
+            raise ValueError("matrix element must be 2x2")
         object.__setattr__(self, "rows", frozen)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("MatrixElement instances are immutable")
 
     @classmethod
-    def identity(cls, dim: int) -> "MatrixElement":
-        return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
+    def identity(cls) -> "MatrixElement":
+        return _matrix(_ONE, _ZERO, _ZERO, _ONE)
 
     @classmethod
-    def scalar(cls, dim: int, value: Fraction | int) -> "MatrixElement":
-        return cls([[value if i == j else 0 for j in range(dim)] for i in range(dim)])
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def _check_dim(self, other: "MatrixElement") -> None:
-        if self.dim != other.dim:
-            raise ValueError("matrix elements have mismatched dimensions")
+    def scalar(cls, value: Fraction | int) -> "MatrixElement":
+        value = Fraction(value)
+        return _matrix(value, _ZERO, _ZERO, value)
 
     def __add__(self, other: Any) -> "MatrixElement":
         if not isinstance(other, MatrixElement):
             return NotImplemented
-        self._check_dim(other)
-        return MatrixElement(
-            tuple(a + b for a, b in zip(row_a, row_b))
-            for row_a, row_b in zip(self.rows, other.rows)
-        )
+        (a, b), (c, d) = self.rows
+        (e, f), (g, h) = other.rows
+        return _matrix(a + e, b + f, c + g, d + h)
 
     def __sub__(self, other: Any) -> "MatrixElement":
         if not isinstance(other, MatrixElement):
             return NotImplemented
-        self._check_dim(other)
-        return MatrixElement(
-            tuple(a - b for a, b in zip(row_a, row_b))
-            for row_a, row_b in zip(self.rows, other.rows)
-        )
+        (a, b), (c, d) = self.rows
+        (e, f), (g, h) = other.rows
+        return _matrix(a - e, b - f, c - g, d - h)
 
     def __neg__(self) -> "MatrixElement":
-        return MatrixElement(tuple(-a for a in row) for row in self.rows)
+        (a, b), (c, d) = self.rows
+        return _matrix(-a, -b, -c, -d)
 
     def __mul__(self, other: Any) -> "MatrixElement":
         if not isinstance(other, MatrixElement):
             return NotImplemented
-        self._check_dim(other)
-        dim = self.dim
-        cols = tuple(zip(*other.rows))
-        return MatrixElement(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.rows
-        )
+        (a, b), (c, d) = self.rows
+        (e, f), (g, h) = other.rows
+        return _matrix(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def __truediv__(self, other: Any) -> "MatrixElement":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         if other == 0:
             raise ZeroDivisionError("division of a matrix element by zero")
-        return MatrixElement(tuple(a / other for a in row) for row in self.rows)
+        (a, b), (c, d) = self.rows
+        return _matrix(a / other, b / other, c / other, d / other)
 
     def __pow__(self, exponent: int) -> "MatrixElement":
         if not isinstance(exponent, int):
             return NotImplemented
-        return binary_power(
-            MatrixElement.identity(self.dim), MatrixElement.__mul__, self, exponent
-        )
+        return binary_power(MatrixElement.identity(), MatrixElement.__mul__, self, exponent)
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, MatrixElement):
@@ -436,16 +418,12 @@ class MatrixElement:
         return f"MatrixElement({self})"
 
 
-def MatrixRing(dim: int = 2) -> Ring:
-    """Ring of dim x dim rational matrices; noncommutative for dim >= 2."""
-    if dim < 1:
-        raise ValueError("matrix ring dimension must be at least 1")
-    return Ring(
-        f"{dim}x{dim} rational matrices",
-        lambda value: MatrixElement.scalar(dim, value),
-        lambda x: isinstance(x, MatrixElement) and x.dim == dim,
-        commutative=dim == 1,
-    )
+def _matrix(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> MatrixElement:
+    """The element [[a, b], [c, d]] built from Fractions without the public
+    constructor's shape check and coercion."""
+    element = object.__new__(MatrixElement)
+    object.__setattr__(element, "rows", ((a, b), (c, d)))
+    return element
 
 
 # Fraction keeps values reduced with a positive denominator, which is the
@@ -454,4 +432,9 @@ RATIONAL = Ring("rationals", Fraction, lambda x: isinstance(x, Fraction))
 SYMBOLIC = Ring(
     "polynomials over the rationals", Poly.constant, lambda x: isinstance(x, Poly)
 )
-MATRIX2 = MatrixRing(2)
+MATRIX2 = Ring(
+    "2x2 rational matrices",
+    MatrixElement.scalar,
+    lambda x: isinstance(x, MatrixElement),
+    commutative=False,
+)

@@ -26,7 +26,7 @@ from .identities import (
     symmetrized_permanent_zero_criterion,
 )
 from .matrices import SquareMatrix
-from .polarization import DiagonalFunction, componentwise_add, polarize
+from .polarization import DiagonalFunction, polarize
 from .rings import MATRIX2, RATIONAL, MatrixElement
 from .sampling import (
     derive_rng,
@@ -130,7 +130,7 @@ def _vanishing_symmetrized_instance(rng, n: int) -> SquareMatrix:
         rest = permanent(SquareMatrix(RATIONAL, values))
         values[0][0] = -rest / cofactor
         return SquareMatrix(
-            MATRIX2, [[MatrixElement.scalar(2, value) for value in row] for row in values]
+            MATRIX2, [[MatrixElement.scalar(value) for value in row] for row in values]
         )
 
 
@@ -171,7 +171,7 @@ def _trial_polarization(n: int, seed: int, trial: int) -> tuple[bool, str]:
             return permanent(duplicated)
 
         func = DiagonalFunction(arity=n, evaluate=evaluate)
-        value = polarize(func, matrix.columns(), gammas, componentwise_add(ring), ring)
+        value = polarize(func, matrix.columns(), gammas, ring)
         if not ring.eq(value, reference):
             return False, f"reconstruction gave {value} at shift {which}, expected {reference}"
         if calls != 2**n:

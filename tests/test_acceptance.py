@@ -33,7 +33,7 @@ from matident.matrices import (
     symbolic_gammas,
     symbolic_matrix,
 )
-from matident.polarization import DiagonalFunction, componentwise_add, polarize
+from matident.polarization import DiagonalFunction, polarize
 from matident.rings import MATRIX2, RATIONAL, MatrixElement
 from matident.sampling import (
     derive_rng,
@@ -163,7 +163,7 @@ def _vanishing_instance(rng, n):
         rest = brute_permanent(values)
         values[0][0] = -rest / cofactor
         return SquareMatrix(
-            MATRIX2, [[MatrixElement.scalar(2, value) for value in row] for row in values]
+            MATRIX2, [[MatrixElement.scalar(value) for value in row] for row in values]
         )
 
 
@@ -211,7 +211,6 @@ def test_polarization_reconstructs_permanent():
         rng = derive_rng(SEED, "polarization", n)
         matrix = random_rational_matrix(rng, n)
         reference = permanent(matrix)
-        add = componentwise_add(RATIONAL)
         for _ in range(3):
             gammas = tuple(random_rational(rng) for _ in range(n))
             calls = []
@@ -221,7 +220,7 @@ def test_polarization_reconstructs_permanent():
                 return permanent(SquareMatrix.from_columns(RATIONAL, [column] * n))
 
             func = DiagonalFunction(n, diagonal)
-            value = polarize(func, matrix.columns(), gammas, add, RATIONAL)
+            value = polarize(func, matrix.columns(), gammas, RATIONAL)
             assert value == reference
             assert len(calls) == 2**n
     clock.report("polarization reconstructs the permanent with 2^n diagonal calls")

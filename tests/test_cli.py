@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 
 import pytest
 
@@ -184,6 +185,42 @@ def test_compute_symmetrized_permanent_with_delta(docs, capsys):
     )
     assert plain[0] == shifted[0] == 0
     assert plain[1].splitlines()[0] == shifted[1].splitlines()[0]
+
+
+def test_compute_prints_pinned_symmetrized_permanents(tmp_path, capsys):
+    # The only test that pins printed matrix2 values and their counts.
+    path = tmp_path / "mm3.json"
+    entries = [
+        [[[1, 2], [3, 4]], [[0, 1], [1, 0]], [["1/2", 0], [0, 2]]],
+        [[[2, 0], [0, 2]], [[1, 1], [0, 1]], [[0, -1], [1, 0]]],
+        [[[1, 0], ["-1/3", 1]], [[3, 1], [1, 2]], [[1, 1], [1, 1]]],
+    ]
+    path.write_text(json.dumps({"kind": "matrix", "ring": "matrix2", "n": 3, "entries": entries}))
+    value = "value: [[10, 271/36], [69/4, 241/12]]\n"
+    identity_ops = "ops: adds=194 negs=0 muls=0 power_muls=100 powers=50 int_divs=1 f_evals=0\n"
+    definitional_ops = "ops: adds=36 negs=0 muls=72 power_muls=0 powers=0 int_divs=6 f_evals=0\n"
+    for method, flags, ops in (
+        ("identity", (), identity_ops),
+        ("identity", ("--delta", '[["1/2",1],[0,-1]]'), identity_ops),
+        ("definitional", (), definitional_ops),
+    ):
+        argv = ("compute", "--fn", "eper", "--method", method, *flags, str(path))
+        assert run(capsys, *argv) == (0, value + ops, "")
+
+
+def test_compute_prints_a_value_longer_than_the_int_str_digit_cap(tmp_path, capsys):
+    # Four 3000-digit entries parse under CPython's 4300-digit cap, but their
+    # 5999-digit permanent and determinant do not print under it.
+    big = "1" + "0" * 2999
+    entries = [[big, big], [big, "2" + "0" * 2999]]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": "matrix", "ring": "rational", "n": 2, "entries": entries}))
+    limit = sys.get_int_max_str_digits()
+    for fn, method, leading in (("per", "definitional", "3"), ("det", "identity", "1")):
+        code, out, err = run(capsys, "compute", "--fn", fn, "--method", method, str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "value: " + leading + "0" * 5998
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_usage_errors_exit_2(docs, capsys):

@@ -146,5 +146,5 @@ def test_kind_ring_and_n_validation():
 
 def test_document_exposes_its_ring():
     document = parse_document('{"kind":"matrix","ring":"rational","n":1,"entries":[[7]]}')
-    assert document.ring.commutative
+    assert document.content.ring.commutative
     assert document.n == 1 and document.kind == "matrix"

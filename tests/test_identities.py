@@ -185,9 +185,9 @@ def test_symmetrized_permanent_collapses_for_commuting_entries():
     rng = derive_rng(27, "eper-scalar")
     values = [[random_rational(rng) for _ in range(3)] for _ in range(3)]
     embedded = SquareMatrix(
-        MATRIX2, [[MatrixElement.scalar(2, v) for v in row] for row in values]
+        MATRIX2, [[MatrixElement.scalar(v) for v in row] for row in values]
     )
-    expected = MatrixElement.scalar(2, brute_permanent(values))
+    expected = MatrixElement.scalar(brute_permanent(values))
     assert MATRIX2.eq(symmetrized_permanent(embedded), expected)
     assert MATRIX2.eq(symmetrized_permanent_identity(embedded), expected)
 
@@ -209,7 +209,7 @@ def test_submatrix_power_sums_vanish_below_n(n):
         holds, residual = check_submatrix_power_identity(matrix, m)
         assert holds and MATRIX2.is_zero(residual)
     expected = MATRIX2.mul(
-        MatrixElement.scalar(2, math.factorial(n)), symmetrized_permanent(matrix)
+        MatrixElement.scalar(math.factorial(n)), symmetrized_permanent(matrix)
     )
     assert MATRIX2.eq(submatrix_power_residual(matrix, n), expected)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from matident.matrices import SquareMatrix, symbolic_gammas
-from matident.polarization import DiagonalFunction, componentwise_add, polarize
+from matident.polarization import DiagonalFunction, polarize
 from matident.rings import RATIONAL, SYMBOLIC, Poly
 from matident.sampling import derive_rng, random_rational, random_rational_matrix
 
@@ -23,33 +23,24 @@ def _counting(func, counter):
 def test_additive_function_is_its_own_polarization():
     # one argument: f(x) = 7x, F = f, any shift must drop out
     func = DiagonalFunction(1, lambda point: 7 * point[0])
-    add = componentwise_add(RATIONAL)
     for gamma in (Fraction(0), Fraction(5), Fraction(-2, 3)):
-        value = polarize(func, [(Fraction(3),)], (gamma,), add, RATIONAL)
+        value = polarize(func, [(Fraction(3),)], (gamma,), RATIONAL)
         assert value == 21
 
 
 def test_bilinear_square_polarizes_to_product():
     # F(x) = x^2 polarizes to f(x1, x2) = x1 * x2
     func = DiagonalFunction(2, lambda point: point[0] * point[0])
-    add = componentwise_add(RATIONAL)
-    value = polarize(
-        func,
-        [(Fraction(3),), (Fraction(5),)],
-        (Fraction(0),),
-        add,
-        RATIONAL,
-    )
+    value = polarize(func, [(Fraction(3),), (Fraction(5),)], (Fraction(0),), RATIONAL)
     assert value == 15
 
 
 def test_bilinear_square_polarizes_symbolically():
     func = DiagonalFunction(2, lambda point: point[0] * point[0])
-    add = componentwise_add(SYMBOLIC)
     x1 = Poly.variable("x1")
     x2 = Poly.variable("x2")
     gamma = (Poly.variable("g"),)
-    value = polarize(func, [(x1,), (x2,)], gamma, add, SYMBOLIC)
+    value = polarize(func, [(x1,), (x2,)], gamma, SYMBOLIC)
     assert value == x1 * x2  # the shift variable cancels entirely
 
 
@@ -69,9 +60,8 @@ def test_polarization_reconstructs_the_permanent(n):
     matrix = random_rational_matrix(rng, n)
     calls = []
     func = _permanent_diagonal(RATIONAL, n, calls)
-    add = componentwise_add(RATIONAL)
     zero_shift = tuple(Fraction(0) for _ in range(n))
-    value = polarize(func, matrix.columns(), zero_shift, add, RATIONAL)
+    value = polarize(func, matrix.columns(), zero_shift, RATIONAL)
     assert value == brute_permanent(matrix.entries)
     assert len(calls) == 2**n
 
@@ -81,11 +71,10 @@ def test_polarization_is_shift_independent(n):
     rng = derive_rng(12, "polarization-shift", n)
     matrix = random_rational_matrix(rng, n)
     func = _permanent_diagonal(RATIONAL, n)
-    add = componentwise_add(RATIONAL)
     reference = None
     for _ in range(4):
         shift = tuple(random_rational(rng) for _ in range(n))
-        value = polarize(func, matrix.columns(), shift, add, RATIONAL)
+        value = polarize(func, matrix.columns(), shift, RATIONAL)
         if reference is None:
             reference = value
         assert value == reference
@@ -95,30 +84,27 @@ def test_polarization_is_symmetric_in_the_arguments():
     rng = derive_rng(13, "polarization-symmetry")
     matrix = random_rational_matrix(rng, 3)
     func = _permanent_diagonal(RATIONAL, 3)
-    add = componentwise_add(RATIONAL)
     zero_shift = (Fraction(0),) * 3
     cols = list(matrix.columns())
-    value = polarize(func, cols, zero_shift, add, RATIONAL)
+    value = polarize(func, cols, zero_shift, RATIONAL)
     swapped = [cols[1], cols[0], cols[2]]
-    assert polarize(func, swapped, zero_shift, add, RATIONAL) == value
+    assert polarize(func, swapped, zero_shift, RATIONAL) == value
 
 
 def test_polarization_agrees_with_the_diagonal_on_equal_arguments():
     # f(x, x) must equal F(x) when f comes from polarizing F
     func = DiagonalFunction(2, lambda point: point[0] * point[0])
-    add = componentwise_add(RATIONAL)
     x = (Fraction(7, 3),)
-    value = polarize(func, [x, x], (Fraction(0),), add, RATIONAL)
+    value = polarize(func, [x, x], (Fraction(0),), RATIONAL)
     assert value == func.evaluate(x)
 
 
 def test_polarization_validates_arity():
     func = DiagonalFunction(2, lambda point: point[0])
-    add = componentwise_add(RATIONAL)
     with pytest.raises(ValueError):
-        polarize(func, [(Fraction(1),)], (Fraction(0),), add, RATIONAL)
+        polarize(func, [(Fraction(1),)], (Fraction(0),), RATIONAL)
     with pytest.raises(ValueError):
-        polarize(DiagonalFunction(0, lambda point: point), [], (), add, RATIONAL)
+        polarize(DiagonalFunction(0, lambda point: point), [], (), RATIONAL)
 
 
 def test_polarization_over_symbolic_matrix_columns():
@@ -126,8 +112,7 @@ def test_polarization_over_symbolic_matrix_columns():
     entries = [[Poly.variable(f"a_{i}_{j}") for j in (1, 2)] for i in (1, 2)]
     matrix = SquareMatrix(SYMBOLIC, entries)
     func = _permanent_diagonal(SYMBOLIC, n)
-    add = componentwise_add(SYMBOLIC)
     shifts = symbolic_gammas(n)
-    value = polarize(func, matrix.columns(), shifts, add, SYMBOLIC)
+    value = polarize(func, matrix.columns(), shifts, SYMBOLIC)
     assert value == brute_permanent(entries)
     assert not (value.variables() & {"g_1", "g_2"})

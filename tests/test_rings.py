@@ -11,7 +11,6 @@ from matident.rings import (
     RATIONAL,
     SYMBOLIC,
     MatrixElement,
-    MatrixRing,
     Poly,
     binary_power,
 )
@@ -114,14 +113,15 @@ def test_matrix_ring_has_noncommutative_witness():
     b = MatrixElement([[0, 0], [1, 0]])
     assert not MATRIX2.eq(MATRIX2.mul(a, b), MATRIX2.mul(b, a))
     assert not MATRIX2.commutative
-    assert MatrixRing(dim=1).commutative
 
 
 def test_matrix_element_validation_and_equality():
-    with pytest.raises(ValueError):
-        MatrixElement([[1, 2, 3], [4, 5, 6]])
-    assert MatrixElement.identity(2) == MatrixElement([[1, 0], [0, 1]])
-    assert MatrixElement.scalar(2, Fraction(1, 2)) / 1 == MatrixElement(
+    for rows in ([[1, 2, 3], [4, 5, 6]], [[1]], [[1, 2, 3]] * 3, [[1, 2], [3]], []):
+        with pytest.raises(ValueError):
+            MatrixElement(rows)
+    assert MATRIX2.from_int(3) == MatrixElement([[3, 0], [0, 3]])
+    assert MatrixElement.identity() == MatrixElement([[1, 0], [0, 1]])
+    assert MatrixElement.scalar(Fraction(1, 2)) / 1 == MatrixElement(
         [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
     )
     assert str(MatrixElement([[1, Fraction(1, 2)], [0, 2]])) == "[[1, 1/2], [0, 2]]"
