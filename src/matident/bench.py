@@ -50,6 +50,10 @@ class OpCounts:
     wall_time: float = 0.0
 
 
+# The op counts of an OpCounts report, in the order the CLI prints them.
+COUNT_FIELDS = ("adds", "negs", "muls", "power_muls", "powers", "int_divs", "f_evals")
+
+
 class CountingRing(Ring):
     """Wrapper ring that counts operations and delegates values to a base ring."""
 
@@ -284,6 +288,10 @@ COMPARED_METHODS = (
 
 MAX_BENCH_N = 8
 
+# Bench rows and the table leave out f_evals: no compared method calls a
+# diagonal restriction.
+TABLE_COLUMNS = ("method", "n", "value", *COUNT_FIELDS[:-1])
+
 
 def compare_methods(n_min: int, n_max: int, seed: int) -> list[dict]:
     """Op-count comparison rows for the core methods on seeded random matrices.
@@ -309,12 +317,7 @@ def compare_methods(n_min: int, n_max: int, seed: int) -> list[dict]:
                     "method": method,
                     "n": n,
                     "value": str(value),
-                    "adds": report.adds,
-                    "negs": report.negs,
-                    "muls": report.muls,
-                    "power_muls": report.power_muls,
-                    "powers": report.powers,
-                    "int_divs": report.int_divs,
+                    **{field: getattr(report, field) for field in TABLE_COLUMNS[3:]},
                 }
             )
         for family, pairs in family_values.items():
@@ -327,19 +330,6 @@ def compare_methods(n_min: int, n_max: int, seed: int) -> list[dict]:
                         f"matrix entries={matrix.entries}"
                     )
     return rows
-
-
-TABLE_COLUMNS = (
-    "method",
-    "n",
-    "value",
-    "adds",
-    "negs",
-    "muls",
-    "power_muls",
-    "powers",
-    "int_divs",
-)
 
 
 def format_table(rows: list[dict]) -> str:

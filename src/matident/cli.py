@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Any
 
 from .bench import (
+    COUNT_FIELDS,
     METHODS,
     MethodDisagreement,
     compare_methods,
@@ -153,11 +154,7 @@ def _run_compute(args: argparse.Namespace) -> int:
             f"instrumented {method} produced {report.value} but plain run produced {value}"
         )
     print(f"value: {_uncapped_str(value)}")
-    print(
-        f"ops: adds={report.adds} negs={report.negs} muls={report.muls} "
-        f"power_muls={report.power_muls} powers={report.powers} "
-        f"int_divs={report.int_divs} f_evals={report.f_evals}"
-    )
+    print("ops: " + " ".join(f"{field}={getattr(report, field)}" for field in COUNT_FIELDS))
     return 0
 
 
@@ -193,12 +190,13 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 def _run_bench(args: argparse.Namespace) -> int:
     rows = compare_methods(args.nmin, args.nmax, args.seed)
-    print(format_table(rows))
+    # Records first, so a path that cannot be written leaves stdout empty.
     if args.out is not None:
         try:
             write_records(rows, args.out)
         except OSError as exc:
             raise UsageError(f"cannot write {args.out}: {exc}") from None
+    print(format_table(rows))
     return 0
 
 

@@ -2,9 +2,9 @@
 
 A document is a single JSON object {"kind", "ring", "n", "entries"} and
 nothing else: unknown or duplicate fields, shape mismatches, and malformed
-scalars are rejected with positional context.  Parsing then printing yields a
-canonical byte-identical form (integers stay bare, non-integral rationals
-render as "p/q" with positive denominator).
+scalars are rejected with positional context.  A cube is a matrix one level
+deeper, so one walker checks the shape of both.  Parsed rationals are
+canonical Fractions: "2/4" and "-3/1" read as 1/2 and -3.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .combinatorics import MAX_ENUMERATION_N
 from .matrices import CubeMatrix, SquareMatrix
@@ -103,30 +103,6 @@ def parse_scalar(ring_name: str, value: Any, where: str) -> Any:
     return _SCALAR_PARSERS[ring_name](value, where)
 
 
-def _rational_to_json(value: Fraction) -> Any:
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def scalar_to_json(ring_name: str, value: Any) -> Any:
-    """Canonical JSON form of one entry (inverse of parse_scalar)."""
-    if ring_name == "rational":
-        return _rational_to_json(value)
-    if ring_name == "symbolic":
-        if value.is_constant():
-            return _rational_to_json(value.constant_value())
-        terms = value.terms()
-        if len(terms) == 1:
-            monomial, coeff = terms[0]
-            if coeff == 1 and len(monomial) == 1 and monomial[0][1] == 1:
-                return monomial[0][0]
-        raise DocumentError(f"entry {value!r} is not representable as a document scalar")
-    if ring_name == "matrix2":
-        return [[_rational_to_json(entry) for entry in row] for row in value.rows]
-    raise DocumentError(f"unknown ring {ring_name!r}")
-
-
 @dataclass(frozen=True)
 class MatrixDocument:
     """A parsed input document: its kind, ring, size, and content."""
@@ -136,74 +112,33 @@ class MatrixDocument:
     n: int
     content: SquareMatrix | CubeMatrix
 
-    def to_json(self) -> str:
-        """Canonical single-line JSON rendering."""
-        if self.kind == "matrix":
-            entries = [
-                [scalar_to_json(self.ring_name, entry) for entry in row]
-                for row in self.content.entries
-            ]
-        else:
-            entries = [
-                [[scalar_to_json(self.ring_name, entry) for entry in row] for row in section]
-                for section in self.content.sections
-            ]
-        payload = {
-            "kind": self.kind,
-            "ring": self.ring_name,
-            "n": self.n,
-            "entries": entries,
-        }
-        return json.dumps(payload)
+
+# A matrix walks the last two levels, a cube all three.
+_LEVELS = ("section", "row", "column")
 
 
-def _parse_matrix_entries(data: Any, ring_name: str, n: int) -> SquareMatrix:
+def _parse_entries(
+    data: Any, parse: Callable, n: int, levels: tuple, position: str = "entries", where: str = ""
+) -> list:
+    """Check nested arrays of n items per level and parse the innermost cells.
+
+    `position` names the array in shape errors ("entries section 1 row 2");
+    `where` is the comma-joined prefix of each cell's context ("section 1, ").
+    """
+    item = levels[0]
     if not isinstance(data, list):
-        raise DocumentError("entries must be an array of rows")
+        of_items = "" if item == "column" else f" of {item}s"
+        raise DocumentError(f"{position} must be an array{of_items}")
     if len(data) != n:
-        raise DocumentError(f"entries has {len(data)} rows, expected {n}")
-    rows = []
-    for i, row in enumerate(data, start=1):
-        if not isinstance(row, list):
-            raise DocumentError(f"entries row {i} must be an array")
-        if len(row) != n:
-            raise DocumentError(f"entries row {i} has {len(row)} columns, expected {n}")
-        rows.append(
-            [
-                parse_scalar(ring_name, value, f"row {i}, column {j}")
-                for j, value in enumerate(row, start=1)
-            ]
+        raise DocumentError(f"{position} has {len(data)} {item}s, expected {n}")
+    if len(levels) == 1:
+        return [parse(value, f"{where}{item} {j}") for j, value in enumerate(data, start=1)]
+    return [
+        _parse_entries(
+            value, parse, n, levels[1:], f"{position} {item} {k}", f"{where}{item} {k}, "
         )
-    return SquareMatrix(RINGS[ring_name], rows)
-
-
-def _parse_cube_entries(data: Any, ring_name: str, n: int) -> CubeMatrix:
-    if not isinstance(data, list):
-        raise DocumentError("entries must be an array of sections")
-    if len(data) != n:
-        raise DocumentError(f"entries has {len(data)} sections, expected {n}")
-    sections = []
-    for k, section in enumerate(data, start=1):
-        if not isinstance(section, list):
-            raise DocumentError(f"entries section {k} must be an array of rows")
-        if len(section) != n:
-            raise DocumentError(f"entries section {k} has {len(section)} rows, expected {n}")
-        rows = []
-        for i, row in enumerate(section, start=1):
-            if not isinstance(row, list):
-                raise DocumentError(f"entries section {k} row {i} must be an array")
-            if len(row) != n:
-                raise DocumentError(
-                    f"entries section {k} row {i} has {len(row)} columns, expected {n}"
-                )
-            rows.append(
-                [
-                    parse_scalar(ring_name, value, f"section {k}, row {i}, column {j}")
-                    for j, value in enumerate(row, start=1)
-                ]
-            )
-        sections.append(rows)
-    return CubeMatrix(RINGS[ring_name], sections)
+        for k, value in enumerate(data, start=1)
+    ]
 
 
 def parse_document(text: str) -> MatrixDocument:
@@ -241,8 +176,7 @@ def parse_document(text: str) -> MatrixDocument:
         raise DocumentError(f"n={n} exceeds the supported maximum {MAX_ENUMERATION_N}")
     if kind == "cube" and not RINGS[ring_name].commutative:
         raise DocumentError("cube documents require a commutative ring")
-    if kind == "matrix":
-        content: SquareMatrix | CubeMatrix = _parse_matrix_entries(data["entries"], ring_name, n)
-    else:
-        content = _parse_cube_entries(data["entries"], ring_name, n)
+    levels = _LEVELS[1:] if kind == "matrix" else _LEVELS
+    entries = _parse_entries(data["entries"], _SCALAR_PARSERS[ring_name], n, levels)
+    content = (SquareMatrix if kind == "matrix" else CubeMatrix)(RINGS[ring_name], entries)
     return MatrixDocument(kind=kind, ring_name=ring_name, n=n, content=content)

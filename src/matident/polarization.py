@@ -27,9 +27,10 @@ class DiagonalFunction:
 def polarize(func: DiagonalFunction, xs: Sequence[tuple], gamma: tuple, ring: Ring) -> Any:
     """Recover f(x_1, ..., x_n) from the diagonal restriction F.
 
-    Input-space points are equal-length tuples of ring elements, added
-    componentwise; `ring` also supplies the output-side arithmetic including
-    the exact division by n!.  Subsets are visited in binary-counter order;
+    Input-space points are tuples of ring elements as long as gamma (any
+    other length is refused before F is called), added componentwise;
+    `ring` also supplies the output-side arithmetic including the exact
+    division by n!.  Subsets are visited in binary-counter order;
     the empty subset contributes F(gamma) with sign (-1)**n, and the result
     does not depend on gamma.
     """
@@ -39,6 +40,8 @@ def polarize(func: DiagonalFunction, xs: Sequence[tuple], gamma: tuple, ring: Ri
     points = tuple(xs)
     if len(points) != n:
         raise ValueError(f"expected {n} input points, got {len(points)}")
+    if any(len(point) != len(gamma) for point in points):
+        raise ValueError(f"every input point must have the length of gamma, {len(gamma)}")
     total = None
     for cols, sign in enumerate_subsets(n):
         shifted = gamma

@@ -74,6 +74,18 @@ def test_compute_permanent_identity(docs, capsys):
     assert "f_evals=0" in lines[1]
 
 
+def test_compute_prints_the_readme_example(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    entries = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+    path.write_text(json.dumps({"kind": "matrix", "ring": "rational", "n": 3, "entries": entries}))
+    assert run(capsys, "compute", "--fn", "per", "--method", "identity", str(path)) == (
+        0,
+        "value: 463\n"
+        "ops: adds=47 negs=0 muls=16 power_muls=0 powers=0 int_divs=0 f_evals=0\n",
+        "",
+    )
+
+
 def test_compute_value_is_gamma_independent(docs, capsys):
     baseline = run(capsys, "compute", "--fn", "per", "--method", "identity", docs["m2"])
     shifted = run(
@@ -345,3 +357,10 @@ def test_bench_prints_table_and_writes_records(tmp_path, capsys):
     rows = [json.loads(line) for line in out_path.read_text().splitlines()]
     assert {row["n"] for row in rows} == {2, 3}
     assert all("wall" not in key for row in rows for key in row)
+
+
+def test_bench_refuses_an_unwritable_out_path_before_printing(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "rows.jsonl"
+    code, out, err = run(capsys, "bench", "--nmin", "2", "--nmax", "2", "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {out_path}: ")

@@ -107,6 +107,25 @@ def test_polarization_validates_arity():
         polarize(DiagonalFunction(0, lambda point: point), [], (), RATIONAL)
 
 
+def test_polarization_refuses_points_shorter_or_longer_than_gamma():
+    # F(x) = (x_1 + x_2)^2; zip would silently truncate a short gamma or point
+    calls = []
+    square_of_sum = _counting(lambda point: RATIONAL.power(RATIONAL.sum(point), 2), calls)
+    func = DiagonalFunction(2, square_of_sum)
+    points = [(Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))]
+    assert polarize(func, points, (Fraction(0), Fraction(0)), RATIONAL) == 21
+    calls.clear()
+    short_point = [points[0], (Fraction(3),)]
+    for xs, gamma in (
+        (points, (Fraction(0),)),
+        (short_point, (Fraction(0), Fraction(0))),
+        (points, (Fraction(0),) * 3),
+    ):
+        with pytest.raises(ValueError, match="length of gamma"):
+            polarize(func, xs, gamma, RATIONAL)
+    assert calls == []
+
+
 def test_polarization_over_symbolic_matrix_columns():
     n = 2
     entries = [[Poly.variable(f"a_{i}_{j}") for j in (1, 2)] for i in (1, 2)]
