@@ -21,7 +21,7 @@ from . import identities
 from .combinatorics import MAX_ENUMERATION_N
 from .matrices import CubeMatrix, SquareMatrix
 from .polarization import DiagonalFunction, polarize
-from .rings import Ring, binary_power
+from .rings import Ring
 from .sampling import derive_rng, random_integer_matrix
 
 
@@ -92,7 +92,7 @@ class CountingRing(Ring):
         self._power_depth += 1
         try:
             # Same square-and-multiply as the base ring, so values agree.
-            return binary_power(self.one(), self.mul, x, exponent)
+            return super().power(x, exponent)
         finally:
             self._power_depth -= 1
 

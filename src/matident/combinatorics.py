@@ -37,14 +37,16 @@ def _check_n(n: int) -> None:
 def enumerate_permutations(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """All permutations of 0..n-1 with their signs, in lexicographic order.
 
-    Row i picks the r_i-th smallest column not used yet; that pick adds r_i
-    inversions, so the sign is (-1)**(r_0 + ... + r_{n-1}).  The codes
-    (r_0, ..., r_{n-1}) run in lexicographic order, and so do the images.
+    The images come from itertools.permutations, zipped with their Lehmer
+    codes (r_0, ..., r_{n-1}): row i picks the r_i-th smallest column not used
+    yet, and that pick adds r_i inversions, so the sign is
+    (-1)**(r_0 + ... + r_{n-1}).  The codes are a mixed-radix counter, so the
+    k-th code in lexicographic order belongs to the k-th image in
+    lexicographic order, and itertools.product counts them in step.
     """
     _check_n(n)
-    for code in itertools.product(*(range(n - i) for i in range(n))):
-        unused = list(range(n))
-        image = tuple(unused.pop(r) for r in code)
+    codes = itertools.product(*(range(n - i) for i in range(n)))
+    for image, code in zip(itertools.permutations(range(n)), codes):
         yield image, ODD if sum(code) % 2 else EVEN
 
 
@@ -62,26 +64,10 @@ def enumerate_subdiagonals(n: int, k: int, sign: int) -> Iterator[tuple[tuple[in
     if k < 0 or k > n:
         raise ValueError(f"subdiagonal length must be in 0..{n}, got {k}")
     row_subsets = tuple(itertools.combinations(range(n), k))
-    for image in _signed_images(n, sign):
-        for rows in row_subsets:
-            yield tuple((i, image[i]) for i in rows)
-
-
-def _signed_images(n: int, sign: int) -> Iterator[tuple[int, ...]]:
-    """The images of enumerate_permutations(n) that have the given sign, in order.
-
-    The last Lehmer digit is always 0 and the one before it is 0 or 1, so
-    each prefix r_0 .. r_{n-3} has exactly one completion of each sign.
-    """
-    if n == 1:
-        if sign == EVEN:
-            yield (0,)
-        return
-    odd = sign == ODD
-    for prefix in itertools.product(*(range(n - i) for i in range(n - 2))):
-        unused = list(range(n))
-        code = (*prefix, (sum(prefix) + odd) % 2, 0)
-        yield tuple(unused.pop(r) for r in code)
+    for image, parent_sign in enumerate_permutations(n):
+        if parent_sign == sign:
+            for rows in row_subsets:
+                yield tuple((i, image[i]) for i in rows)
 
 
 def enumerate_submatrices(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -216,15 +216,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_constant(self) -> bool:
-        return not self._terms or set(self._terms) == {()}
-
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial."""
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self._terms.get((), _ZERO)
-
     def variables(self) -> set[str]:
         return {name for monomial in self._terms for name, _ in monomial}
 
@@ -243,12 +234,12 @@ class Poly:
         terms = dict(self._terms)
         for monomial, coeff in other._terms.items():
             terms[monomial] = terms.get(monomial, _ZERO) + coeff
-        return Poly(terms)
+        return _poly(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self._terms.items()})
+        return _poly({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: Any) -> "Poly":
         other = self._coerce(other)
@@ -257,7 +248,7 @@ class Poly:
         terms = dict(self._terms)
         for monomial, coeff in other._terms.items():
             terms[monomial] = terms.get(monomial, _ZERO) - coeff
-        return Poly(terms)
+        return _poly(terms)
 
     def __rsub__(self, other: Any) -> "Poly":
         other = self._coerce(other)
@@ -274,7 +265,7 @@ class Poly:
             for mono_b, coeff_b in other._terms.items():
                 monomial = _merge_monomials(mono_a, mono_b)
                 terms[monomial] = terms.get(monomial, _ZERO) + coeff_a * coeff_b
-        return Poly(terms)
+        return _poly(terms)
 
     __rmul__ = __mul__
 
@@ -283,7 +274,7 @@ class Poly:
             return NotImplemented
         if other == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return Poly({m: c / other for m, c in self._terms.items()})
+        return _poly({m: c / other for m, c in self._terms.items()})
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int):
@@ -416,6 +407,14 @@ class MatrixElement:
 
     def __repr__(self) -> str:
         return f"MatrixElement({self})"
+
+
+def _poly(terms: dict[tuple, Fraction]) -> Poly:
+    """The polynomial with these Fraction coefficients, built without the
+    public constructor's coercion; zero terms are dropped."""
+    poly = object.__new__(Poly)
+    object.__setattr__(poly, "_terms", {m: c for m, c in terms.items() if c})
+    return poly
 
 
 def _matrix(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> MatrixElement:

@@ -11,6 +11,7 @@ workers can run them in any order while the report stays deterministic.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -213,9 +214,10 @@ def _run_job(job: tuple[str, int, int, int]) -> tuple[bool, str]:
 
 
 def _map_jobs(jobs, workers: int):
-    if workers <= 1 or len(jobs) <= 1:
+    processes = min(workers, len(jobs), os.cpu_count() or 1)
+    if processes <= 1:
         return [_run_job(job) for job in jobs]
-    with multiprocessing.Pool(min(workers, len(jobs))) as pool:
+    with multiprocessing.Pool(processes) as pool:
         return pool.map(_run_job, jobs)
 
 

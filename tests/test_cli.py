@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import sys
 
 import pytest
@@ -321,7 +322,9 @@ def test_verify_reports_a_raising_trial_as_a_failure(monkeypatch, capsys):
     assert lines[-1] == "result: FAIL (0/2 checks)"
 
 
-def test_verify_pool_is_no_larger_than_the_job_count(monkeypatch, capsys):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap the verify pool for a serial fake and record the sizes it is asked for."""
     started = []
 
     class SerialPool:
@@ -338,11 +341,25 @@ def test_verify_pool_is_no_larger_than_the_job_count(monkeypatch, capsys):
             return [fn(job) for job in jobs]
 
     monkeypatch.setattr(verify.multiprocessing, "Pool", SerialPool)
+    return started
+
+
+def test_verify_pool_is_no_larger_than_the_job_count(monkeypatch, capsys, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setenv("MATIDENT_WORKERS", "64")
     code, out, _ = run(capsys, "verify", "--suite", "thm4", "--n", "2", "--trials", "2")
     assert code == 0
     assert out.splitlines()[-1] == "result: PASS (2/2 checks)"
-    assert started == [2]
+    assert pool_sizes == [2]
+
+
+def test_verify_pool_is_no_larger_than_the_cpu_count(monkeypatch, capsys, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("MATIDENT_WORKERS", "64")
+    code, out, _ = run(capsys, "verify", "--suite", "thm4", "--n", "2", "--trials", "5")
+    assert code == 0
+    assert out.splitlines()[-1] == "result: PASS (5/5 checks)"
+    assert pool_sizes == [3]
 
 
 def test_bench_prints_table_and_writes_records(tmp_path, capsys):

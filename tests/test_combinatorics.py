@@ -1,5 +1,6 @@
 """Enumeration order, signs, and the symmetrization operator."""
 
+import itertools
 import math
 
 import pytest
@@ -28,10 +29,16 @@ def test_permutation_count_and_parity_split(n):
     assert {sign for _, sign in perms} <= {EVEN, ODD}
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_permutation_sign_matches_cycle_decomposition(n):
-    for image, sign in enumerate_permutations(n):
+    perms = list(enumerate_permutations(n))
+    for image, sign in perms:
         assert sign == cycle_sign(image)
+    images = [image for image, _ in perms]
+    assert len(images) == math.factorial(n)
+    assert all(sorted(image) == list(range(n)) for image in images)
+    # strictly increasing, hence n! distinct images
+    assert all(a < b for a, b in zip(images, images[1:]))
 
 
 def test_permutations_come_out_in_lexicographic_order():
@@ -81,6 +88,21 @@ def test_full_diagonals_are_the_parents_of_that_sign_in_order(n):
         parents = [image for image, parent_sign in enumerate_permutations(n) if parent_sign == sign]
         diagonals = [tuple(col for _, col in d) for d in enumerate_subdiagonals(n, n, sign)]
         assert diagonals == parents
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_subdiagonals_match_a_permutation_oracle(n):
+    parents = list(itertools.permutations(range(n)))
+    for k in range(n + 1):
+        row_subsets = list(itertools.combinations(range(n), k))
+        for sign in (EVEN, ODD):
+            expected = [
+                tuple((i, perm[i]) for i in rows)
+                for perm in parents
+                if cycle_sign(perm) == sign
+                for rows in row_subsets
+            ]
+            assert list(enumerate_subdiagonals(n, k, sign)) == expected
 
 
 def test_subdiagonals_retain_their_parent():

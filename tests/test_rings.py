@@ -138,6 +138,18 @@ def test_poly_builds_canonical_terms():
     assert Poly.constant(Fraction(4, 2)) == Poly.constant(2)
 
 
+def test_poly_arithmetic_keeps_nonzero_fraction_coefficients():
+    x = Poly.variable("x")
+    y = Poly.variable("y")
+    p = x + 3 * y - 1
+    results = [p + x, p - x, p * (x - y), -p, p / 2, p / Fraction(2, 3), p - p]
+    for result in results:
+        for _, coeff in result.terms():
+            assert type(coeff) is Fraction and coeff != 0
+    assert ((x + y) - (x + y)).terms() == []
+    assert type(Poly({(): 3}).coefficient(())) is Fraction
+
+
 def test_poly_string_forms():
     x = Poly.variable("x")
     y = Poly.variable("y")
