@@ -172,15 +172,14 @@ def _worker_count() -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be at least 1")
     names = tuple(SUITES) if args.suite == "all" else (args.suite,)
     ns = None
     if args.n is not None:
         if args.n < 1:
             raise UsageError("--n must be at least 1")
         ns = (args.n,)
-    # run_suites refuses a size above a suite's max_n before running any trial.
+    # run_suites refuses a trial count outside 1..MAX_TRIALS or a size above a
+    # suite's max_n before running any trial.
     lines, all_ok = run_suites(names, args.trials, args.seed, workers=_worker_count(), ns=ns)
     print(f"verify: suite={args.suite} trials={args.trials} seed={args.seed}")
     for line in lines:

@@ -4,14 +4,16 @@ Each suite draws seeded random instances and compares identity-based
 evaluators against the definitional one, all run through the bench method
 registry, or checks that a claimed invariant (vanishing power sums, zero
 criteria, reconstruction counts) holds exactly.
-Trials are independent jobs keyed by (suite, n, seed, trial) so a pool of
-workers can run them in any order while the report stays deterministic.
+Trials are independent jobs keyed by (suite, n, seed, trial): _run_job
+derives each trial's random stream from that key, so a pool of workers can
+run them in any order while the report stays deterministic.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -20,15 +22,13 @@ from .bench import evaluate_method
 from .identities import (
     check_diagonal_power_identity,
     check_submatrix_power_identity,
-    determinant,
     determinant_zero_criterion,
     permanent,
-    symmetrized_permanent,
     symmetrized_permanent_zero_criterion,
 )
 from .matrices import SquareMatrix
 from .polarization import DiagonalFunction, polarize
-from .rings import MATRIX2, RATIONAL, MatrixElement
+from .rings import MATRIX2
 from .sampling import (
     derive_rng,
     random_integer_cube,
@@ -40,7 +40,8 @@ from .sampling import (
     singular_matrix,
 )
 
-TrialFunction = Callable[[int, int, int], "tuple[bool, str]"]
+TrialFunction = Callable[[random.Random, int], "tuple[bool, str]"]
+MAX_TRIALS = 1000
 
 
 def _agree(obj, reference: str, runs) -> tuple[bool, str]:
@@ -53,46 +54,45 @@ def _agree(obj, reference: str, runs) -> tuple[bool, str]:
     return True, ""
 
 
-def _trial_permanent(n: int, seed: int, trial: int) -> tuple[bool, str]:
-    rng = derive_rng(seed, "thm2", n, trial)
+def _shift_vectors(rng, n: int) -> list[tuple]:
+    """The zero shift vector, then two random ones."""
+    zero = tuple(Fraction(0) for _ in range(n))
+    return [zero] + [tuple(random_rational(rng) for _ in range(n)) for _ in range(2)]
+
+
+def _trial_permanent(rng, n: int) -> tuple[bool, str]:
     matrix = random_integer_matrix(rng, n)
-    shifts = [tuple(Fraction(0) for _ in range(n))]
-    shifts.append(tuple(random_rational(rng) for _ in range(n)))
-    shifts.append(tuple(random_rational(rng) for _ in range(n)))
+    shifts = _shift_vectors(rng, n)
     runs = [("per_ryser", {})] + [("per_identity", {"gammas": gammas}) for gammas in shifts]
     return _agree(matrix, "per_definitional", runs)
 
 
-def _trial_determinant(n: int, seed: int, trial: int) -> tuple[bool, str]:
-    rng = derive_rng(seed, "thm3", n, trial)
+def _trial_determinant(rng, n: int) -> tuple[bool, str]:
     matrix = random_rational_matrix(rng, n)
     gammas = (Fraction(0), Fraction(1), Fraction(-3, 2), random_rational(rng))
     runs = [("det_identity", {"gamma": gamma}) for gamma in gammas]
     return _agree(matrix, "det_definitional", runs)
 
 
-def _trial_symmetrized(n: int, seed: int, trial: int) -> tuple[bool, str]:
-    rng = derive_rng(seed, "thm4", n, trial)
+def _trial_symmetrized(rng, n: int) -> tuple[bool, str]:
     matrix = random_matrix2_matrix(rng, n)
     deltas = [matrix.ring.zero(), random_matrix2_element(rng), random_matrix2_element(rng)]
     runs = [("eper_identity", {"delta": delta}) for delta in deltas]
     return _agree(matrix, "eper_definitional", runs)
 
 
-def _trial_space_determinant(n: int, seed: int, trial: int) -> tuple[bool, str]:
-    rng = derive_rng(seed, "thm5", n, trial)
+def _trial_space_determinant(rng, n: int) -> tuple[bool, str]:
     return _agree(random_integer_cube(rng, n), "detp_definitional", [("detp_identity", {})])
 
 
-def _trial_diagonal_power_sums(n: int, seed: int, trial: int) -> tuple[bool, str]:
-    rng = derive_rng(seed, "cor1", n, trial)
+def _trial_diagonal_power_sums(rng, n: int) -> tuple[bool, str]:
     matrix = random_rational_matrix(rng, n)
     for t in range(1, n):
         ok, residual = check_diagonal_power_identity(matrix, t)
         if not ok:
             return False, f"power sum residual {residual} at exponent {t}"
     claims_zero = determinant_zero_criterion(matrix)
-    is_zero = matrix.ring.is_zero(determinant(matrix))
+    is_zero = matrix.ring.is_zero(evaluate_method("det_definitional", matrix))
     if claims_zero != is_zero:
         return False, "zero criterion disagrees with the determinant"
     singular = singular_matrix(rng, n)
@@ -108,61 +108,48 @@ def _trial_diagonal_power_sums(n: int, seed: int, trial: int) -> tuple[bool, str
 def _vanishing_symmetrized_instance(rng, n: int) -> SquareMatrix:
     """Random matrix whose symmetrized permanent is exactly zero.
 
-    For n = 1 it is the zero entry, the only choice.  For n = 2 the two
-    diagonals are Sym(x, y) and Sym(x, -y), which cancel for any ring
-    elements x, y.  For larger n the entries are scalar matrices (which
-    commute, so the symmetrized permanent collapses to the plain permanent
-    of the underlying rationals) and one entry is solved to make that
-    permanent vanish.
+    For n = 1 it is the zero entry, the only choice.  For n >= 2 row 1 is
+    [x, x, 0, ..., 0], row 2 is [-y, y, 0, ..., 0] and the other rows are
+    random.  A diagonal that does not put columns 1 and 2 in rows 1 and 2
+    has a zero factor.  The remaining diagonals pair up by swapping those
+    two columns, into Sym(x, y, ...) and Sym(x, -y, ...) with the same other
+    factors, and Sym is linear in each factor, so every pair cancels.  The
+    entries are random matrices, so they need not commute.
     """
+    zero = MATRIX2.zero()
     if n == 1:
-        return SquareMatrix(MATRIX2, [[MATRIX2.zero()]])
-    if n == 2:
-        x = random_matrix2_element(rng)
-        y = random_matrix2_element(rng)
-        return SquareMatrix(MATRIX2, [[x, x], [MATRIX2.neg(y), y]])
-    while True:
-        values = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
-        minor = SquareMatrix(RATIONAL, [row[1:] for row in values[1:]])
-        cofactor = permanent(minor)
-        if RATIONAL.is_zero(cofactor):
-            continue
-        values[0][0] = Fraction(0)
-        rest = permanent(SquareMatrix(RATIONAL, values))
-        values[0][0] = -rest / cofactor
-        return SquareMatrix(
-            MATRIX2, [[MatrixElement.scalar(value) for value in row] for row in values]
-        )
+        return SquareMatrix(MATRIX2, [[zero]])
+    x = random_matrix2_element(rng)
+    y = random_matrix2_element(rng)
+    padding = [zero] * (n - 2)
+    rows = [[x, x, *padding], [MATRIX2.neg(y), y, *padding]]
+    rows += [[random_matrix2_element(rng) for _ in range(n)] for _ in range(n - 2)]
+    return SquareMatrix(MATRIX2, rows)
 
 
-def _trial_submatrix_power_sums(n: int, seed: int, trial: int) -> tuple[bool, str]:
-    rng = derive_rng(seed, "cor2", n, trial)
+def _trial_submatrix_power_sums(rng, n: int) -> tuple[bool, str]:
     matrix = random_matrix2_matrix(rng, n)
     for m in range(1, n):
         ok, _ = check_submatrix_power_identity(matrix, m)
         if not ok:
             return False, f"submatrix power sum residual nonzero at exponent {m}"
     claims_zero = symmetrized_permanent_zero_criterion(matrix)
-    is_zero = matrix.ring.is_zero(symmetrized_permanent(matrix))
+    is_zero = matrix.ring.is_zero(evaluate_method("eper_definitional", matrix))
     if claims_zero != is_zero:
         return False, "zero criterion disagrees with the definitional value"
     vanishing = _vanishing_symmetrized_instance(rng, n)
-    if not matrix.ring.is_zero(symmetrized_permanent(vanishing)):
+    if not matrix.ring.is_zero(evaluate_method("eper_definitional", vanishing)):
         return False, "constructed instance was not actually zero"
     if not symmetrized_permanent_zero_criterion(vanishing):
         return False, "zero criterion missed a vanishing instance"
     return True, ""
 
 
-def _trial_polarization(n: int, seed: int, trial: int) -> tuple[bool, str]:
-    rng = derive_rng(seed, "polarization", n, trial)
+def _trial_polarization(rng, n: int) -> tuple[bool, str]:
     matrix = random_rational_matrix(rng, n)
     ring = matrix.ring
-    reference = permanent(matrix)
-    shifts = [tuple(Fraction(0) for _ in range(n))]
-    shifts.append(tuple(random_rational(rng) for _ in range(n)))
-    shifts.append(tuple(random_rational(rng) for _ in range(n)))
-    for which, gammas in enumerate(shifts):
+    reference = evaluate_method("per_definitional", matrix)
+    for which, gammas in enumerate(_shift_vectors(rng, n)):
         calls = 0
 
         def evaluate(point):
@@ -205,10 +192,10 @@ SUITES: dict[str, SuiteSpec] = {
 
 
 def _run_job(job: tuple[str, int, int, int]) -> tuple[bool, str]:
-    """Run one trial; an exception becomes a failed trial, not a crashed run."""
+    """Run one trial on its job's random stream; an exception fails the trial, not the run."""
     suite, n, seed, trial = job
     try:
-        return SUITES[suite].run_trial(n, seed, trial)
+        return SUITES[suite].run_trial(derive_rng(seed, suite, n, trial), n)
     except Exception as exc:
         return False, f"raised {type(exc).__name__}: {exc}"
 
@@ -233,24 +220,22 @@ def run_suites(
     Trials regenerate their instances from (seed, suite, n, trial), so the
     report is byte-identical for any worker count.
     """
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     jobs: list[tuple[str, int, int, int]] = []
-    groups: list[tuple[str, int, int]] = []
     for name in suite_names:
         spec = SUITES[name]
         sizes = ns if ns is not None else spec.default_ns
         for n in sizes:
             if n > spec.max_n:
                 raise ValueError(f"suite {name} supports n up to {spec.max_n}, got {n}")
-            groups.append((name, n, len(jobs)))
-            for trial in range(1, trials + 1):
-                jobs.append((name, n, seed, trial))
+            jobs.extend((name, n, seed, trial) for trial in range(1, trials + 1))
     results = _map_jobs(jobs, workers)
     lines = []
-    passed_total = 0
-    for name, n, start in groups:
+    for start in range(0, len(jobs), trials):
+        name, n, _, _ = jobs[start]
         chunk = results[start : start + trials]
         ok_count = sum(1 for ok, _ in chunk if ok)
-        passed_total += ok_count
         line = f"{name} n={n}: {ok_count}/{trials} ok: {'PASS' if ok_count == trials else 'FAIL'}"
         if ok_count != trials:
             notes = "; ".join(
@@ -258,6 +243,7 @@ def run_suites(
             )
             line += f" [{notes}]"
         lines.append(line)
+    passed_total = sum(1 for ok, _ in results if ok)
     all_ok = passed_total == len(jobs)
     verdict = "PASS" if all_ok else "FAIL"
     lines.append(f"result: {verdict} ({passed_total}/{len(jobs)} checks)")

@@ -308,7 +308,7 @@ def test_verify_output_is_deterministic_in_process(capsys):
 
 
 def test_verify_reports_a_raising_trial_as_a_failure(monkeypatch, capsys):
-    def boom(n, seed, trial):
+    def boom(rng, n):
         raise ArithmeticError(f"boom at n={n}")
 
     raising = dataclasses.replace(verify.SUITES["thm3"], run_trial=boom)
@@ -360,6 +360,33 @@ def test_verify_pool_is_no_larger_than_the_cpu_count(monkeypatch, capsys, pool_s
     assert code == 0
     assert out.splitlines()[-1] == "result: PASS (5/5 checks)"
     assert pool_sizes == [3]
+
+
+def test_verify_refuses_too_many_trials_before_starting_a_pool(monkeypatch, capsys, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("MATIDENT_WORKERS", "2")
+    code, out, err = run(capsys, "verify", "--suite", "thm3", "--n", "2", "--trials", "1001")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    with pytest.raises(ValueError):
+        verify.run_suites(("thm3",), 0, 1)
+    assert pool_sizes == []
+
+
+def test_verify_keys_each_trial_stream_by_suite_size_and_trial(monkeypatch, capsys):
+    keys = []
+    real_derive_rng = verify.derive_rng
+
+    def recording(seed, *labels):
+        keys.append((seed, *labels))
+        return real_derive_rng(seed, *labels)
+
+    monkeypatch.setattr(verify, "derive_rng", recording)
+    monkeypatch.setenv("MATIDENT_WORKERS", "1")
+    code, _, _ = run(capsys, "verify", "--n", "2", "--trials", "2", "--seed", "5")
+    assert code == 0
+    assert keys == [(5, suite, 2, t) for suite in verify.SUITES for t in (1, 2)]
 
 
 def test_bench_prints_table_and_writes_records(tmp_path, capsys):

@@ -41,6 +41,7 @@ from matident.sampling import (
     random_rational_matrix,
     singular_matrix,
 )
+from matident.verify import _vanishing_symmetrized_instance
 
 from oracles import (
     brute_determinant,
@@ -233,6 +234,21 @@ def test_symmetrized_zero_criterion_both_directions():
     assert symmetrized_permanent_zero_criterion(generic) == MATRIX2.is_zero(
         symmetrized_permanent(generic)
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_verify_zero_instance_is_zero_by_the_oracle(n):
+    for seed in (1, 2, 3):
+        instance = _vanishing_symmetrized_instance(derive_rng(seed, "cor2-zero", n), n)
+        assert MATRIX2.is_zero(brute_symmetrized_permanent(instance.entries))
+        assert symmetrized_permanent_zero_criterion(instance)
+        if n >= 2:
+            entries = [entry for row in instance.entries for entry in row]
+            assert any(
+                not MATRIX2.eq(MATRIX2.mul(a, b), MATRIX2.mul(b, a))
+                for a in entries
+                for b in entries
+            )
 
 
 def test_space_determinant_n1_is_the_single_entry():
