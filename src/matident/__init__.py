@@ -29,7 +29,6 @@ from .matrices import (
     CubeMatrix,
     SquareMatrix,
     symbolic_cube,
-    symbolic_delta,
     symbolic_gammas,
     symbolic_matrix,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "space_determinant_identity",
     "submatrix_power_residual",
     "symbolic_cube",
-    "symbolic_delta",
     "symbolic_gammas",
     "symbolic_matrix",
     "symmetrized_permanent",

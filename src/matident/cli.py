@@ -29,7 +29,13 @@ from .bench import (
     format_table,
     write_records,
 )
-from .document import DocumentError, MatrixDocument, parse_document, parse_scalar
+from .document import (
+    DocumentError,
+    MatrixDocument,
+    long_integer_message,
+    parse_document,
+    parse_scalar,
+)
 from .verify import SUITES, run_suites
 
 WORKERS_ENV_VAR = "MATIDENT_WORKERS"
@@ -92,6 +98,8 @@ def _parse_flag_scalar(ring_name: str, token: str, where: str):
         data = text
     except RecursionError:
         raise UsageError(f"{where}: nested too deeply") from None
+    except ValueError:
+        raise UsageError(long_integer_message(where)) from None
     try:
         return parse_scalar(ring_name, data, where)
     except DocumentError as exc:
@@ -137,7 +145,7 @@ def _run_compute(args: argparse.Namespace) -> int:
     params: dict = {}
     if args.gamma is not None:
         if method == "per_identity":
-            params["gammas"] = _gamma_values(document, args.gamma, document.n)
+            params["gammas"] = _gamma_values(document, args.gamma, document.content.n)
         elif method == "det_identity":
             params["gamma"] = _gamma_values(document, args.gamma, 1)[0]
         else:
@@ -173,13 +181,9 @@ def _worker_count() -> int:
 
 def _run_verify(args: argparse.Namespace) -> int:
     names = tuple(SUITES) if args.suite == "all" else (args.suite,)
-    ns = None
-    if args.n is not None:
-        if args.n < 1:
-            raise UsageError("--n must be at least 1")
-        ns = (args.n,)
-    # run_suites refuses a trial count outside 1..MAX_TRIALS or a size above a
-    # suite's max_n before running any trial.
+    ns = None if args.n is None else (args.n,)
+    # run_suites refuses a trial count outside 1..MAX_TRIALS or a size outside
+    # 1..max_n of a suite before running any trial.
     lines, all_ok = run_suites(names, args.trials, args.seed, workers=_worker_count(), ns=ns)
     print(f"verify: suite={args.suite} trials={args.trials} seed={args.seed}")
     for line in lines:

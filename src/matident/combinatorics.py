@@ -15,10 +15,7 @@ documented order, so it is restartable:
 from __future__ import annotations
 
 import itertools
-import math
-from typing import Any, Iterator, Sequence
-
-from .rings import Ring
+from typing import Iterator
 
 EVEN = 1
 ODD = -1
@@ -98,17 +95,3 @@ def enumerate_subsets(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
         # expression here leaves garbage that only the cycle collector frees.
         cols = tuple([j for j in range(n) if mask >> j & 1])
         yield cols, ODD if len(cols) % 2 else EVEN
-
-
-def symmetrize(ring: Ring, factors: Sequence[Any]) -> Any:
-    """Average the products of the factors over all orderings.
-
-    For m factors this is (1/m!) * sum over all orderings of their product;
-    with one factor it is the factor itself, and with equal factors x it
-    collapses to x**m in any ring.
-    """
-    items = tuple(factors)
-    if not items:
-        raise ValueError("symmetrize needs at least one factor")
-    total = ring.sum(ring.product(ordering) for ordering in itertools.permutations(items))
-    return ring.div_int(total, math.factorial(len(items)))

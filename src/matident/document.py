@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
@@ -51,6 +52,15 @@ def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict:
     return mapping
 
 
+def long_integer_message(where: str) -> str:
+    """The refusal of an integer longer than CPython's int-from-str digit limit.
+
+    json.loads reports bad syntax as a JSONDecodeError and Fraction only sees
+    checked syntax, so this limit is the only other ValueError they raise.
+    """
+    return f"{where}: integer has more than {sys.get_int_max_str_digits()} digits"
+
+
 def _rational_scalar(value: Any, where: str) -> Fraction:
     if isinstance(value, bool):
         raise DocumentError(f"{where}: expected an integer or 'p/q' string, got a boolean")
@@ -63,6 +73,8 @@ def _rational_scalar(value: Any, where: str) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise DocumentError(f"{where}: zero denominator in {value!r}") from None
+        except ValueError:
+            raise DocumentError(long_integer_message(where)) from None
     raise DocumentError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
 
 
@@ -105,11 +117,9 @@ def parse_scalar(ring_name: str, value: Any, where: str) -> Any:
 
 @dataclass(frozen=True)
 class MatrixDocument:
-    """A parsed input document: its kind, ring, size, and content."""
+    """A parsed input document: its ring's name and its content."""
 
-    kind: str
     ring_name: str
-    n: int
     content: SquareMatrix | CubeMatrix
 
 
@@ -153,6 +163,8 @@ def parse_document(text: str) -> MatrixDocument:
         ) from None
     except RecursionError:
         raise DocumentError("document is nested too deeply") from None
+    except ValueError:
+        raise DocumentError(long_integer_message("document")) from None
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
     unknown = sorted(set(data) - set(_REQUIRED_FIELDS))
@@ -179,4 +191,4 @@ def parse_document(text: str) -> MatrixDocument:
     levels = _LEVELS[1:] if kind == "matrix" else _LEVELS
     entries = _parse_entries(data["entries"], _SCALAR_PARSERS[ring_name], n, levels)
     content = (SquareMatrix if kind == "matrix" else CubeMatrix)(RINGS[ring_name], entries)
-    return MatrixDocument(kind=kind, ring_name=ring_name, n=n, content=content)
+    return MatrixDocument(ring_name=ring_name, content=content)

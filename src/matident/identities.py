@@ -25,7 +25,6 @@ from .combinatorics import (
     enumerate_subdiagonals,
     enumerate_submatrices,
     enumerate_subsets,
-    symmetrize,
 )
 from .matrices import CubeMatrix, SquareMatrix
 from .rings import Ring
@@ -187,6 +186,20 @@ def check_diagonal_power_identity(matrix: SquareMatrix, t: int) -> tuple[bool, A
 def determinant_zero_criterion(matrix: SquareMatrix) -> bool:
     """True iff the determinant vanishes, decided by n-th power sums alone."""
     return matrix.ring.is_zero(diagonal_power_residual(matrix, matrix.n))
+
+
+def symmetrize(ring: Ring, factors: Sequence[Any]) -> Any:
+    """Average the products of the factors over all orderings.
+
+    For m factors this is (1/m!) * sum over all orderings of their product;
+    with one factor it is the factor itself, and with equal factors x it
+    collapses to x**m in any ring.
+    """
+    items = tuple(factors)
+    if not items:
+        raise ValueError("symmetrize needs at least one factor")
+    total = ring.sum(ring.product(ordering) for ordering in itertools.permutations(items))
+    return ring.div_int(total, math.factorial(len(items)))
 
 
 def symmetrized_permanent(matrix: SquareMatrix) -> Any:

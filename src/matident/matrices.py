@@ -22,7 +22,7 @@ def _coerce_entry(ring: Ring, value: Any) -> Any:
 
 
 class SquareMatrix:
-    """An n x n matrix of ring elements with 1-based accessors."""
+    """An n x n matrix of ring elements; entries[i][j] is row i, column j (0-based)."""
 
     __slots__ = ("ring", "n", "entries")
 
@@ -44,10 +44,6 @@ class SquareMatrix:
     def from_columns(cls, ring: Ring, columns: Sequence[Sequence[Any]]) -> "SquareMatrix":
         return cls(ring, zip(*columns))
 
-    def entry(self, i: int, j: int) -> Any:
-        """Entry in row i, column j (1-based)."""
-        return self.entries[i - 1][j - 1]
-
     def columns(self) -> tuple[tuple, ...]:
         return tuple(zip(*self.entries))
 
@@ -62,8 +58,8 @@ class SquareMatrix:
 class CubeMatrix:
     """An n x n x n array of commutative ring elements.
 
-    The cube is stored as n square sections; entry(i, j, k) is the (i, j)
-    entry of section k (all indices 1-based).
+    The cube is stored as n square sections; sections[k][i][j] is row i,
+    column j of section k (all indices 0-based).
     """
 
     __slots__ = ("ring", "n", "sections")
@@ -87,10 +83,6 @@ class CubeMatrix:
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("CubeMatrix instances are immutable")
-
-    def entry(self, i: int, j: int, k: int) -> Any:
-        """Entry in row i, column j of section k (1-based)."""
-        return self.sections[k - 1][i - 1][j - 1]
 
     def with_ring(self, ring: Ring) -> "CubeMatrix":
         return CubeMatrix(ring, self.sections)
@@ -120,8 +112,3 @@ def symbolic_cube(n: int) -> CubeMatrix:
 def symbolic_gammas(n: int) -> tuple[Poly, ...]:
     """Free parameters g_1..g_n."""
     return tuple(Poly.variable(f"g_{i}") for i in range(1, n + 1))
-
-
-def symbolic_delta() -> Poly:
-    """The free parameter d."""
-    return Poly.variable("d")

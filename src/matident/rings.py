@@ -288,6 +288,9 @@ class Poly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # A constant (zero included) equals its Fraction, so it hashes alike.
+        if self._terms.keys() <= {()}:
+            return hash(self._terms.get((), _ZERO))
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:

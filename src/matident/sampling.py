@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .identities import determinant
 from .matrices import CubeMatrix, SquareMatrix
 from .rings import MATRIX2, RATIONAL, MatrixElement
 
@@ -72,11 +71,3 @@ def singular_matrix(rng: random.Random, n: int) -> SquareMatrix:
     scale = Fraction(rng.randint(-3, 3))
     rows[target] = [scale * value for value in rows[source]]
     return SquareMatrix(RATIONAL, rows)
-
-
-def nonsingular_matrix(rng: random.Random, n: int) -> SquareMatrix:
-    """A random integer matrix with nonzero determinant (resampled until found)."""
-    while True:
-        matrix = random_integer_matrix(rng, n)
-        if determinant(matrix) != 0:
-            return matrix

@@ -227,6 +227,8 @@ def run_suites(
         spec = SUITES[name]
         sizes = ns if ns is not None else spec.default_ns
         for n in sizes:
+            if n < 1:
+                raise ValueError(f"n must be at least 1, got {n}")
             if n > spec.max_n:
                 raise ValueError(f"suite {name} supports n up to {spec.max_n}, got {n}")
             jobs.extend((name, n, seed, trial) for trial in range(1, trials + 1))

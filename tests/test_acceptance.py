@@ -43,7 +43,6 @@ from matident.sampling import (
     random_matrix2_matrix,
     random_rational,
     random_rational_matrix,
-    nonsingular_matrix,
     singular_matrix,
 )
 
@@ -123,7 +122,9 @@ def test_diagonal_power_sum_identity_and_zero_test():
             degenerate = singular_matrix(rng, n)
             assert determinant(degenerate) == 0
             assert determinant_zero_criterion(degenerate)
-            regular = nonsingular_matrix(rng, n)
+            regular = random_integer_matrix(rng, n)
+            while gauss_determinant(regular.entries) == 0:
+                regular = random_integer_matrix(rng, n)
             assert determinant(regular) != 0
             assert not determinant_zero_criterion(regular)
     clock.report(

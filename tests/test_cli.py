@@ -236,6 +236,29 @@ def test_compute_prints_a_value_longer_than_the_int_str_digit_cap(tmp_path, caps
         assert sys.get_int_max_str_digits() == limit
 
 
+def test_an_integer_over_the_digit_limit_exits_2_with_its_position(docs, tmp_path, capsys):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter reads integers of any length")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        long = "1" * 5000
+        path = tmp_path / "long.json"
+        path.write_text('{"kind":"matrix","ring":"rational","n":1,"entries":[["%s/3"]]}' % long)
+        cases = [
+            (("per", "definitional", str(path)), "row 1, column 1"),
+            (("per", "identity", "--gamma", f"{long},0", docs["m2"]), "--gamma value 1"),
+            (("det", "identity", f"--gamma=-1/{long}", docs["m2"]), "--gamma value 1"),
+            (("eper", "identity", "--delta", f"[[1,{long}],[0,1]]", docs["mm"]), "--delta"),
+        ]
+        for (fn, method, *rest), where in cases:
+            argv = ("compute", "--fn", fn, "--method", method, *rest)
+            message = f"error: {where}: integer has more than 4300 digits\n"
+            assert run(capsys, *argv) == (2, "", message), argv
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_usage_errors_exit_2(docs, capsys):
     cases = [
         ("compute", "--fn", "det", "--method", "ryser", docs["m2"]),
@@ -292,6 +315,15 @@ def test_verify_refuses_a_size_above_the_suite_limit_before_printing(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: suite thm4 supports n up to 3, got 4\n"
+
+
+def test_verify_refuses_a_size_below_1_before_starting_a_pool(monkeypatch, capsys, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("MATIDENT_WORKERS", "2")
+    assert run(capsys, "verify", "--n", "0") == (2, "", "error: n must be at least 1, got 0\n")
+    with pytest.raises(ValueError, match=r"^n must be at least 1, got -1$"):
+        verify.run_suites(("thm3",), 1, 1, workers=2, ns=(-1,))
+    assert pool_sizes == []
 
 
 def test_verify_runs_at_n_1(capsys):

@@ -13,8 +13,8 @@ from matident.combinatorics import (
     enumerate_subdiagonals,
     enumerate_submatrices,
     enumerate_subsets,
-    symmetrize,
 )
+from matident.identities import symmetrize
 from matident.rings import MATRIX2, RATIONAL, MatrixElement, Poly, SYMBOLIC
 
 from oracles import cycle_sign

@@ -1,6 +1,7 @@
 """Strict document parsing, canonical parsed values, and error context."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,19 +15,19 @@ def test_rational_matrix_round_trip_is_canonical():
     text = '{"kind":"matrix","ring":"rational","n":2,"entries":[[1,"2/4"],["-3/1",4]]}'
     document = parse_document(text)
     assert isinstance(document.content, SquareMatrix)
-    assert document.content.entry(1, 2) == Fraction(1, 2)
+    assert document.content.entries[0][1] == Fraction(1, 2)
     assert document.content.entries == ((1, Fraction(1, 2)), (-3, 4))
-    minus_three = document.content.entry(2, 1)
+    minus_three = document.content.entries[1][0]
     assert isinstance(minus_three, Fraction) and minus_three.denominator == 1
 
 
 def test_symbolic_matrix_round_trip():
     text = '{"kind":"matrix","ring":"symbolic","n":2,"entries":[["a","b"],[3,"1/2"]]}'
     document = parse_document(text)
-    assert document.content.entry(1, 1) == Poly.variable("a")
-    assert document.content.entry(2, 2) == Poly.constant(Fraction(1, 2))
-    assert document.content.entry(1, 2) == Poly.variable("b")
-    assert document.content.entry(2, 1) == Poly.constant(3)
+    assert document.content.entries[0][0] == Poly.variable("a")
+    assert document.content.entries[1][1] == Poly.constant(Fraction(1, 2))
+    assert document.content.entries[0][1] == Poly.variable("b")
+    assert document.content.entries[1][0] == Poly.constant(3)
 
 
 def test_matrix2_matrix_round_trip():
@@ -40,8 +41,8 @@ def test_matrix2_matrix_round_trip():
         ],
     }
     document = parse_document(json.dumps(payload))
-    assert document.content.entry(1, 2) == MatrixElement([[0, Fraction(1, 2)], [1, 0]])
-    assert document.content.entry(2, 1) == MatrixElement([[2, 0], [0, 2]])
+    assert document.content.entries[0][1] == MatrixElement([[0, Fraction(1, 2)], [1, 0]])
+    assert document.content.entries[1][0] == MatrixElement([[2, 0], [0, 2]])
 
 
 def test_cube_round_trip():
@@ -53,7 +54,7 @@ def test_cube_round_trip():
     }
     document = parse_document(json.dumps(payload))
     assert isinstance(document.content, CubeMatrix)
-    assert document.content.entry(1, 2, 2) == 6
+    assert document.content.sections[1][0][1] == 6
     assert document.content.sections == (((1, 2), (3, 4)), ((5, 6), (7, 8)))
 
 
@@ -177,4 +178,36 @@ def test_kind_ring_and_n_validation():
 def test_document_exposes_its_ring():
     document = parse_document('{"kind":"matrix","ring":"rational","n":1,"entries":[[7]]}')
     assert document.content.ring.commutative
-    assert document.n == 1 and document.kind == "matrix"
+    assert document.content.n == 1 and isinstance(document.content, SquareMatrix)
+
+
+@pytest.fixture
+def digit_limit():
+    """CPython's default int-from-str digit limit, restored afterwards."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter reads integers of any length")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "ring, cell, message",
+    [
+        ("rational", _LONG, "document: integer has more than 4300 digits"),
+        ("rational", f'"{_LONG}/3"', "row 1, column 1: integer has more than 4300 digits"),
+        ("symbolic", f'"3/{_LONG}"', "row 1, column 1: integer has more than 4300 digits"),
+        ("matrix2", f'[[1,"{_LONG}"],[0,1]]',
+         "row 1, column 1, cell (1,2): integer has more than 4300 digits"),
+    ],
+    ids=["json-number", "rational-string", "symbolic-denominator", "matrix2-cell"],
+)
+def test_an_integer_over_the_digit_limit_is_a_document_error(digit_limit, ring, cell, message):
+    text = '{"kind":"matrix","ring":"%s","n":1,"entries":[[%s]]}' % (ring, cell)
+    with pytest.raises(DocumentError) as excinfo:
+        parse_document(text)
+    assert str(excinfo.value) == message

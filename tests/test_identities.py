@@ -27,11 +27,10 @@ from matident.matrices import (
     CubeMatrix,
     SquareMatrix,
     symbolic_cube,
-    symbolic_delta,
     symbolic_gammas,
     symbolic_matrix,
 )
-from matident.rings import MATRIX2, RATIONAL, MatrixElement
+from matident.rings import MATRIX2, RATIONAL, MatrixElement, Poly
 from matident.sampling import (
     derive_rng,
     random_integer_cube,
@@ -196,7 +195,7 @@ def test_symmetrized_permanent_collapses_for_commuting_entries():
 def test_symmetrized_permanent_identity_shift_independent_symbolically():
     # over a commutative ring the identity must still hold and drop delta
     matrix = symbolic_matrix(2)
-    delta = symbolic_delta()
+    delta = Poly.variable("d")
     value = symmetrized_permanent_identity(matrix, delta)
     assert value == brute_permanent(matrix.entries)
     assert "d" not in value.variables()

@@ -1,0 +1,55 @@
+"""The public surface: the README's library example, the exports, and the layering."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import matident
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "matident"
+
+
+def test_the_readme_python_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("name", matident.__all__)
+def test_every_exported_name_resolves(name):
+    assert getattr(matident, name) is not None
+
+
+def _matident_imports(module: str) -> set[str]:
+    """The matident modules a module imports, by their short names."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                # `from .rings import Ring`, or `from . import rings`
+                found.update([node.module] if node.module else [a.name for a in node.names])
+            elif node.module and node.module.split(".")[0] == "matident":
+                found.add(node.module.partition(".")[2] or "matident")
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.partition(".")[2] or "matident"
+                for alias in node.names
+                if alias.name.split(".")[0] == "matident"
+            )
+    return found
+
+
+def test_the_enumeration_layer_imports_no_matident_module():
+    assert _matident_imports("combinatorics") == set()
+
+
+def test_sampling_imports_no_evaluator_or_caller():
+    imported = _matident_imports("sampling")
+    assert {"matrices", "rings"} <= imported
+    assert not imported & {"identities", "bench", "verify", "polarization"}

@@ -181,6 +181,15 @@ def test_poly_equality_is_structural(p, q):
     assert (p == q) == (str(p) == str(q))
 
 
+def test_a_constant_poly_hashes_like_the_number_it_equals():
+    for value in (0, 3, -1, Fraction(1, 2)):
+        constant = Poly.constant(value)
+        assert constant == value and hash(constant) == hash(value)
+        assert len({constant, value}) == 1
+    assert Poly() == 0 and len({Poly(), 0}) == 1
+    assert len({Poly.variable("x"), Poly.variable("x") + 0}) == 1
+
+
 @given(polys(), polys(), st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=5))
 @settings(max_examples=50)
 def test_poly_evaluate_is_a_ring_map(p, q, a, b):
