@@ -9,8 +9,6 @@ equality tests, not tolerance tests.
 """
 
 from .identities import (
-    check_diagonal_power_identity,
-    check_submatrix_power_identity,
     determinant,
     determinant_identity,
     determinant_zero_criterion,
@@ -54,8 +52,6 @@ __all__ = [
     "Ring",
     "SYMBOLIC",
     "SquareMatrix",
-    "check_diagonal_power_identity",
-    "check_submatrix_power_identity",
     "determinant",
     "determinant_identity",
     "determinant_zero_criterion",

@@ -172,17 +172,6 @@ def diagonal_power_residual(matrix: SquareMatrix, t: int) -> Any:
     return _diagonal_residual(matrix, t, ring.zero())
 
 
-def check_diagonal_power_identity(matrix: SquareMatrix, t: int) -> tuple[bool, Any]:
-    """Whether the length-n and length-(n-1) signed t-th power sums agree.
-
-    Valid for t in 1..n-1; returns (holds, residual).
-    """
-    if t < 1 or t > matrix.n - 1:
-        raise ValueError(f"power must be in 1..{matrix.n - 1}, got {t}")
-    residual = diagonal_power_residual(matrix, t)
-    return matrix.ring.is_zero(residual), residual
-
-
 def determinant_zero_criterion(matrix: SquareMatrix) -> bool:
     """True iff the determinant vanishes, decided by n-th power sums alone."""
     return matrix.ring.is_zero(diagonal_power_residual(matrix, matrix.n))
@@ -260,17 +249,6 @@ def submatrix_power_residual(matrix: SquareMatrix, m: int) -> Any:
     if m < 1 or m > n:
         raise ValueError(f"power must be in 1..{n}, got {m}")
     return _signed_submatrix_power_sum(matrix, m, matrix.ring.zero())
-
-
-def check_submatrix_power_identity(matrix: SquareMatrix, m: int) -> tuple[bool, Any]:
-    """Whether the signed m-th power sum over submatrices vanishes.
-
-    Valid for m in 1..n-1; returns (holds, residual).
-    """
-    if m < 1 or m > matrix.n - 1:
-        raise ValueError(f"power must be in 1..{matrix.n - 1}, got {m}")
-    residual = submatrix_power_residual(matrix, m)
-    return matrix.ring.is_zero(residual), residual
 
 
 def symmetrized_permanent_zero_criterion(matrix: SquareMatrix) -> bool:

@@ -20,28 +20,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def binary_power(one: Any, mul: Callable[[Any, Any], Any], x: Any, exponent: int) -> Any:
-    """Square-and-multiply exponentiation.
-
-    Shared by every ring (and by the counting wrapper) so that instrumented
-    and plain evaluations multiply in exactly the same order.
-    """
-    if exponent < 0:
-        raise ValueError("ring exponent must be nonnegative")
-    if exponent == 0:
-        return one
-    result = None
-    base = x
-    e = exponent
-    while True:
-        if e & 1:
-            result = base if result is None else mul(result, base)
-        e >>= 1
-        if not e:
-            return result
-        base = mul(base, base)
-
-
 class Ring:
     """An exact ring whose elements supply ``+ - * / ==`` themselves.
 
@@ -108,8 +86,24 @@ class Ring:
         return self._div_exact(x, k)
 
     def power(self, x: Any, exponent: int) -> Any:
-        """x**exponent for exponent >= 0, with x**0 = one."""
-        return binary_power(self.one(), self.mul, x, exponent)
+        """x**exponent for exponent >= 0, with x**0 = one, by square-and-multiply.
+
+        Wrapper rings inherit this through self.one and self.mul, so plain and
+        instrumented evaluations multiply in exactly the same order.
+        """
+        if exponent < 0:
+            raise ValueError("ring exponent must be nonnegative")
+        if exponent == 0:
+            return self.one()
+        result = None
+        base = x
+        while True:
+            if exponent & 1:
+                result = base if result is None else self.mul(result, base)
+            exponent >>= 1
+            if not exponent:
+                return result
+            base = self.mul(base, base)
 
     def is_zero(self, x: Any) -> bool:
         return self.eq(x, self.zero())
@@ -139,29 +133,20 @@ class Ring:
 
 
 def _merge_monomials(a: tuple, b: tuple) -> tuple:
-    """Merge two sorted (name, exponent) tuples, adding exponents on ties."""
+    """The product of two sorted (name, exponent) tuples: exponents of equal
+    names add, and the result is sorted by name again."""
     if not a:
         return b
     if not b:
         return a
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        name_a, exp_a = a[i]
-        name_b, exp_b = b[j]
-        if name_a == name_b:
-            out.append((name_a, exp_a + exp_b))
-            i += 1
-            j += 1
-        elif name_a < name_b:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    merged = a + b
+    # Most products share no name, and then one sort is the whole merge.
+    if len(dict(merged)) == len(merged):
+        return tuple(sorted(merged))
+    exponents = dict(a)
+    for name, exponent in b:
+        exponents[name] = exponents.get(name, 0) + exponent
+    return tuple(sorted(exponents.items()))
 
 
 class Poly:
@@ -189,14 +174,6 @@ class Poly:
         raise AttributeError("Poly instances are immutable")
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls.constant(1)
-
-    @classmethod
     def constant(cls, value: Fraction | int) -> "Poly":
         return cls({(): Fraction(value)})
 
@@ -212,9 +189,6 @@ class Poly:
 
     def coefficient(self, monomial: tuple) -> Fraction:
         return self._terms.get(monomial, _ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def variables(self) -> set[str]:
         return {name for monomial in self._terms for name, _ in monomial}
@@ -275,11 +249,6 @@ class Poly:
         if other == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
         return _poly({m: c / other for m, c in self._terms.items()})
-
-    def __pow__(self, exponent: int) -> "Poly":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        return binary_power(Poly.one(), Poly.__mul__, self, exponent)
 
     def __eq__(self, other: Any) -> bool:
         other = self._coerce(other)
@@ -349,10 +318,6 @@ class MatrixElement:
         raise AttributeError("MatrixElement instances are immutable")
 
     @classmethod
-    def identity(cls) -> "MatrixElement":
-        return _matrix(_ONE, _ZERO, _ZERO, _ONE)
-
-    @classmethod
     def scalar(cls, value: Fraction | int) -> "MatrixElement":
         value = Fraction(value)
         return _matrix(value, _ZERO, _ZERO, value)
@@ -389,11 +354,6 @@ class MatrixElement:
             raise ZeroDivisionError("division of a matrix element by zero")
         (a, b), (c, d) = self.rows
         return _matrix(a / other, b / other, c / other, d / other)
-
-    def __pow__(self, exponent: int) -> "MatrixElement":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        return binary_power(MatrixElement.identity(), MatrixElement.__mul__, self, exponent)
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, MatrixElement):

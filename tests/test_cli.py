@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from matident import bench, verify
+from matident import bench, identities, verify
 from matident.bench import CountingRing
 from matident.cli import main
 
@@ -326,6 +326,23 @@ def test_verify_refuses_a_size_below_1_before_starting_a_pool(monkeypatch, capsy
     assert pool_sizes == []
 
 
+@pytest.mark.parametrize(
+    "names, ns, message",
+    [
+        (("thm3",), (), "no sizes to run"),
+        ((), None, "no suites to run"),
+        (("thm3", "nope"), None, "unknown suite 'nope'"),
+    ],
+)
+def test_run_suites_refuses_a_run_that_would_check_nothing(monkeypatch, names, ns, message):
+    def never(jobs, workers):
+        raise AssertionError("jobs were run")
+
+    monkeypatch.setattr(verify, "_map_jobs", never)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify.run_suites(names, 1, 1, ns=ns)
+
+
 def test_verify_runs_at_n_1(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "cor2", "--n", "1", "--trials", "2")
     assert code == 0
@@ -352,6 +369,31 @@ def test_verify_reports_a_raising_trial_as_a_failure(monkeypatch, capsys):
     note = "raised ArithmeticError: boom at n=2"
     assert lines[1] == f"thm3 n=2: 0/2 ok: FAIL [trial 1: {note}; trial 2: {note}]"
     assert lines[-1] == "result: FAIL (0/2 checks)"
+
+
+@pytest.mark.parametrize(
+    "suite, helper, note",
+    [
+        ("cor1", "_diagonal_residual", "power sum residual 1 at exponent 1"),
+        (
+            "cor2",
+            "_signed_submatrix_power_sum",
+            "submatrix power sum residual nonzero at exponent 1",
+        ),
+    ],
+)
+def test_verify_prints_a_nonzero_corollary_residual_as_a_failure(
+    monkeypatch, capsys, suite, helper, note
+):
+    monkeypatch.setattr(identities, helper, lambda matrix, exponent, shift: matrix.ring.one())
+    monkeypatch.setenv("MATIDENT_WORKERS", "1")
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--n", "3", "--trials", "1")
+    assert code == 1
+    assert out == (
+        f"verify: suite={suite} trials=1 seed=1\n"
+        f"{suite} n=3: 0/1 ok: FAIL [trial 1: {note}]\n"
+        "result: FAIL (0/1 checks)\n"
+    )
 
 
 @pytest.fixture

@@ -7,8 +7,6 @@ import pytest
 
 from matident.bench import CountingRing
 from matident.identities import (
-    check_diagonal_power_identity,
-    check_submatrix_power_identity,
     determinant,
     determinant_identity,
     determinant_zero_criterion,
@@ -142,15 +140,13 @@ def test_diagonal_power_sums_vanish_below_n(n):
     rng = derive_rng(24, "cor1", n)
     matrix = random_rational_matrix(rng, n)
     for t in range(1, n):
-        holds, residual = check_diagonal_power_identity(matrix, t)
-        assert holds and residual == 0
+        residual = diagonal_power_residual(matrix, t)
+        assert RATIONAL.is_zero(residual) and residual == 0
     # at t = n the residual carries the determinant itself
     assert diagonal_power_residual(matrix, n) == math.factorial(n) * determinant(matrix)
 
 
 def test_diagonal_power_identity_validates_exponent():
-    with pytest.raises(ValueError):
-        check_diagonal_power_identity(M3, 3)
     with pytest.raises(ValueError):
         diagonal_power_residual(M3, 0)
     with pytest.raises(ValueError):
@@ -206,8 +202,7 @@ def test_submatrix_power_sums_vanish_below_n(n):
     rng = derive_rng(28, "cor2", n)
     matrix = random_matrix2_matrix(rng, n)
     for m in range(1, n):
-        holds, residual = check_submatrix_power_identity(matrix, m)
-        assert holds and MATRIX2.is_zero(residual)
+        assert MATRIX2.is_zero(submatrix_power_residual(matrix, m))
     expected = MATRIX2.mul(
         MatrixElement.scalar(math.factorial(n)), symmetrized_permanent(matrix)
     )
@@ -217,9 +212,9 @@ def test_submatrix_power_sums_vanish_below_n(n):
 def test_submatrix_power_identity_validates_exponent():
     matrix = random_matrix2_matrix(derive_rng(29, "cor2-domain"), 2)
     with pytest.raises(ValueError):
-        check_submatrix_power_identity(matrix, 2)
-    with pytest.raises(ValueError):
         submatrix_power_residual(matrix, 0)
+    with pytest.raises(ValueError):
+        submatrix_power_residual(matrix, 3)
 
 
 def test_symmetrized_zero_criterion_both_directions():
