@@ -223,11 +223,17 @@ def run_suites(
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
+    suite_names = tuple(suite_names)
     # An empty suite list or size tuple would report a PASS that checked nothing.
     if not suite_names:
         raise ValueError("no suites to run")
     if ns is not None and not ns:
         raise ValueError("no sizes to run")
+    # A repeated suite or size would run its trials again and count them twice.
+    for what, items in (("suite", suite_names), ("size", tuple(ns or ()))):
+        for index, item in enumerate(items):
+            if item in items[:index]:
+                raise ValueError(f"{what} {item!r} is listed twice")
     jobs: list[tuple[str, int, int, int]] = []
     for name in suite_names:
         if name not in SUITES:

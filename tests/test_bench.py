@@ -21,7 +21,13 @@ from matident.bench import (
     format_table,
     write_records,
 )
-from matident.matrices import CubeMatrix, SquareMatrix
+from matident.matrices import (
+    CubeMatrix,
+    SquareMatrix,
+    symbolic_cube,
+    symbolic_gammas,
+    symbolic_matrix,
+)
 from matident.rings import MATRIX2, RATIONAL, SYMBOLIC, MatrixElement, Poly
 from matident.sampling import (
     derive_rng,
@@ -209,7 +215,7 @@ def test_rational_requests_run_on_integers_with_the_same_value_and_counts(method
             assert getattr(report, field) == getattr(counting.counts, field), (n, field)
 
 
-def test_only_all_fraction_requests_reach_the_evaluator_as_integers(monkeypatch):
+def test_single_type_requests_reach_the_evaluator_on_exact_integers(monkeypatch):
     seen = []
     for method in ("det_identity", "eper_identity"):
         spec = METHODS[method]
@@ -225,11 +231,25 @@ def test_only_all_fraction_requests_reach_the_evaluator_as_integers(monkeypatch)
     assert evaluate_method("det_identity", matrix, {"gamma": Fraction(1, 3)}) == 4
     with pytest.raises(ValueError, match="free parameter 1 is not an element of rationals"):
         evaluate_method("det_identity", matrix, {"gamma": 1})
-    evaluate_method("eper_identity", random_matrix2_matrix(derive_rng(46, "unlifted"), 2))
+    x = Poly.variable("x")
+    symbolic = SquareMatrix(SYMBOLIC, [[x, Poly.constant(Fraction(1, 2))], [3, x * x]])
+    value = evaluate_method("det_identity", symbolic, {"gamma": Poly.variable("g")})
+    assert value == x * x * x - Fraction(3, 2)
+    message = "free parameter Fraction(1, 3) is not an element of polynomials over the rationals"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate_method("det_identity", symbolic, {"gamma": Fraction(1, 3)})
+    matrix2 = random_matrix2_matrix(derive_rng(46, "unlifted"), 2)
+    evaluate_method("eper_identity", matrix2)
+    message = "free parameter Fraction(1, 1) is not an element of 2x2 rational matrices"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate_method("eper_identity", matrix2, {"delta": Fraction(1)})
     assert [sorted(types, key=str) for types in seen] == [
         [int],
         [Fraction, int],
-        [type(None), MatrixElement],
+        [dict],
+        [Fraction, Poly],
+        [type(None), tuple],
+        [Fraction, MatrixElement],
     ]
 
 
@@ -237,6 +257,103 @@ def test_integer_division_refuses_a_remainder():
     assert bench._INTEGER.div_int(-12, 4) == -3
     with pytest.raises(ArithmeticError):
         bench._INTEGER.div_int(7, 2)
+
+
+def test_packed_polynomial_and_integer_matrix_division_refuse_a_remainder():
+    assert bench._PACKED.div_int({0: 6, 5: -4}, 2) == {0: 3, 5: -2}
+    with pytest.raises(ArithmeticError, match="coefficient -3 is not divisible by 2"):
+        bench._PACKED.div_int({0: 6, 5: -3}, 2)
+    assert bench._INTEGER_MATRIX.div_int((6, -4, 0, 2), 2) == (3, -2, 0, 1)
+    with pytest.raises(ArithmeticError, match=re.escape("(6, -4, 1, 2) is not divisible by 2")):
+        bench._INTEGER_MATRIX.div_int((6, -4, 1, 2), 2)
+
+
+def _assert_lift_matches_the_original_ring(method, obj, params):
+    """evaluate_method and count_ops agree with spec.run on obj's own ring in
+    value, in printed form and in all seven counts."""
+    counting = CountingRing(obj.ring)
+    expected = METHODS[method].run(obj.with_ring(counting), params, counting.counts)
+    value = evaluate_method(method, obj, params)
+    report = count_ops(method, obj, params)
+    assert type(value) is type(report.value) is type(expected)
+    assert value == report.value == expected
+    assert str(value) == str(report.value) == str(expected)
+    for field in COUNT_FIELDS:
+        assert getattr(report, field) == getattr(counting.counts, field), field
+
+
+def _symbolic_request(method, n, shifts):
+    """The generic matrix or cube with p/q constants on its diagonal, and a
+    symbolic or a p/q value for every shift."""
+    rng = derive_rng(48, "symbolic lift", method, n, shifts)
+    constant = lambda: Poly.constant(random_rational(rng))
+
+    def with_constants(rows, section=None):
+        """rows with a constant at each cell (i, i); in a cube only in section i."""
+        return [
+            [constant() if i == j and section in (None, i) else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+
+    if METHODS[method].kind == "cube":
+        sections = symbolic_cube(n).sections
+        obj = CubeMatrix(SYMBOLIC, [with_constants(rows, k) for k, rows in enumerate(sections)])
+    else:
+        obj = SquareMatrix(SYMBOLIC, with_constants(symbolic_matrix(n).entries))
+    if shifts == "symbolic":
+        gammas, gamma, delta = symbolic_gammas(n), Poly.variable("g"), Poly.variable("d")
+    else:
+        gammas, gamma, delta = tuple(constant() for _ in range(n)), constant(), constant()
+    return obj, {"gammas": gammas, "gamma": gamma, "delta": delta}
+
+
+# The largest n each symbolic method is compared at; the reference runs on
+# Fraction-backed polynomials, where these methods grow fastest.
+SYMBOLIC_LIFT_MAX_N = {
+    "per_polarization": 4,
+    "det_identity": 4,
+    "eper_definitional": 4,
+    "eper_identity": 3,
+    "detp_definitional": 3,
+    "detp_identity": 3,
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_symbolic_requests_lift_with_the_same_value_and_counts(method):
+    for n in range(1, SYMBOLIC_LIFT_MAX_N.get(method, 5) + 1):
+        for shifts in ("symbolic", "rational"):
+            _assert_lift_matches_the_original_ring(method, *_symbolic_request(method, n, shifts))
+
+
+@pytest.mark.parametrize("method", [m for m, spec in METHODS.items() if spec.kind == "matrix"])
+def test_nonlinear_entries_get_wide_enough_exponent_fields(method):
+    # Entries of degree 5 at n = 3 give a**15, which needs 4 bits per
+    # variable: n.bit_length() + 1 = 3 bits would carry into b's field.
+    a, b = Poly.variable("a"), Poly.variable("b")
+    a5 = SYMBOLIC.power(a, 5)
+    cube_b = SYMBOLIC.power(b, 3)
+    rows = [
+        [a5, a * a * cube_b, Fraction(1, 2) * b],
+        [cube_b * b * b, a5, a * b],
+        [Poly.constant(Fraction(-2, 3)), b * a5, a5],
+    ]
+    matrix = SquareMatrix(SYMBOLIC, rows)
+    _assert_lift_matches_the_original_ring(method, matrix, {"delta": b, "gamma": a * b})
+    if method.startswith(("per", "det")):
+        assert evaluate_method(method, matrix).coefficient((("a", 15),)) == 1
+
+
+@pytest.mark.parametrize("method", ["eper_definitional", "eper_identity"])
+def test_matrix2_requests_lift_with_the_same_value_and_counts(method):
+    for n in range(1, (4 if method == "eper_definitional" else 5) + 1):
+        rng = derive_rng(49, "matrix2 lift", method, n)
+        element = lambda: MatrixElement(
+            [[random_rational(rng) for _ in range(2)] for _ in range(2)]
+        )
+        matrix = SquareMatrix(MATRIX2, [[element() for _ in range(n)] for _ in range(n)])
+        for params in ({}, {"delta": element()}):
+            _assert_lift_matches_the_original_ring(method, matrix, params)
 
 
 def test_a_polynomial_shift_on_a_rational_matrix_keeps_its_error():

@@ -286,6 +286,14 @@ def test_usage_errors_exit_2(docs, capsys):
         assert err.startswith("error:"), argv
 
 
+def test_per_and_det_on_a_matrix2_document_keep_their_error(docs, capsys):
+    # matrix2 requests run on a private integer ring, which keeps MATRIX2's name.
+    for fn, name in (("per", "permanent"), ("det", "determinant")):
+        expected = f"error: {name} requires a commutative ring, got 2x2 rational matrices\n"
+        argv = ("compute", "--fn", fn, "--method", "identity", docs["mm"])
+        assert run(capsys, *argv) == (2, "", expected), fn
+
+
 def test_argparse_failures_map_to_exit_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "compute", "--fn", "nope", "--method", "identity", "x.json")[0] == 2
@@ -341,6 +349,18 @@ def test_run_suites_refuses_a_run_that_would_check_nothing(monkeypatch, names, n
     monkeypatch.setattr(verify, "_map_jobs", never)
     with pytest.raises(ValueError, match=f"^{message}$"):
         verify.run_suites(names, 1, 1, ns=ns)
+
+
+def test_run_suites_refuses_a_repeated_suite_or_size(monkeypatch):
+    # Run again, a repeat would report 4/4 checks for one trial of thm3 n=2.
+    def never(jobs, workers):
+        raise AssertionError("jobs were run")
+
+    monkeypatch.setattr(verify, "_map_jobs", never)
+    with pytest.raises(ValueError, match="^suite 'thm3' is listed twice$"):
+        verify.run_suites(("thm3", "thm3"), 1, 1, ns=(2, 2))
+    with pytest.raises(ValueError, match="^size 2 is listed twice$"):
+        verify.run_suites(("thm2", "thm3"), 1, 1, ns=(2, 3, 2))
 
 
 def test_verify_runs_at_n_1(capsys):
