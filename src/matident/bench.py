@@ -382,7 +382,7 @@ _LIFTERS = (
 )
 
 
-def _lift(
+def lift(
     obj: SquareMatrix | CubeMatrix, params: dict
 ) -> tuple[SquareMatrix | CubeMatrix, dict, Callable[[Any], Any]]:
     """The request moved onto exact integers, and the map that moves its value back.
@@ -393,7 +393,9 @@ def _lift(
     Polys or all MatrixElements is scaled until every coefficient is an
     integer and runs over a ring of Python ints (see the _lift_* functions).
     Anything else is returned unchanged, so its errors stay the evaluators'
-    own.
+    own.  A degree-t residual of the lifted matrix is c**t times the one of
+    obj, so it is zero exactly when obj's is; verify's corollary trials
+    decide zero-ness on the lifted matrix alone.
     """
     unchanged = obj, params, lambda value: value
     square = isinstance(obj, SquareMatrix)
@@ -407,7 +409,7 @@ def _lift(
     shifts = {key: params[key] for key in ("gamma", "delta") if params.get(key) is not None}
     values += shifts.values()
     lifter = next(
-        (lift for cls, lift in _LIFTERS if all(isinstance(value, cls) for value in values)), None
+        (fn for cls, fn in _LIFTERS if all(isinstance(value, cls) for value in values)), None
     )
     if lifter is None:
         return unchanged
@@ -430,10 +432,10 @@ def evaluate_method(
     """Run a registered evaluator without instrumentation.
 
     A request made entirely of Fractions, of Polys or of MatrixElements runs
-    on exact integers (see _lift); its value comes back as the same element.
+    on exact integers (see lift); its value comes back as the same element.
     """
     spec = _checked_spec(method, obj)
-    lifted, params, lower = _lift(obj, dict(params or {}))
+    lifted, params, lower = lift(obj, dict(params or {}))
     return lower(spec.run(lifted, params, OpCounts()))
 
 
@@ -444,11 +446,11 @@ def count_ops(
     counts and the value it computed.
 
     Callers compare report.value with a plain run: a mismatch means the
-    wrapper ring changed semantics.  A lifted request (see _lift) counts the
+    wrapper ring changed semantics.  A lifted request (see lift) counts the
     same operations on exact integers; moving its value back is not counted.
     """
     spec = _checked_spec(method, obj)
-    lifted, params, lower = _lift(obj, dict(params or {}))
+    lifted, params, lower = lift(obj, dict(params or {}))
     counting = CountingRing(lifted.ring)
     started = time.perf_counter()
     value = spec.run(lifted.with_ring(counting), params, counting.counts)

@@ -3,7 +3,12 @@
 Each suite draws seeded random instances and compares identity-based
 evaluators against the definitional one, all run through the bench method
 registry, or checks that a claimed invariant (vanishing power sums, zero
-criteria, reconstruction counts) holds exactly.
+criteria, reconstruction counts) holds exactly.  The invariant trials (cor1,
+cor2, polarization) run on the instance lifted to exact integers by
+bench.lift: scaling a matrix by c multiplies a degree-t power sum residual by
+c**t, so every zero-ness they check is the same on the lifted matrix, and the
+polarized permanent, homogeneous of degree n, is scaled back down before it
+is compared.
 Trials are independent jobs keyed by (suite, n, seed, trial): _run_job
 derives each trial's random stream from that key, so a pool of workers can
 run them in any order while the report stays deterministic.
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .bench import evaluate_method
+from .bench import evaluate_method, lift
 from .identities import (
     determinant_zero_criterion,
     diagonal_power_residual,
@@ -85,23 +90,34 @@ def _trial_space_determinant(rng, n: int) -> tuple[bool, str]:
     return _agree(random_integer_cube(rng, n), "detp_definitional", [("detp_identity", {})])
 
 
+def _nonzero_residual_exponent(lifted: SquareMatrix) -> int:
+    """The first t in 1..n-1 whose diagonal power sum residual is nonzero, else 0."""
+    ring = lifted.ring
+    for t in range(1, lifted.n):
+        if not ring.is_zero(diagonal_power_residual(lifted, t)):
+            return t
+    return 0
+
+
 def _trial_diagonal_power_sums(rng, n: int) -> tuple[bool, str]:
+    # A failure note recomputes its residual on the matrix as drawn, so it
+    # prints in the drawn matrix's scale.
     matrix = random_rational_matrix(rng, n)
-    ring = matrix.ring
-    for t in range(1, n):
-        residual = diagonal_power_residual(matrix, t)
-        if not ring.is_zero(residual):
-            return False, f"power sum residual {residual} at exponent {t}"
-    claims_zero = determinant_zero_criterion(matrix)
-    is_zero = ring.is_zero(evaluate_method("det_definitional", matrix))
+    lifted = lift(matrix, {})[0]
+    t = _nonzero_residual_exponent(lifted)
+    if t:
+        return False, f"power sum residual {diagonal_power_residual(matrix, t)} at exponent {t}"
+    claims_zero = determinant_zero_criterion(lifted)
+    is_zero = matrix.ring.is_zero(evaluate_method("det_definitional", matrix))
     if claims_zero != is_zero:
         return False, "zero criterion disagrees with the determinant"
     singular = singular_matrix(rng, n)
-    for t in range(1, n):
+    lifted = lift(singular, {})[0]
+    t = _nonzero_residual_exponent(lifted)
+    if t:
         residual = diagonal_power_residual(singular, t)
-        if not ring.is_zero(residual):
-            return False, f"power sum residual {residual} at exponent {t} on a singular matrix"
-    if not determinant_zero_criterion(singular):
+        return False, f"power sum residual {residual} at exponent {t} on a singular matrix"
+    if not determinant_zero_criterion(lifted):
         return False, "zero criterion missed a singular matrix"
     return True, ""
 
@@ -131,26 +147,29 @@ def _vanishing_symmetrized_instance(rng, n: int) -> SquareMatrix:
 def _trial_submatrix_power_sums(rng, n: int) -> tuple[bool, str]:
     matrix = random_matrix2_matrix(rng, n)
     ring = matrix.ring
+    lifted = lift(matrix, {})[0]
     for m in range(1, n):
-        if not ring.is_zero(submatrix_power_residual(matrix, m)):
+        if not lifted.ring.is_zero(submatrix_power_residual(lifted, m)):
             return False, f"submatrix power sum residual nonzero at exponent {m}"
-    claims_zero = symmetrized_permanent_zero_criterion(matrix)
+    claims_zero = symmetrized_permanent_zero_criterion(lifted)
     is_zero = ring.is_zero(evaluate_method("eper_definitional", matrix))
     if claims_zero != is_zero:
         return False, "zero criterion disagrees with the definitional value"
     vanishing = _vanishing_symmetrized_instance(rng, n)
     if not ring.is_zero(evaluate_method("eper_definitional", vanishing)):
         return False, "constructed instance was not actually zero"
-    if not symmetrized_permanent_zero_criterion(vanishing):
+    if not symmetrized_permanent_zero_criterion(lift(vanishing, {})[0]):
         return False, "zero criterion missed a vanishing instance"
     return True, ""
 
 
 def _trial_polarization(rng, n: int) -> tuple[bool, str]:
     matrix = random_rational_matrix(rng, n)
-    ring = matrix.ring
     reference = evaluate_method("per_definitional", matrix)
     for which, gammas in enumerate(_shift_vectors(rng, n)):
+        # The columns and the shift are lifted by one scale.
+        lifted, params, down = lift(matrix, {"gammas": gammas})
+        ring = lifted.ring
         calls = 0
 
         def evaluate(point):
@@ -160,8 +179,8 @@ def _trial_polarization(rng, n: int) -> tuple[bool, str]:
             return permanent(duplicated)
 
         func = DiagonalFunction(arity=n, evaluate=evaluate)
-        value = polarize(func, matrix.columns(), gammas, ring)
-        if not ring.eq(value, reference):
+        value = down(polarize(func, lifted.columns(), params["gammas"], ring))
+        if not matrix.ring.eq(value, reference):
             return False, f"reconstruction gave {value} at shift {which}, expected {reference}"
         if calls != 2**n:
             return False, f"made {calls} diagonal evaluations, expected {2**n}"
