@@ -8,8 +8,11 @@ documented order, so it is restartable:
 - enumerate_subdiagonals(n, k, sign) yields a tuple of k (row, col)
   positions.
 - enumerate_submatrices(n) yields (rows, cols), two sorted nonempty tuples.
-- enumerate_subsets(n) yields (cols, sign): a sorted tuple of columns and
-  (-1)**len(cols).
+- enumerate_transpositions(n) yields the left index i of each adjacent swap
+  (i, i+1) that walks all n! arrangements from the identity in
+  Steinhaus-Johnson-Trotter order.
+- enumerate_gray_steps(n) yields (column, entering) for each step of the
+  reflected Gray code, which walks all 2**n column subsets from the empty one.
 """
 
 from __future__ import annotations
@@ -81,17 +84,52 @@ def enumerate_submatrices(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, 
                     yield rows, cols
 
 
-def enumerate_subsets(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """All 2**n subsets of 0..n-1 with the sign (-1)**size, in binary-counter order.
+def enumerate_transpositions(n: int) -> Iterator[int]:
+    """The n! - 1 adjacent swaps that walk all arrangements of 0..n-1 once.
 
-    Subset number m holds the columns j whose bit j is set in m, so the empty
-    subset comes first.  The stream has only 2**n items, so no size cap
-    applies.
+    Steinhaus-Johnson-Trotter order (Johnson 1963; Trotter 1962) with Even's
+    speed-up: every value carries a direction, the largest value still
+    moving swaps one step that way, and it stops on reaching either end or
+    a larger neighbour; every larger value then turns to face it.  Swapping
+    positions i and i+1 of an arrangement flips its sign, so a consumer
+    replaying the swaps from the identity knows every sign without
+    computing one.  Yields i for each swap of positions (i, i+1).
+    """
+    _check_n(n)
+    arrangement = list(range(n))
+    position = list(range(n))
+    # -1 moves left, +1 moves right, 0 is still; the value 0 never moves.
+    direction = [0] + [-1] * (n - 1)
+    value = n - 1
+    while value > 0:
+        i = position[value]
+        j = i + direction[value]
+        other = arrangement[j]
+        arrangement[i], arrangement[j] = other, value
+        position[value], position[other] = j, i
+        yield min(i, j)
+        k = j + direction[value]
+        if k < 0 or k >= n or arrangement[k] > value:
+            direction[value] = 0
+        for larger in range(value + 1, n):
+            direction[larger] = 1 if position[larger] < j else -1
+        value = n - 1
+        while value > 0 and not direction[value]:
+            value -= 1
+
+
+def enumerate_gray_steps(n: int) -> Iterator[tuple[int, bool]]:
+    """The 2**n - 1 steps of the reflected Gray code on n columns.
+
+    Step k (from 1) toggles column j, the number of trailing zero bits of k;
+    the column enters the subset when bit j + 1 of k is clear and leaves it
+    otherwise (Nijenhuis and Wilf, Combinatorial Algorithms, 1978).  Starting
+    from the empty subset, every subset is reached exactly once, and the
+    subset size changes parity at every step.  The stream has only 2**n
+    items, so no size cap applies.
     """
     if n < 0:
         raise ValueError(f"set size must be nonnegative, got {n}")
-    for mask in range(1 << n):
-        # A list comprehension: on CPython 3.11 tuple() over a generator
-        # expression here leaves garbage that only the cycle collector frees.
-        cols = tuple([j for j in range(n) if mask >> j & 1])
-        yield cols, ODD if len(cols) % 2 else EVEN
+    for k in range(1, 1 << n):
+        j = (k & -k).bit_length() - 1
+        yield j, (k >> (j + 1)) & 1 == 0

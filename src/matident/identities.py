@@ -20,11 +20,10 @@ from typing import Any, Sequence
 
 from .combinatorics import (
     EVEN,
-    ODD,
+    enumerate_gray_steps,
     enumerate_permutations,
-    enumerate_subdiagonals,
     enumerate_submatrices,
-    enumerate_subsets,
+    enumerate_transpositions,
 )
 from .matrices import CubeMatrix, SquareMatrix
 from .rings import Ring
@@ -73,32 +72,49 @@ def permanent_identity(matrix: SquareMatrix, gammas: Sequence[Any] | None = None
 
     Over all column subsets S (the empty one included) this accumulates
     (-1)**|S| times the product over rows i of (gamma_i - sum of the row-i
-    entries in the columns of S).  The value is independent of the free
+    entries in the columns of S).  The subsets come in Gray-code order, so
+    each step moves one column in or out of S and the shifted vector
+    changes by one entry per row.  The value is independent of the free
     parameters gamma_i; omitting them uses all zeros.
     """
     ring = matrix.ring
     _require_commutative(ring, "permanent")
     params = _checked_gammas(matrix, gammas)
-    rows = tuple(zip(matrix.entries, params))
-    return ring.signed_sum(
-        (
-            sign,
-            ring.product([ring.sub(param, ring.sum(row[j] for j in cols)) for row, param in rows]),
-        )
-        for cols, sign in enumerate_subsets(matrix.n)
-    )
+    rows = matrix.entries
+
+    def terms():
+        shifted = params
+        sign = EVEN
+        yield sign, ring.product(shifted)
+        for j, entering in enumerate_gray_steps(matrix.n):
+            step = ring.sub if entering else ring.add
+            shifted = [step(value, row[j]) for value, row in zip(shifted, rows)]
+            sign = -sign
+            yield sign, ring.product(shifted)
+
+    return ring.signed_sum(terms())
 
 
 def permanent_ryser(matrix: SquareMatrix) -> Any:
-    """Inclusion-exclusion permanent from products of row sums over column subsets."""
+    """Inclusion-exclusion permanent from products of row sums over column subsets.
+
+    The nonempty subsets come in Gray-code order, so each step moves one
+    column in or out and every row sum changes by one entry.
+    """
     ring = matrix.ring
     _require_commutative(ring, "permanent")
     rows = matrix.entries
-    nonempty = itertools.islice(enumerate_subsets(matrix.n), 1, None)
-    total = ring.signed_sum(
-        (sign, ring.product(ring.sum(row[j] for j in cols) for row in rows))
-        for cols, sign in nonempty
-    )
+
+    def terms():
+        sums = [ring.zero()] * matrix.n
+        sign = EVEN
+        for j, entering in enumerate_gray_steps(matrix.n):
+            step = ring.add if entering else ring.sub
+            sums = [step(value, row[j]) for value, row in zip(sums, rows)]
+            sign = -sign
+            yield sign, ring.product(sums)
+
+    total = ring.signed_sum(terms())
     return ring.neg(total) if matrix.n % 2 else total
 
 
@@ -113,26 +129,41 @@ def determinant(matrix: SquareMatrix) -> Any:
     )
 
 
-def _signed_diagonal_bracket(matrix: SquareMatrix, k: int, exponent: int, gamma: Any) -> Any:
-    """Sum of (gamma + element sum)**exponent over even length-k subdiagonals
-    minus the same sum over odd ones."""
-    ring = matrix.ring
-    rows = matrix.entries
-    return ring.signed_sum(
-        (sign, ring.power(ring.add(gamma, ring.sum(rows[i][j] for i, j in positions)), exponent))
-        for sign in (EVEN, ODD)
-        for positions in enumerate_subdiagonals(matrix.n, k, sign)
-    )
-
-
 def _diagonal_residual(matrix: SquareMatrix, t: int, shift: Any) -> Any:
-    """The signed bracket of t-th powers over full diagonals minus the one
-    over length-(n-1) subdiagonals."""
+    """Signed sum of t-th powers of shifted diagonal sums over full diagonals,
+    minus the same over length-(n-1) subdiagonals.
+
+    One walk over the diagonals in transposition order: picked[i] is the
+    entry the current diagonal takes in row i and full is shift plus their
+    sum.  A swap of rows i and i+1 flips the sign and changes full by four
+    entries; the subdiagonal that leaves out row r sums to full - picked[r],
+    so every subdiagonal is reached from its one parent.
+    """
+    ring = matrix.ring
+    add, sub, power = ring.add, ring.sub, ring.power
+    rows = matrix.entries
     n = matrix.n
-    return matrix.ring.sub(
-        _signed_diagonal_bracket(matrix, n, t, shift),
-        _signed_diagonal_bracket(matrix, n - 1, t, shift),
-    )
+
+    def terms():
+        image = list(range(n))
+        picked = [row[i] for i, row in enumerate(rows)]
+        full = add(shift, ring.sum(picked))
+        sign = EVEN
+        swaps = enumerate_transpositions(n)
+        while True:
+            yield sign, power(full, t)
+            for entry in picked:
+                yield -sign, power(sub(full, entry), t)
+            i = next(swaps, None)
+            if i is None:
+                return
+            image[i], image[i + 1] = image[i + 1], image[i]
+            left, right = rows[i][image[i]], rows[i + 1][image[i + 1]]
+            full = add(add(sub(sub(full, picked[i]), picked[i + 1]), left), right)
+            picked[i], picked[i + 1] = left, right
+            sign = -sign
+
+    return ring.signed_sum(terms())
 
 
 def _all_integral(values) -> bool:
@@ -142,10 +173,14 @@ def _all_integral(values) -> bool:
 def determinant_identity(matrix: SquareMatrix, gamma: Any = None) -> Any:
     """Determinant from n-th powers of shifted diagonal sums.
 
-    Takes the signed bracket over full diagonals minus the signed bracket
-    over length-(n-1) subdiagonals and divides by n! once at the end.  The
-    value is independent of the free parameter gamma (default zero).  Uses
-    only addition, subtraction, n-th powers, and the final exact division.
+    Takes the signed sum of (gamma + diagonal sum)**n over full diagonals
+    minus the same over length-(n-1) subdiagonals and divides by n! once at
+    the end.  The diagonals come in one walk of adjacent transpositions
+    (Steinhaus-Johnson-Trotter order), which carries the sign and updates
+    the diagonal sum by four entries per step; each subdiagonal sum is its
+    parent's minus one entry.  The value is independent of the free
+    parameter gamma (default zero).  Uses only addition, subtraction, n-th
+    powers, and the final exact division.
     """
     ring = matrix.ring
     _require_commutative(ring, "determinant")

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .combinatorics import enumerate_subsets
+from .combinatorics import enumerate_gray_steps
 from .rings import Ring
 
 
@@ -30,9 +30,10 @@ def polarize(func: DiagonalFunction, xs: Sequence[tuple], gamma: tuple, ring: Ri
     Input-space points are tuples of ring elements as long as gamma (any
     other length is refused before F is called), added componentwise;
     `ring` also supplies the output-side arithmetic including the exact
-    division by n!.  Subsets are visited in binary-counter order;
-    the empty subset contributes F(gamma) with sign (-1)**n, and the result
-    does not depend on gamma.
+    division by n!.  Subsets are visited in Gray-code order, so each
+    point sum is the previous one with one point added or subtracted
+    componentwise; the empty subset contributes F(gamma) with sign (-1)**n,
+    and the result does not depend on gamma.
     """
     n = func.arity
     if n < 1:
@@ -42,19 +43,16 @@ def polarize(func: DiagonalFunction, xs: Sequence[tuple], gamma: tuple, ring: Ri
         raise ValueError(f"expected {n} input points, got {len(points)}")
     if any(len(point) != len(gamma) for point in points):
         raise ValueError(f"every input point must have the length of gamma, {len(gamma)}")
-    total = None
-    for cols, sign in enumerate_subsets(n):
-        shifted = gamma
-        for j in cols:
-            shifted = tuple(ring.add(a, b) for a, b in zip(shifted, points[j]))
+    # Not Ring.signed_sum: the first term is negated, not subtracted from
+    # zero, and the printed adds and negs count exactly that.
+    value = func.evaluate(gamma)
+    positive = n % 2 == 0
+    total = value if positive else ring.neg(value)
+    shifted = gamma
+    for j, entering in enumerate_gray_steps(n):
+        step = ring.add if entering else ring.sub
+        shifted = tuple(step(a, b) for a, b in zip(shifted, points[j]))
         value = func.evaluate(shifted)
-        positive = sign * (-1) ** n > 0
-        # Not Ring.signed_sum: the first term is negated, not subtracted from
-        # zero, and the printed adds and negs count exactly that.
-        if total is None:
-            total = value if positive else ring.neg(value)
-        elif positive:
-            total = ring.add(total, value)
-        else:
-            total = ring.sub(total, value)
+        positive = not positive
+        total = ring.add(total, value) if positive else ring.sub(total, value)
     return ring.div_int(total, math.factorial(n))

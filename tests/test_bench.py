@@ -406,26 +406,26 @@ PINNED_COUNTS = {
     ("per_definitional", 2): (2, 0, 2, 0, 0, 0, 0),
     ("per_definitional", 3): (6, 0, 12, 0, 0, 0, 0),
     ("per_definitional", 4): (24, 0, 72, 0, 0, 0, 0),
-    ("per_identity", 1): (4, 0, 0, 0, 0, 0, 0),
-    ("per_identity", 2): (14, 0, 4, 0, 0, 0, 0),
-    ("per_identity", 3): (47, 0, 16, 0, 0, 0, 0),
-    ("per_identity", 4): (148, 0, 48, 0, 0, 0, 0),
-    ("per_ryser", 1): (1, 1, 0, 0, 0, 0, 0),
-    ("per_ryser", 2): (5, 0, 3, 0, 0, 0, 0),
-    ("per_ryser", 3): (22, 1, 14, 0, 0, 0, 0),
-    ("per_ryser", 4): (83, 0, 45, 0, 0, 0, 0),
+    ("per_identity", 1): (3, 0, 0, 0, 0, 0, 0),
+    ("per_identity", 2): (10, 0, 4, 0, 0, 0, 0),
+    ("per_identity", 3): (29, 0, 16, 0, 0, 0, 0),
+    ("per_identity", 4): (76, 0, 48, 0, 0, 0, 0),
+    ("per_ryser", 1): (2, 1, 0, 0, 0, 0, 0),
+    ("per_ryser", 2): (9, 0, 3, 0, 0, 0, 0),
+    ("per_ryser", 3): (28, 1, 14, 0, 0, 0, 0),
+    ("per_ryser", 4): (75, 0, 45, 0, 0, 0, 0),
     ("per_polarization", 1): (4, 1, 0, 0, 0, 1, 2),
-    ("per_polarization", 2): (19, 0, 8, 0, 0, 1, 4),
-    ("per_polarization", 3): (91, 1, 96, 0, 0, 1, 8),
-    ("per_polarization", 4): (527, 0, 1152, 0, 0, 1, 16),
+    ("per_polarization", 2): (17, 0, 8, 0, 0, 1, 4),
+    ("per_polarization", 3): (76, 1, 96, 0, 0, 1, 8),
+    ("per_polarization", 4): (459, 0, 1152, 0, 0, 1, 16),
     ("det_definitional", 1): (1, 0, 0, 0, 0, 0, 0),
     ("det_definitional", 2): (2, 0, 2, 0, 0, 0, 0),
     ("det_definitional", 3): (6, 0, 12, 0, 0, 0, 0),
     ("det_definitional", 4): (24, 0, 72, 0, 0, 0, 0),
-    ("det_identity", 1): (5, 0, 0, 0, 2, 1, 0),
-    ("det_identity", 2): (15, 0, 0, 6, 6, 1, 0),
-    ("det_identity", 3): (79, 0, 0, 48, 24, 1, 0),
-    ("det_identity", 4): (505, 0, 0, 240, 120, 1, 0),
+    ("det_identity", 1): (4, 0, 0, 0, 2, 1, 0),
+    ("det_identity", 2): (16, 0, 0, 6, 6, 1, 0),
+    ("det_identity", 3): (65, 0, 0, 48, 24, 1, 0),
+    ("det_identity", 4): (312, 0, 0, 240, 120, 1, 0),
     ("eper_definitional", 1): (1, 0, 0, 0, 0, 1, 0),
     ("eper_definitional", 2): (4, 0, 4, 0, 0, 2, 0),
     ("eper_definitional", 3): (36, 0, 72, 0, 0, 6, 0),

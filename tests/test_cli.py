@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,7 +83,7 @@ def test_compute_prints_the_readme_example(tmp_path, capsys):
     assert run(capsys, "compute", "--fn", "per", "--method", "identity", str(path)) == (
         0,
         "value: 463\n"
-        "ops: adds=47 negs=0 muls=16 power_muls=0 powers=0 int_divs=0 f_evals=0\n",
+        "ops: adds=29 negs=0 muls=16 power_muls=0 powers=0 int_divs=0 f_evals=0\n",
         "",
     )
 
@@ -495,6 +496,17 @@ def test_bench_prints_table_and_writes_records(tmp_path, capsys):
     rows = [json.loads(line) for line in out_path.read_text().splitlines()]
     assert {row["n"] for row in rows} == {2, 3}
     assert all("wall" not in key for row in rows for key in row)
+
+
+def test_bench_prints_the_recorded_table(capsys):
+    # The CI workflow diffs the installed command against the same file; it
+    # pins every op count of the compared methods up to n = 6.
+    recorded = Path(__file__).resolve().parent / "data" / "bench_stdout"
+    assert run(capsys, "bench", "--nmin", "1", "--nmax", "6", "--seed", "1") == (
+        0,
+        (recorded / "nmin1-nmax6-seed1.txt").read_text(),
+        "",
+    )
 
 
 def test_bench_refuses_an_unwritable_out_path_before_printing(tmp_path, capsys):

@@ -9,10 +9,11 @@ from matident.combinatorics import (
     EVEN,
     MAX_ENUMERATION_N,
     ODD,
+    enumerate_gray_steps,
     enumerate_permutations,
     enumerate_subdiagonals,
     enumerate_submatrices,
-    enumerate_subsets,
+    enumerate_transpositions,
 )
 from matident.identities import symmetrize
 from matident.rings import MATRIX2, RATIONAL, MatrixElement, Poly, SYMBOLIC
@@ -163,18 +164,81 @@ def test_symmetrize_rejects_empty_input():
         symmetrize(RATIONAL, [])
 
 
+def _gray_subsets(n):
+    """The subsets the Gray steps visit, with their signs, from the empty one."""
+    cols = set()
+    sign = EVEN
+    visited = [(tuple(sorted(cols)), sign)]
+    for j, entering in enumerate_gray_steps(n):
+        assert (j in cols) != entering
+        (cols.add if entering else cols.remove)(j)
+        sign = -sign
+        visited.append((tuple(sorted(cols)), sign))
+    return visited
+
 
 @pytest.mark.parametrize("n", range(6))
 def test_subsets_follow_the_binary_counter_with_their_signs(n):
+    # Step k reaches the reflected binary code k ^ (k >> 1) of the counter k.
+    masks = [k ^ k >> 1 for k in range(2**n)]
     expected = [
         (tuple(j for j in range(n) if mask >> j & 1), (-1) ** bin(mask).count("1"))
-        for mask in range(2**n)
+        for mask in masks
     ]
-    assert list(enumerate_subsets(n)) == expected
+    assert _gray_subsets(n) == expected
 
 
 def test_subsets_have_no_size_cap():
     assert 12 > MAX_ENUMERATION_N
-    assert sum(1 for _ in enumerate_subsets(12)) == 4096
+    assert sum(1 for _ in enumerate_gray_steps(12)) == 4095
+    assert list(enumerate_gray_steps(0)) == []
     with pytest.raises(ValueError):
-        list(enumerate_subsets(-1))
+        list(enumerate_gray_steps(-1))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gray_steps_visit_every_subset_once_with_alternating_signs(n):
+    visited = _gray_subsets(n)
+    assert len({cols for cols, _ in visited}) == 2**n
+    assert all(sign == (-1) ** len(cols) for cols, sign in visited)
+    assert [sign for _, sign in visited] == [(-1) ** k for k in range(2**n)]
+    # one column moves per step
+    for (before, _), (after, _) in zip(visited, visited[1:]):
+        assert len(set(before) ^ set(after)) == 1
+
+
+def _replayed(n):
+    arrangement = list(range(n))
+    arrangements = [tuple(arrangement)]
+    for i in enumerate_transpositions(n):
+        assert 0 <= i < n - 1
+        arrangement[i], arrangement[i + 1] = arrangement[i + 1], arrangement[i]
+        arrangements.append(tuple(arrangement))
+    return arrangements
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_transpositions_visit_every_permutation_once(n):
+    arrangements = _replayed(n)
+    assert len(arrangements) == math.factorial(n)
+    assert set(arrangements) == set(itertools.permutations(range(n)))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_each_transposition_flips_the_cycle_sign(n):
+    signs = [cycle_sign(arrangement) for arrangement in _replayed(n)]
+    assert signs == [(-1) ** k for k in range(math.factorial(n))]
+
+
+def test_transpositions_follow_plain_changes():
+    # 012, 021, 201, 210, 120, 102: the largest value sweeps, then one step.
+    assert _replayed(3) == [(0, 1, 2), (0, 2, 1), (2, 0, 1), (2, 1, 0), (1, 2, 0), (1, 0, 2)]
+    assert list(enumerate_transpositions(4))[:6] == [2, 1, 0, 2, 0, 1]
+
+
+def test_transposition_stream_size_limits():
+    assert list(enumerate_transpositions(1)) == []
+    with pytest.raises(ValueError):
+        list(enumerate_transpositions(MAX_ENUMERATION_N + 1))
+    with pytest.raises(ValueError):
+        list(enumerate_transpositions(0))

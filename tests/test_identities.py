@@ -31,6 +31,7 @@ from matident.matrices import (
 from matident.rings import MATRIX2, RATIONAL, MatrixElement, Poly
 from matident.sampling import (
     derive_rng,
+    random_integer,
     random_integer_cube,
     random_matrix2_element,
     random_matrix2_matrix,
@@ -144,6 +145,27 @@ def test_diagonal_power_sums_vanish_below_n(n):
         assert RATIONAL.is_zero(residual) and residual == 0
     # at t = n the residual carries the determinant itself
     assert diagonal_power_residual(matrix, n) == math.factorial(n) * determinant(matrix)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("draw", [random_integer, random_rational], ids=["integer", "pq"])
+def test_transposition_and_gray_walks_agree_with_the_oracles(n, draw):
+    # determinant_identity and diagonal_power_residual walk the diagonals by
+    # adjacent transpositions; both permanent identities walk the column
+    # subsets in Gray-code order.
+    rng = derive_rng(25, "walks", draw.__name__, n)
+    rows = [[draw(rng) for _ in range(n)] for _ in range(n)]
+    matrix = SquareMatrix(RATIONAL, rows)
+    det = brute_determinant(rows)
+    per = brute_permanent(rows)
+    assert determinant_identity(matrix, random_rational(rng)) == det
+    assert permanent_identity(matrix, [random_rational(rng) for _ in range(n)]) == per
+    assert permanent_ryser(matrix) == per
+    # At n = 7 each residual walks 5040 diagonals; the two top exponents do.
+    exponents = range(1, n + 1) if n < 7 else (n - 1, n)
+    for t in exponents:
+        expected = math.factorial(n) * det if t == n else 0
+        assert diagonal_power_residual(matrix, t) == expected
 
 
 def test_diagonal_power_identity_validates_exponent():

@@ -7,7 +7,12 @@ import pytest
 from matident.matrices import SquareMatrix, symbolic_gammas
 from matident.polarization import DiagonalFunction, polarize
 from matident.rings import RATIONAL, SYMBOLIC, Poly
-from matident.sampling import derive_rng, random_rational, random_rational_matrix
+from matident.sampling import (
+    derive_rng,
+    random_integer,
+    random_rational,
+    random_rational_matrix,
+)
 
 from oracles import brute_permanent
 
@@ -64,6 +69,28 @@ def test_polarization_reconstructs_the_permanent(n):
     value = polarize(func, matrix.columns(), zero_shift, RATIONAL)
     assert value == brute_permanent(matrix.entries)
     assert len(calls) == 2**n
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("draw", [random_integer, random_rational], ids=["integer", "pq"])
+def test_polarization_of_a_power_of_a_linear_form(n, draw):
+    # F(x) = (c . x)**n is the diagonal of f(x_1, ..., x_n) = prod_k (c . x_k).
+    rng = derive_rng(12, "linear-form", draw.__name__, n)
+    size = 3
+    weights = [draw(rng) for _ in range(size)]
+    points = [tuple(draw(rng) for _ in range(size)) for _ in range(n)]
+    gamma = tuple(random_rational(rng) for _ in range(size))
+
+    def form(point):
+        return sum(w * x for w, x in zip(weights, point))
+
+    calls = []
+    func = DiagonalFunction(n, _counting(lambda point: form(point) ** n, calls))
+    expected = Fraction(1)
+    for point in points:
+        expected *= form(point)
+    assert polarize(func, points, gamma, RATIONAL) == expected
+    assert len(calls) == 2**n and calls[0] == gamma
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -71,6 +71,6 @@ def test_traced_runs_print_what_untraced_runs_print(tracing, docs, capsys, monke
     assert {"document.parse_document", "bench.count_ops", "verify.trial"} <= names
     assert {"rings.rational", "rings.matrix2"} <= names
     # Only generator functions are traced as streams with per-item counts.
-    for stream in ("enumerate_subdiagonals", "enumerate_submatrices"):
+    for stream in ("enumerate_transpositions", "enumerate_submatrices"):
         spans = [s for s in tracer.spans if s[tracing.NAME] == f"combinatorics.{stream}"]
         assert sum(span[tracing.ITEMS] for span in spans) > 0, stream
