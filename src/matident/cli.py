@@ -19,16 +19,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .bench import (
-    COUNT_FIELDS,
-    METHODS,
-    MethodDisagreement,
-    compare_methods,
-    count_ops,
-    evaluate_method,
-    format_table,
-    write_records,
-)
+from .bench import compare_methods, count_ops, format_table, write_records
 from .document import (
     DocumentError,
     MatrixDocument,
@@ -36,6 +27,7 @@ from .document import (
     parse_document,
     parse_scalar,
 )
+from .methods import COUNT_FIELDS, METHODS, MethodDisagreement, evaluate_method
 from .verify import SUITES, run_suites
 
 WORKERS_ENV_VAR = "MATIDENT_WORKERS"

@@ -6,10 +6,16 @@ rationals (RATIONAL), sparse multivariate polynomials over the rationals
 test ring).  Every evaluator in this package performs arithmetic exclusively
 through a ring object, which is what lets the benchmark layer swap in a
 counting wrapper without touching evaluator code.
+
+Each of the three has a private lifted twin over Python ints (integers,
+packed-monomial int polynomials, integer 2x2 matrices), and LIFTERS maps an
+element type to the function that scales a request's values onto its twin
+and the result back (see methods.lift).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping
@@ -399,4 +405,197 @@ MATRIX2 = Ring(
     MatrixElement.scalar,
     lambda x: isinstance(x, MatrixElement),
     commutative=False,
+)
+
+
+class _IntegerRing(Ring):
+    """Python ints, whose exact division refuses to leave a remainder."""
+
+    def _div_exact(self, x: int, k: int) -> int:
+        quotient, remainder = divmod(x, k)
+        if remainder:
+            raise ArithmeticError(f"{x} is not divisible by {k}")
+        return quotient
+
+
+class _PackedPolyRing(Ring):
+    """Polynomials as {packed monomial: nonzero int coefficient} dicts.
+
+    A monomial packs its exponents into one int, a fixed number of bits per
+    variable (see _lift_polys), so the product of two monomials is one
+    integer addition.  Elements are never mutated.
+    """
+
+    def add(self, x: dict, y: dict) -> dict:
+        if len(x) < len(y):
+            x, y = y, x
+        terms = dict(x)
+        for key, coeff in y.items():
+            total = terms.get(key, 0) + coeff
+            if total:
+                terms[key] = total
+            else:
+                del terms[key]
+        return terms
+
+    def sub(self, x: dict, y: dict) -> dict:
+        terms = dict(x)
+        for key, coeff in y.items():
+            total = terms.get(key, 0) - coeff
+            if total:
+                terms[key] = total
+            else:
+                del terms[key]
+        return terms
+
+    def neg(self, x: dict) -> dict:
+        return {key: -coeff for key, coeff in x.items()}
+
+    def mul(self, x: dict, y: dict) -> dict:
+        terms: dict[int, int] = {}
+        get = terms.get
+        for key_y, coeff_y in y.items():
+            for key_x, coeff_x in x.items():
+                key = key_x + key_y
+                terms[key] = get(key, 0) + coeff_x * coeff_y
+        if 0 in terms.values():
+            return {key: coeff for key, coeff in terms.items() if coeff}
+        return terms
+
+    def _div_exact(self, x: dict, k: int) -> dict:
+        quotients = {}
+        for key, coeff in x.items():
+            quotient, remainder = divmod(coeff, k)
+            if remainder:
+                raise ArithmeticError(f"coefficient {coeff} is not divisible by {k}")
+            quotients[key] = quotient
+        return quotients
+
+
+class _IntegerMatrixRing(Ring):
+    """2x2 integer matrices as (a, b, c, d) tuples, read row by row; exact
+    division refuses a remainder in any cell."""
+
+    def add(self, x: tuple, y: tuple) -> tuple:
+        a, b, c, d = x
+        e, f, g, h = y
+        return (a + e, b + f, c + g, d + h)
+
+    def sub(self, x: tuple, y: tuple) -> tuple:
+        a, b, c, d = x
+        e, f, g, h = y
+        return (a - e, b - f, c - g, d - h)
+
+    def neg(self, x: tuple) -> tuple:
+        a, b, c, d = x
+        return (-a, -b, -c, -d)
+
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        a, b, c, d = x
+        e, f, g, h = y
+        return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+    def _div_exact(self, x: tuple, k: int) -> tuple:
+        cells = [divmod(cell, k) for cell in x]
+        if any(remainder for _, remainder in cells):
+            raise ArithmeticError(f"{x} is not divisible by {k}")
+        return tuple(quotient for quotient, _ in cells)
+
+
+_INTEGER = _IntegerRing(
+    "integers", int, lambda x: isinstance(x, int) and not isinstance(x, bool)
+)
+# These two carry the public rings' names, so a lifted request's errors (a
+# noncommutative ring refused, say) read as they would unlifted.
+_PACKED = _PackedPolyRing(
+    SYMBOLIC.name, lambda k: {0: k} if k else {}, lambda x: isinstance(x, dict)
+)
+_INTEGER_MATRIX = _IntegerMatrixRing(
+    MATRIX2.name, lambda k: (k, 0, 0, k), lambda x: isinstance(x, tuple), commutative=False
+)
+
+# What a lifter returns for a request's values and its n: the ring to run
+# on, the map of one value up into it and the map of the result back down.
+_Lifted = tuple[Ring, Callable[[Any], Any], Callable[[Any], Any]]
+
+
+def _lift_rationals(values: list[Fraction], n: int) -> _Lifted:
+    """Scale by the least common denominator L; the value comes back over L**n."""
+    scale = math.lcm(*(value.denominator for value in values))
+
+    def up(value: Fraction) -> int:
+        return value.numerator * (scale // value.denominator)
+
+    return _INTEGER, up, lambda value: Fraction(value, scale**n)
+
+
+def _lift_polys(values: list[Poly], n: int) -> _Lifted:
+    """Scale by the least common denominator L of every coefficient and pack
+    each monomial into one int, w bits per variable in sorted-name order.
+
+    Every monomial an evaluator forms is a product of at most n monomials of
+    the inputs (Ring.power squares only up to the exponent), so no exponent
+    exceeds n*D for the largest total degree D of an input, and w =
+    (n*D).bit_length() bits keep every field from carrying into the next.
+    """
+    terms = [term for value in values for term in value.terms()]
+    scale = math.lcm(*(coeff.denominator for _, coeff in terms))
+    degree = max((sum(exponent for _, exponent in monomial) for monomial, _ in terms), default=0)
+    width = (n * degree).bit_length()
+    names = sorted({name for monomial, _ in terms for name, _ in monomial})
+    offsets = {name: width * index for index, name in enumerate(names)}
+    mask = (1 << width) - 1
+
+    def up(value: Poly) -> dict:
+        return {
+            sum(exponent << offsets[name] for name, exponent in monomial): (
+                coeff.numerator * (scale // coeff.denominator)
+            )
+            for monomial, coeff in value.terms()
+        }
+
+    def down(value: dict) -> Poly:
+        denominator = scale**n
+        return _poly(
+            {
+                tuple(
+                    (name, key >> offset & mask)
+                    for name, offset in offsets.items()
+                    if key >> offset & mask
+                ): Fraction(coeff, denominator)
+                for key, coeff in value.items()
+            }
+        )
+
+    return _PACKED, up, down
+
+
+def _lift_matrices(values: list[MatrixElement], n: int) -> _Lifted:
+    """Scale by c = L*n! for the least common denominator L of every cell.
+
+    L alone is not enough: symmetrize divides products of m <= n factors by
+    m!, and eper_identity divides by n!.  With every cell a multiple of n!,
+    a product of m cells is a multiple of (n!)**m, so both divide exactly.
+    The value comes back over c**n.
+    """
+    cells = [cell for value in values for row in value.rows for cell in row]
+    scale = math.lcm(*(cell.denominator for cell in cells)) * math.factorial(n)
+
+    def up(value: MatrixElement) -> tuple:
+        return tuple(
+            cell.numerator * (scale // cell.denominator) for row in value.rows for cell in row
+        )
+
+    def down(value: tuple) -> MatrixElement:
+        denominator = scale**n
+        return _matrix(*(Fraction(cell, denominator) for cell in value))
+
+    return _INTEGER_MATRIX, up, down
+
+
+# The lifter for a request whose values are all of one element type.
+LIFTERS = (
+    (Fraction, _lift_rationals),
+    (Poly, _lift_polys),
+    (MatrixElement, _lift_matrices),
 )

@@ -1,14 +1,14 @@
 """Randomized cross-check suites behind the ``verify`` command.
 
 Each suite draws seeded random instances and compares identity-based
-evaluators against the definitional one, all run through the bench method
-registry, or checks that a claimed invariant (vanishing power sums, zero
+evaluators against the definitional one, all run through the method registry
+in methods, or checks that a claimed invariant (vanishing power sums, zero
 criteria, reconstruction counts) holds exactly.  The invariant trials (cor1,
 cor2, polarization) run on the instance lifted to exact integers by
-bench.lift: scaling a matrix by c multiplies a degree-t power sum residual by
-c**t, so every zero-ness they check is the same on the lifted matrix, and the
-polarized permanent, homogeneous of degree n, is scaled back down before it
-is compared.
+methods.lift: scaling a matrix by c multiplies a degree-t power sum residual
+by c**t, so every zero-ness they check is the same on the lifted matrix, and
+the polarized permanent, homogeneous of degree n, is scaled back down before
+it is compared.
 Trials are independent jobs keyed by (suite, n, seed, trial): _run_job
 derives each trial's random stream from that key, so a pool of workers can
 run them in any order while the report stays deterministic.
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .bench import evaluate_method, lift
 from .identities import (
     determinant_zero_criterion,
     diagonal_power_residual,
@@ -32,6 +31,7 @@ from .identities import (
     symmetrized_permanent_zero_criterion,
 )
 from .matrices import SquareMatrix
+from .methods import evaluate_method, lift
 from .polarization import DiagonalFunction, polarize
 from .rings import MATRIX2
 from .sampling import (

@@ -11,13 +11,9 @@ import pytest
 from matident import bench
 from matident.bench import (
     COMPARED_METHODS,
-    METHODS,
     CountingRing,
-    MethodDisagreement,
-    OpCounts,
     compare_methods,
     count_ops,
-    evaluate_method,
     format_table,
     write_records,
 )
@@ -28,6 +24,7 @@ from matident.matrices import (
     symbolic_gammas,
     symbolic_matrix,
 )
+from matident.methods import METHODS, MethodDisagreement, OpCounts, evaluate_method
 from matident.rings import MATRIX2, RATIONAL, SYMBOLIC, MatrixElement, Poly
 from matident.sampling import (
     derive_rng,
@@ -102,10 +99,14 @@ def test_counting_ring_reports_its_base():
 
 
 def test_unknown_method_is_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown method 'per_quantum'"):
         count_ops("per_quantum", M3)
-    with pytest.raises(ValueError):
-        evaluate_method("detp_definitional", M3)  # cube method on a matrix
+    cube = CubeMatrix(RATIONAL, [[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
+    for run in (evaluate_method, count_ops):
+        with pytest.raises(ValueError, match="method detp_definitional expects a cube"):
+            run("detp_definitional", M3)
+        with pytest.raises(ValueError, match="method per_definitional expects a square matrix"):
+            run("per_definitional", cube)
 
 
 def test_compare_methods_is_deterministic_and_consistent():
@@ -184,7 +185,7 @@ COUNT_FIELDS = ("adds", "negs", "muls", "power_muls", "powers", "int_divs", "f_e
 def _rational_request(method, n):
     """A seeded p/q matrix or cube for method, with a random value for every shift."""
     rng = derive_rng(45, "lift", method, n)
-    if METHODS[method].kind == "cube":
+    if METHODS[method].kind is CubeMatrix:
         obj = CubeMatrix(
             RATIONAL,
             [[[random_rational(rng) for _ in range(n)] for _ in range(n)] for _ in range(n)],
@@ -253,21 +254,6 @@ def test_single_type_requests_reach_the_evaluator_on_exact_integers(monkeypatch)
     ]
 
 
-def test_integer_division_refuses_a_remainder():
-    assert bench._INTEGER.div_int(-12, 4) == -3
-    with pytest.raises(ArithmeticError):
-        bench._INTEGER.div_int(7, 2)
-
-
-def test_packed_polynomial_and_integer_matrix_division_refuse_a_remainder():
-    assert bench._PACKED.div_int({0: 6, 5: -4}, 2) == {0: 3, 5: -2}
-    with pytest.raises(ArithmeticError, match="coefficient -3 is not divisible by 2"):
-        bench._PACKED.div_int({0: 6, 5: -3}, 2)
-    assert bench._INTEGER_MATRIX.div_int((6, -4, 0, 2), 2) == (3, -2, 0, 1)
-    with pytest.raises(ArithmeticError, match=re.escape("(6, -4, 1, 2) is not divisible by 2")):
-        bench._INTEGER_MATRIX.div_int((6, -4, 1, 2), 2)
-
-
 def _assert_lift_matches_the_original_ring(method, obj, params):
     """evaluate_method and count_ops agree with spec.run on obj's own ring in
     value, in printed form and in all seven counts."""
@@ -295,7 +281,7 @@ def _symbolic_request(method, n, shifts):
             for i, row in enumerate(rows)
         ]
 
-    if METHODS[method].kind == "cube":
+    if METHODS[method].kind is CubeMatrix:
         sections = symbolic_cube(n).sections
         obj = CubeMatrix(SYMBOLIC, [with_constants(rows, k) for k, rows in enumerate(sections)])
     else:
@@ -326,7 +312,7 @@ def test_symbolic_requests_lift_with_the_same_value_and_counts(method):
             _assert_lift_matches_the_original_ring(method, *_symbolic_request(method, n, shifts))
 
 
-@pytest.mark.parametrize("method", [m for m, spec in METHODS.items() if spec.kind == "matrix"])
+@pytest.mark.parametrize("method", [m for m, spec in METHODS.items() if spec.kind is SquareMatrix])
 def test_nonlinear_entries_get_wide_enough_exponent_fields(method):
     # Entries of degree 5 at n = 3 give a**15, which needs 4 bits per
     # variable: n.bit_length() + 1 = 3 bits would carry into b's field.
@@ -379,7 +365,7 @@ def test_costly_methods_are_refused_above_their_size_limit(monkeypatch, method):
 
     monkeypatch.setitem(METHODS, method, dataclasses.replace(spec, run=never))
     n = limit + 1
-    if spec.kind == "cube":
+    if spec.kind is CubeMatrix:
         obj = CubeMatrix(RATIONAL, [[[1] * n] * n] * n)
     else:
         obj = SquareMatrix(RATIONAL, [[1] * n] * n)
@@ -457,7 +443,7 @@ def _pinned_count_requests(method, n):
         draws.append((MATRIX2, lambda: random_matrix2_element(rng)))
     for ring, draw in draws:
         rows = lambda: [[draw() for _ in range(n)] for _ in range(n)]
-        if METHODS[method].kind == "cube":
+        if METHODS[method].kind is CubeMatrix:
             obj = CubeMatrix(ring, [rows() for _ in range(n)])
         else:
             obj = SquareMatrix(ring, rows())

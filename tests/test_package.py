@@ -2,11 +2,13 @@
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import matident
+from matident.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "matident"
@@ -18,6 +20,19 @@ def test_the_readme_python_example_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_the_readme_bench_example_prints_its_table(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    command, table = re.search(
+        r"^```sh\nmatident (bench .*?)\n```\n.*?^```\n(.*?)^```",
+        readme,
+        flags=re.MULTILINE | re.DOTALL,
+    ).groups()
+    monkeypatch.chdir(tmp_path)  # the command writes --out counts.jsonl
+    assert main(shlex.split(command)) == 0
+    assert capsys.readouterr().out == table
+    assert (tmp_path / "counts.jsonl").is_file()
 
 
 @pytest.mark.parametrize("name", matident.__all__)
@@ -53,3 +68,19 @@ def test_sampling_imports_no_evaluator_or_caller():
     imported = _matident_imports("sampling")
     assert {"matrices", "rings"} <= imported
     assert not imported & {"identities", "bench", "verify", "polarization"}
+
+
+def test_the_registry_reaches_no_caller():
+    assert not _matident_imports("methods") & {"bench", "cli", "verify"}
+
+
+def test_verify_reads_the_registry_without_bench():
+    assert "bench" not in _matident_imports("verify")
+
+
+def test_rings_import_no_matident_module():
+    assert _matident_imports("rings") == set()
+
+
+def test_bench_imports_no_caller():
+    assert not _matident_imports("bench") & {"cli", "verify"}

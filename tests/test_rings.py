@@ -1,11 +1,14 @@
-"""Ring axioms and canonical forms for the three concrete rings."""
+"""Ring axioms and canonical forms for the three concrete rings, and exact
+division in their lifted integer twins."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matident import rings
 from matident.bench import CountingRing
 from matident.rings import (
     MATRIX2,
@@ -202,3 +205,18 @@ def test_poly_evaluate_is_a_ring_map(p, q, a, b):
     point = {"x": a, "y": b, "z": Fraction(1, 7)}
     assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
     assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
+
+
+def test_integer_division_refuses_a_remainder():
+    assert rings._INTEGER.div_int(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        rings._INTEGER.div_int(7, 2)
+
+
+def test_packed_polynomial_and_integer_matrix_division_refuse_a_remainder():
+    assert rings._PACKED.div_int({0: 6, 5: -4}, 2) == {0: 3, 5: -2}
+    with pytest.raises(ArithmeticError, match="coefficient -3 is not divisible by 2"):
+        rings._PACKED.div_int({0: 6, 5: -3}, 2)
+    assert rings._INTEGER_MATRIX.div_int((6, -4, 0, 2), 2) == (3, -2, 0, 1)
+    with pytest.raises(ArithmeticError, match=re.escape("(6, -4, 1, 2) is not divisible by 2")):
+        rings._INTEGER_MATRIX.div_int((6, -4, 1, 2), 2)

@@ -1,10 +1,11 @@
 """The benchmark's traced mode must leave CLI output untouched.
 
 perfbench/tracing.py rebinds module boundaries (cli.parse_document,
-cli.count_ops, bench.METHODS, verify._run_job, ...) and views every matrix
-through a timing ring that subclasses the ring type.  A refactor that renames
-one of those boundaries or changes how rings are built breaks the
-benchmark's per-layer mode; these tests catch that without running it.
+cli.count_ops, the method registry's entries through bench.METHODS,
+verify._run_job, ...) and views every matrix through a timing ring that
+subclasses the ring type.  A refactor that renames one of those boundaries
+or changes how rings are built breaks the benchmark's per-layer mode; these
+tests catch that without running it.
 """
 
 import importlib.util
@@ -70,6 +71,16 @@ def test_traced_runs_print_what_untraced_runs_print(tracing, docs, capsys, monke
     names = {span[tracing.NAME] for span in tracer.spans}
     assert {"document.parse_document", "bench.count_ops", "verify.trial"} <= names
     assert {"rings.rational", "rings.matrix2"} <= names
+    # Both compute requests run their registry entry once plainly and once
+    # counted.  If bench.METHODS were a copy of the registry, its traced
+    # entries would never run and these spans would be missing.
+    runs = [
+        (span[tracing.NAME], tracer.spans[span[tracing.PARENT]][tracing.NAME])
+        for span in tracer.spans
+        if span[tracing.NAME] in ("bench.run", "bench.run_counted")
+    ]
+    assert runs.count(("bench.run", "bench.evaluate_method")) == 2
+    assert runs.count(("bench.run_counted", "bench.count_ops")) == 2
     # Only generator functions are traced as streams with per-item counts.
     for stream in ("enumerate_transpositions", "enumerate_submatrices"):
         spans = [s for s in tracer.spans if s[tracing.NAME] == f"combinatorics.{stream}"]

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from matident import verify
-from matident.bench import lift
 from matident.cli import main
 from matident.identities import (
     determinant_zero_criterion,
@@ -16,6 +15,7 @@ from matident.identities import (
     symmetrized_permanent_zero_criterion,
 )
 from matident.matrices import SquareMatrix
+from matident.methods import lift
 from matident.rings import MATRIX2, RATIONAL, MatrixElement
 from matident.sampling import (
     derive_rng,
