@@ -61,7 +61,8 @@ class CountingRing(Ring):
         self.counts.powers += 1
         self._power_depth += 1
         try:
-            # Same square-and-multiply as the base ring, so values agree.
+            # Ring's square-and-multiply, even over a base ring with native
+            # powers, so power_muls counts the multiplications it makes.
             return super().power(x, exponent)
         finally:
             self._power_depth -= 1

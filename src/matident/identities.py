@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Any, Sequence
+from operator import getitem
+from typing import Any, Iterable, Sequence
 
 from .combinatorics import (
     EVEN,
@@ -56,15 +57,18 @@ def _checked_param(matrix: SquareMatrix | CubeMatrix, value: Any) -> Any:
     return value
 
 
+def _rows_permanent(ring: Ring, rows: Sequence[Sequence[Any]], images: Iterable[tuple]) -> Any:
+    """Sum over the column images of the product of the entries each picks
+    from rows, one add per image."""
+    return ring.signed_sum((EVEN, ring.product(map(getitem, rows, image))) for image in images)
+
+
 def permanent(matrix: SquareMatrix) -> Any:
     """Sum of products over all diagonals (the definitional permanent)."""
     ring = matrix.ring
     _require_commutative(ring, "permanent")
-    rows = matrix.entries
-    return ring.signed_sum(
-        (EVEN, ring.product(row[col] for row, col in zip(rows, image)))
-        for image, _ in enumerate_permutations(matrix.n)
-    )
+    images = (image for image, _ in enumerate_permutations(matrix.n))
+    return _rows_permanent(ring, matrix.entries, images)
 
 
 def permanent_identity(matrix: SquareMatrix, gammas: Sequence[Any] | None = None) -> Any:
@@ -124,7 +128,7 @@ def determinant(matrix: SquareMatrix) -> Any:
     _require_commutative(ring, "determinant")
     rows = matrix.entries
     return ring.signed_sum(
-        (sign, ring.product(row[col] for row, col in zip(rows, image)))
+        (sign, ring.product(map(getitem, rows, image)))
         for image, sign in enumerate_permutations(matrix.n)
     )
 
@@ -212,7 +216,7 @@ def determinant_zero_criterion(matrix: SquareMatrix) -> bool:
     return matrix.ring.is_zero(diagonal_power_residual(matrix, matrix.n))
 
 
-def symmetrize(ring: Ring, factors: Sequence[Any]) -> Any:
+def symmetrize(ring: Ring, factors: Iterable[Any]) -> Any:
     """Average the products of the factors over all orderings.
 
     For m factors this is (1/m!) * sum over all orderings of their product;
@@ -235,7 +239,7 @@ def symmetrized_permanent(matrix: SquareMatrix) -> Any:
     ring = matrix.ring
     rows = matrix.entries
     return ring.signed_sum(
-        (EVEN, symmetrize(ring, [row[col] for row, col in zip(rows, image)]))
+        (EVEN, symmetrize(ring, map(getitem, rows, image)))
         for image, _ in enumerate_permutations(matrix.n)
     )
 
@@ -301,12 +305,15 @@ def space_determinant(cube: CubeMatrix) -> Any:
     """Alternating sum over permutations of permanents of assembled sections.
 
     For each permutation s the matrix whose i-th column is column s(i) of
-    section i is assembled and its permanent weighted by the sign of s.
+    section i is assembled and its permanent weighted by the sign of s.  The
+    n! permutations are drawn once and serve every inner permanent too.
     """
     ring = cube.ring
+    permutations = list(enumerate_permutations(cube.n))
+    images = [image for image, _ in permutations]
     return ring.signed_sum(
-        (sign, permanent(SquareMatrix(ring, _assembled_rows(cube, image))))
-        for image, sign in enumerate_permutations(cube.n)
+        (sign, _rows_permanent(ring, _assembled_rows(cube, image), images))
+        for image, sign in permutations
     )
 
 

@@ -107,7 +107,8 @@ METHODS: dict[str, MethodSpec] = {
             SquareMatrix,
             lambda m, p, c: identities.symmetrized_permanent_identity(m, p.get("delta")),
         ),
-        # n! permanents of n! diagonals each: n = 6 takes seconds, n = 7 minutes.
+        # n! permanents of n! diagonals each: at n = 6 a plain run takes about
+        # 0.3 s and a counted one 0.8 s; at n = 7 the plain run alone takes 22 s.
         MethodSpec(
             "detp_definitional",
             CubeMatrix,

@@ -94,8 +94,10 @@ class Ring:
     def power(self, x: Any, exponent: int) -> Any:
         """x**exponent for exponent >= 0, with x**0 = one, by square-and-multiply.
 
-        Wrapper rings inherit this through self.one and self.mul, so plain and
-        instrumented evaluations multiply in exactly the same order.
+        Wrapper rings inherit this through self.one and self.mul, so a counted
+        run makes and counts every multiplication.  The lifted integer ring
+        overrides it with int powers, so there a plain and a counted run reach
+        the same value by two different algorithms.
         """
         if exponent < 0:
             raise ValueError("ring exponent must be nonnegative")
@@ -409,7 +411,27 @@ MATRIX2 = Ring(
 
 
 class _IntegerRing(Ring):
-    """Python ints, whose exact division refuses to leave a remainder."""
+    """Python ints, whose exact division refuses to leave a remainder.
+
+    The folds and powers run on the builtins (sum, math.prod, int powers),
+    which give the same exact values as Ring's one-call-per-operation folds
+    and square-and-multiply.  A counting ring over this one derives from
+    Ring, so a counted run still makes and counts every operation.
+    """
+
+    def sum(self, items: Iterable[int]) -> int:
+        return sum(items)
+
+    def signed_sum(self, pairs: Iterable[tuple[int, int]]) -> int:
+        return sum(item if sign > 0 else -item for sign, item in pairs)
+
+    def product(self, items: Iterable[int]) -> int:
+        return math.prod(items)
+
+    def power(self, x: int, exponent: int) -> int:
+        if exponent < 0:
+            raise ValueError("ring exponent must be nonnegative")
+        return x**exponent
 
     def _div_exact(self, x: int, k: int) -> int:
         quotient, remainder = divmod(x, k)

@@ -28,6 +28,8 @@ from matident.matrices import (
     symbolic_gammas,
     symbolic_matrix,
 )
+from matident import rings
+from matident.methods import lift
 from matident.rings import MATRIX2, RATIONAL, MatrixElement, Poly
 from matident.sampling import (
     derive_rng,
@@ -289,6 +291,21 @@ def test_space_determinant_identity_agrees_with_the_oracle(n):
     expected = brute_space_determinant(cube.sections)
     assert space_determinant(cube) == expected
     assert space_determinant_identity(cube) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("draw", [random_integer, random_rational])
+def test_space_determinant_agrees_with_the_oracle_plain_and_lifted(n, draw):
+    rng = derive_rng(33, "detp definitional", n, draw.__name__)
+    cube = CubeMatrix(
+        RATIONAL, [[[draw(rng) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    )
+    expected = brute_space_determinant(cube.sections)
+    assert space_determinant(cube) == expected
+    # The lifted cube folds on native ints, the path evaluate_method takes.
+    lifted, _, down = lift(cube, {})
+    assert lifted.ring is rings._INTEGER
+    assert down(space_determinant(lifted)) == expected
 
 
 def test_space_determinant_expands_symbolically():

@@ -93,6 +93,43 @@ def test_power_refuses_a_negative_exponent():
             ring.power(ring.one(), -1)
 
 
+integer_lists = st.lists(st.integers(-10**6, 10**6), max_size=8)
+signs = st.sampled_from((1, -1))
+
+
+@given(integer_lists, st.lists(signs, max_size=8), st.integers(-50, 50), st.integers(0, 12))
+def test_native_integer_folds_match_the_generic_folds(items, sign_list, x, exponent):
+    ring = rings._INTEGER
+    pairs = list(zip(sign_list, items))
+    assert ring.product(items) == rings.Ring.product(ring, items)
+    assert ring.sum(items) == rings.Ring.sum(ring, items)
+    assert ring.signed_sum(pairs) == rings.Ring.signed_sum(ring, pairs)
+    assert ring.power(x, exponent) == rings.Ring.power(ring, x, exponent)
+    # Generators are consumed the same way as lists.
+    assert ring.product(iter(items)) == ring.product(items)
+    assert ring.signed_sum(iter(pairs)) == ring.signed_sum(pairs)
+
+
+def test_native_integer_folds_keep_the_empty_cases_and_the_negative_exponent_error():
+    ring = rings._INTEGER
+    assert ring.product([]) == 1
+    assert ring.sum([]) == 0
+    assert ring.signed_sum([]) == 0
+    assert ring.power(7, 0) == 1
+    assert ring.power(0, 0) == 1
+    with pytest.raises(ValueError, match="^ring exponent must be nonnegative$"):
+        ring.power(3, -1)
+
+
+def test_counting_over_the_integer_ring_keeps_square_and_multiply():
+    ring = CountingRing(rings._INTEGER)
+    assert ring.power(3, 7) == 3**7
+    assert (ring.counts.powers, ring.counts.power_muls, ring.counts.muls) == (1, 4, 0)
+    assert ring.product([2, 3, 5]) == 30
+    assert ring.signed_sum([(1, 4), (-1, 9)]) == -5
+    assert (ring.counts.muls, ring.counts.adds) == (2, 2)
+
+
 def test_division_by_zero_is_rejected():
     for ring in (RATIONAL, SYMBOLIC, MATRIX2):
         with pytest.raises(ZeroDivisionError):
