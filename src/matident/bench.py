@@ -82,7 +82,7 @@ def count_ops(
     spec, lifted, params, down = lifted_request(method, obj, params)
     counting = CountingRing(lifted.ring)
     value = spec.run(lifted.with_ring(counting), params, counting.counts)
-    return replace(counting.counts, value=down(value), method=method, n=obj.n)
+    return replace(counting.counts, value=down(value))
 
 
 COMPARED_METHODS = (

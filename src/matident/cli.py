@@ -7,14 +7,13 @@ op-count comparison table.  Exit codes: 0 success, 1 verification or
 cross-check failure, 2 usage or parse error.
 
 For a fixed seed the verify and bench outputs are byte-identical across
-runs and across worker counts; no timing data is ever printed.
+runs; no timing data is ever printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Any
@@ -29,8 +28,6 @@ from .document import (
 )
 from .methods import COUNT_FIELDS, METHODS, MethodDisagreement, evaluate_method
 from .verify import SUITES, run_suites
-
-WORKERS_ENV_VAR = "MATIDENT_WORKERS"
 
 
 class UsageError(ValueError):
@@ -158,25 +155,12 @@ def _run_compute(args: argparse.Namespace) -> int:
     return 0
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise UsageError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise UsageError(f"{WORKERS_ENV_VAR} must be at least 1")
-    return workers
-
-
 def _run_verify(args: argparse.Namespace) -> int:
     names = tuple(SUITES) if args.suite == "all" else (args.suite,)
     ns = None if args.n is None else (args.n,)
     # run_suites refuses a trial count outside 1..MAX_TRIALS or a size outside
     # 1..max_n of a suite before running any trial.
-    lines, all_ok = run_suites(names, args.trials, args.seed, workers=_worker_count(), ns=ns)
+    lines, all_ok = run_suites(names, args.trials, args.seed, ns=ns)
     print(f"verify: suite={args.suite} trials={args.trials} seed={args.seed}")
     for line in lines:
         print(line)

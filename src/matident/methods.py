@@ -25,7 +25,7 @@ class OpCounts:
     adds counts additions and subtractions; muls counts multiplications
     issued outside Ring.power while power_muls counts the ones inside it;
     f_evals counts diagonal-restriction calls made by polarization-based
-    methods.  bench.count_ops fills in the counted run's value, method and n.
+    methods.  bench.count_ops fills in the counted run's value.
     """
 
     adds: int = 0
@@ -36,8 +36,6 @@ class OpCounts:
     int_divs: int = 0
     f_evals: int = 0
     value: Any = None
-    method: str = ""
-    n: int = 0
 
 
 # The op counts of an OpCounts report, in the order the CLI prints them.
@@ -70,11 +68,18 @@ class MethodSpec:
     max_n: int = MAX_ENUMERATION_N
 
 
+# Each max_n keeps one compute (a plain and a counted run) within about 5 s
+# on a 2-vCPU machine; the times below are whole `matident compute` runs on
+# rational documents (matrix2 for eper).
 METHODS: dict[str, MethodSpec] = {
     spec.name: spec
     for spec in (
+        # n! diagonals: 2.3 s at n = 9, 24 s at n = 10.
         MethodSpec(
-            "per_definitional", SquareMatrix, lambda m, p, c: identities.permanent(m)
+            "per_definitional",
+            SquareMatrix,
+            lambda m, p, c: identities.permanent(m),
+            max_n=9,
         ),
         MethodSpec(
             "per_identity",
@@ -86,13 +91,19 @@ METHODS: dict[str, MethodSpec] = {
         ),
         # 2^n permanents of n x n matrices: n = 7 takes seconds, n = 8 minutes.
         MethodSpec("per_polarization", SquareMatrix, _run_per_polarization, max_n=7),
+        # n! diagonals: 2.7 s at n = 9, 23 s at n = 10.
         MethodSpec(
-            "det_definitional", SquareMatrix, lambda m, p, c: identities.determinant(m)
+            "det_definitional",
+            SquareMatrix,
+            lambda m, p, c: identities.determinant(m),
+            max_n=9,
         ),
+        # n! diagonals of n + 1 powers each: 1.6 s at n = 8, 14 s at n = 9.
         MethodSpec(
             "det_identity",
             SquareMatrix,
             lambda m, p, c: identities.determinant_identity(m, p.get("gamma")),
+            max_n=8,
         ),
         # n! diagonals of n! orderings each: on matrix2 a plain and a counted run
         # take about 0.1 s together at n = 5 and about 6 s at n = 6.
@@ -102,10 +113,12 @@ METHODS: dict[str, MethodSpec] = {
             lambda m, p, c: identities.symmetrized_permanent(m),
             max_n=5,
         ),
+        # 4^n submatrix sums, each to the n-th power: 2.3 s at n = 8, 8.5 s at n = 9.
         MethodSpec(
             "eper_identity",
             SquareMatrix,
             lambda m, p, c: identities.symmetrized_permanent_identity(m, p.get("delta")),
+            max_n=8,
         ),
         # n! permanents of n! diagonals each: at n = 6 a plain run takes about
         # 0.3 s and a counted one 0.8 s; at n = 7 the plain run alone takes 22 s.
@@ -115,10 +128,12 @@ METHODS: dict[str, MethodSpec] = {
             lambda m, p, c: identities.space_determinant(m),
             max_n=6,
         ),
+        # n! permutations of n + 1 row-sum products each: 4.1 s at n = 8, 49 s at n = 9.
         MethodSpec(
             "detp_identity",
             CubeMatrix,
             lambda m, p, c: identities.space_determinant_identity(m),
+            max_n=8,
         ),
     )
 }

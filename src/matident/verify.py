@@ -10,14 +10,13 @@ by c**t, so every zero-ness they check is the same on the lifted matrix, and
 the polarized permanent, homogeneous of degree n, is scaled back down before
 it is compared.
 Trials are independent jobs keyed by (suite, n, seed, trial): _run_job
-derives each trial's random stream from that key, so a pool of workers can
-run them in any order while the report stays deterministic.
+derives each trial's random stream from that key alone, so the report is
+deterministic.  Every trial runs in the calling process: a trial takes about
+a millisecond, less than handing it to a worker process would cost.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,25 +219,15 @@ def _run_job(job: tuple[str, int, int, int]) -> tuple[bool, str]:
         return False, f"raised {type(exc).__name__}: {exc}"
 
 
-def _map_jobs(jobs, workers: int):
-    processes = min(workers, len(jobs), os.cpu_count() or 1)
-    if processes <= 1:
-        return [_run_job(job) for job in jobs]
-    with multiprocessing.Pool(processes) as pool:
-        return pool.map(_run_job, jobs)
-
-
 def run_suites(
     suite_names,
     trials: int,
     seed: int,
-    workers: int = 1,
     ns: "tuple[int, ...] | None" = None,
 ) -> tuple[list[str], bool]:
     """Run the named suites and return (report lines, overall pass flag).
 
-    Trials regenerate their instances from (seed, suite, n, trial), so the
-    report is byte-identical for any worker count.
+    Every refusal comes before the first trial runs.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
@@ -253,7 +242,7 @@ def run_suites(
         for index, item in enumerate(items):
             if item in items[:index]:
                 raise ValueError(f"{what} {item!r} is listed twice")
-    jobs: list[tuple[str, int, int, int]] = []
+    groups: list[tuple[str, int]] = []
     for name in suite_names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
@@ -264,22 +253,21 @@ def run_suites(
                 raise ValueError(f"n must be at least 1, got {n}")
             if n > spec.max_n:
                 raise ValueError(f"suite {name} supports n up to {spec.max_n}, got {n}")
-            jobs.extend((name, n, seed, trial) for trial in range(1, trials + 1))
-    results = _map_jobs(jobs, workers)
+            groups.append((name, n))
     lines = []
-    for start in range(0, len(jobs), trials):
-        name, n, _, _ = jobs[start]
-        chunk = results[start : start + trials]
-        ok_count = sum(1 for ok, _ in chunk if ok)
+    passed_total = 0
+    for name, n in groups:
+        results = [_run_job((name, n, seed, trial)) for trial in range(1, trials + 1)]
+        ok_count = sum(1 for ok, _ in results if ok)
+        passed_total += ok_count
         line = f"{name} n={n}: {ok_count}/{trials} ok: {'PASS' if ok_count == trials else 'FAIL'}"
         if ok_count != trials:
             notes = "; ".join(
-                f"trial {i}: {note}" for i, (ok, note) in enumerate(chunk, start=1) if not ok
+                f"trial {i}: {note}" for i, (ok, note) in enumerate(results, start=1) if not ok
             )
             line += f" [{notes}]"
         lines.append(line)
-    passed_total = sum(1 for ok, _ in results if ok)
-    all_ok = passed_total == len(jobs)
-    verdict = "PASS" if all_ok else "FAIL"
-    lines.append(f"result: {verdict} ({passed_total}/{len(jobs)} checks)")
+    checks = trials * len(groups)
+    all_ok = passed_total == checks
+    lines.append(f"result: {'PASS' if all_ok else 'FAIL'} ({passed_total}/{checks} checks)")
     return lines, all_ok

@@ -84,7 +84,6 @@ def test_instrumented_value_matches_plain_value():
     for method in COMPARED_METHODS:
         value = evaluate_method(method, M3)
         report = count_ops(method, M3)
-        assert report.method == method and report.n == 3
         assert report.value == value
         assert evaluate_method(method, M3) == value
 
@@ -351,7 +350,16 @@ def test_a_polynomial_shift_on_a_rational_matrix_keeps_its_error():
         count_ops("det_identity", matrix, {"gamma": Poly.variable("g")})
 
 
-SIZE_LIMITS = {"per_polarization": 7, "eper_definitional": 5, "detp_definitional": 6}
+SIZE_LIMITS = {
+    "per_definitional": 9,
+    "per_polarization": 7,
+    "det_definitional": 9,
+    "det_identity": 8,
+    "eper_definitional": 5,
+    "eper_identity": 8,
+    "detp_definitional": 6,
+    "detp_identity": 8,
+}
 
 
 @pytest.mark.parametrize("method", SIZE_LIMITS)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -326,13 +327,20 @@ def test_verify_refuses_a_size_above_the_suite_limit_before_printing(capsys):
     assert err == "error: suite thm4 supports n up to 3, got 4\n"
 
 
-def test_verify_refuses_a_size_below_1_before_starting_a_pool(monkeypatch, capsys, pool_sizes):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("MATIDENT_WORKERS", "2")
+@pytest.fixture
+def no_trials(monkeypatch):
+    """Fail the test if any verify trial runs."""
+
+    def never(job):
+        raise AssertionError(f"trial {job} was run")
+
+    monkeypatch.setattr(verify, "_run_job", never)
+
+
+def test_verify_refuses_a_size_below_1_before_starting_a_pool(capsys, no_trials):
     assert run(capsys, "verify", "--n", "0") == (2, "", "error: n must be at least 1, got 0\n")
     with pytest.raises(ValueError, match=r"^n must be at least 1, got -1$"):
-        verify.run_suites(("thm3",), 1, 1, workers=2, ns=(-1,))
-    assert pool_sizes == []
+        verify.run_suites(("thm3",), 1, 1, ns=(-1,))
 
 
 @pytest.mark.parametrize(
@@ -343,21 +351,13 @@ def test_verify_refuses_a_size_below_1_before_starting_a_pool(monkeypatch, capsy
         (("thm3", "nope"), None, "unknown suite 'nope'"),
     ],
 )
-def test_run_suites_refuses_a_run_that_would_check_nothing(monkeypatch, names, ns, message):
-    def never(jobs, workers):
-        raise AssertionError("jobs were run")
-
-    monkeypatch.setattr(verify, "_map_jobs", never)
+def test_run_suites_refuses_a_run_that_would_check_nothing(no_trials, names, ns, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         verify.run_suites(names, 1, 1, ns=ns)
 
 
-def test_run_suites_refuses_a_repeated_suite_or_size(monkeypatch):
+def test_run_suites_refuses_a_repeated_suite_or_size(no_trials):
     # Run again, a repeat would report 4/4 checks for one trial of thm3 n=2.
-    def never(jobs, workers):
-        raise AssertionError("jobs were run")
-
-    monkeypatch.setattr(verify, "_map_jobs", never)
     with pytest.raises(ValueError, match="^suite 'thm3' is listed twice$"):
         verify.run_suites(("thm3", "thm3"), 1, 1, ns=(2, 2))
     with pytest.raises(ValueError, match="^size 2 is listed twice$"):
@@ -383,7 +383,6 @@ def test_verify_reports_a_raising_trial_as_a_failure(monkeypatch, capsys):
 
     raising = dataclasses.replace(verify.SUITES["thm3"], run_trial=boom)
     monkeypatch.setitem(verify.SUITES, "thm3", raising)
-    monkeypatch.setenv("MATIDENT_WORKERS", "1")
     code, out, _ = run(capsys, "verify", "--suite", "thm3", "--n", "2", "--trials", "2")
     assert code == 1
     lines = out.splitlines()
@@ -407,7 +406,6 @@ def test_verify_prints_a_nonzero_corollary_residual_as_a_failure(
     monkeypatch, capsys, suite, helper, note
 ):
     monkeypatch.setattr(identities, helper, lambda matrix, exponent, shift: matrix.ring.one())
-    monkeypatch.setenv("MATIDENT_WORKERS", "1")
     code, out, _ = run(capsys, "verify", "--suite", suite, "--n", "3", "--trials", "1")
     assert code == 1
     assert out == (
@@ -417,56 +415,13 @@ def test_verify_prints_a_nonzero_corollary_residual_as_a_failure(
     )
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Swap the verify pool for a serial fake and record the sizes it is asked for."""
-    started = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return [fn(job) for job in jobs]
-
-    monkeypatch.setattr(verify.multiprocessing, "Pool", SerialPool)
-    return started
-
-
-def test_verify_pool_is_no_larger_than_the_job_count(monkeypatch, capsys, pool_sizes):
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setenv("MATIDENT_WORKERS", "64")
-    code, out, _ = run(capsys, "verify", "--suite", "thm4", "--n", "2", "--trials", "2")
-    assert code == 0
-    assert out.splitlines()[-1] == "result: PASS (2/2 checks)"
-    assert pool_sizes == [2]
-
-
-def test_verify_pool_is_no_larger_than_the_cpu_count(monkeypatch, capsys, pool_sizes):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setenv("MATIDENT_WORKERS", "64")
-    code, out, _ = run(capsys, "verify", "--suite", "thm4", "--n", "2", "--trials", "5")
-    assert code == 0
-    assert out.splitlines()[-1] == "result: PASS (5/5 checks)"
-    assert pool_sizes == [3]
-
-
-def test_verify_refuses_too_many_trials_before_starting_a_pool(monkeypatch, capsys, pool_sizes):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("MATIDENT_WORKERS", "2")
+def test_verify_refuses_too_many_trials_before_starting_a_pool(capsys, no_trials):
     code, out, err = run(capsys, "verify", "--suite", "thm3", "--n", "2", "--trials", "1001")
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
     with pytest.raises(ValueError):
         verify.run_suites(("thm3",), 0, 1)
-    assert pool_sizes == []
 
 
 def test_verify_keys_each_trial_stream_by_suite_size_and_trial(monkeypatch, capsys):
@@ -478,10 +433,22 @@ def test_verify_keys_each_trial_stream_by_suite_size_and_trial(monkeypatch, caps
         return real_derive_rng(seed, *labels)
 
     monkeypatch.setattr(verify, "derive_rng", recording)
-    monkeypatch.setenv("MATIDENT_WORKERS", "1")
     code, _, _ = run(capsys, "verify", "--n", "2", "--trials", "2", "--seed", "5")
     assert code == 0
     assert keys == [(5, suite, 2, t) for suite in verify.SUITES for t in (1, 2)]
+
+
+def test_importing_the_cli_does_not_load_multiprocessing():
+    # Every verify trial runs in the calling process, so no CLI run needs
+    # multiprocessing; importing it would add to every run's start-up.
+    source = str(Path(verify.__file__).resolve().parents[1])
+    path = [source, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    script = "import sys, matident.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "False\n"
 
 
 def test_bench_prints_table_and_writes_records(tmp_path, capsys):

@@ -58,7 +58,6 @@ def _stdout(capsys, argv):
 
 
 def test_traced_runs_print_what_untraced_runs_print(tracing, docs, capsys, monkeypatch):
-    monkeypatch.setenv("MATIDENT_WORKERS", "1")
     det = ["compute", "--fn", "det", "--method", "identity", "--gamma=-3/2"]
     eper = ["compute", "--fn", "eper", "--method", "identity", "--delta", "[[1,0],[0,2]]"]
     requests = [det + [docs["rational"]], eper + [docs["matrix2"]], ["verify", "--trials", "1"]]

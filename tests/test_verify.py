@@ -39,7 +39,6 @@ RECORDED = {
 
 @pytest.mark.parametrize("name", RECORDED)
 def test_verify_prints_the_recorded_bytes(name, capsys, monkeypatch):
-    monkeypatch.setenv("MATIDENT_WORKERS", "1")
     assert main(["verify", *RECORDED[name]]) == 0
     assert capsys.readouterr().out == (STDOUT_DIR / name).read_text()
 
@@ -90,7 +89,6 @@ def test_a_failing_cor1_note_prints_the_residual_of_the_matrix_as_drawn(monkeypa
         return ring.power(ring.sum(matrix.entries[0]), t)
 
     monkeypatch.setattr(verify, "diagonal_power_residual", first_row_power)
-    monkeypatch.setenv("MATIDENT_WORKERS", "1")
     assert main(["verify", "--suite", "cor1", "--n", "3", "--trials", "1"]) == 1
     drawn = random_rational_matrix(derive_rng(1, "cor1", 3, 1), 3)
     residual = first_row_power(drawn, 1)
