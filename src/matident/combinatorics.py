@@ -8,6 +8,8 @@ documented order, so it is restartable:
 - enumerate_subdiagonals(n, k, sign) yields a tuple of k (row, col)
   positions.
 - enumerate_submatrices(n) yields (rows, cols), two sorted nonempty tuples.
+  No evaluator walks it or enumerate_subdiagonals any more; both stay for
+  perfbench/micro.py's stream drains.
 - enumerate_transpositions(n) yields the left index i of each adjacent swap
   (i, i+1) that walks all n! arrangements from the identity in
   Steinhaus-Johnson-Trotter order.

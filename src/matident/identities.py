@@ -23,7 +23,6 @@ from .combinatorics import (
     EVEN,
     enumerate_gray_steps,
     enumerate_permutations,
-    enumerate_submatrices,
     enumerate_transpositions,
 )
 from .matrices import CubeMatrix, SquareMatrix
@@ -246,18 +245,31 @@ def symmetrized_permanent(matrix: SquareMatrix) -> Any:
 
 def _signed_submatrix_power_sum(matrix: SquareMatrix, exponent: int, delta: Any) -> Any:
     """Sum of (-1)**(rows+cols) * (delta + submatrix element sum)**exponent
-    over all nonempty row and column selections."""
+    over all nonempty row and column selections.
+
+    Both selections come in Gray-code order.  The row walk keeps the column
+    sums of the chosen rows, n adds per step.  For each row subset the
+    column walk moves the shifted sum, which starts at delta, by one column
+    sum per step.  The sign flips at every step of either walk.
+    """
     ring = matrix.ring
-    entries = matrix.entries
-    return ring.signed_sum(
-        (
-            (-1) ** (len(rows) + len(cols)),
-            ring.power(
-                ring.add(delta, ring.sum(entries[i][j] for i in rows for j in cols)), exponent
-            ),
-        )
-        for rows, cols in enumerate_submatrices(matrix.n)
-    )
+    add, sub, power = ring.add, ring.sub, ring.power
+    rows = matrix.entries
+    column_steps = list(enumerate_gray_steps(matrix.n))
+
+    def terms():
+        sums = [ring.zero()] * matrix.n
+        row_sign = EVEN
+        for i, entering in enumerate_gray_steps(matrix.n):
+            sums = list(map(add if entering else sub, sums, rows[i]))
+            row_sign = -row_sign
+            shifted, sign = delta, row_sign
+            for j, column_entering in column_steps:
+                shifted = add(shifted, sums[j]) if column_entering else sub(shifted, sums[j])
+                sign = -sign
+                yield sign, power(shifted, exponent)
+
+    return ring.signed_sum(terms())
 
 
 def symmetrized_permanent_identity(matrix: SquareMatrix, delta: Any = None) -> Any:

@@ -113,12 +113,12 @@ METHODS: dict[str, MethodSpec] = {
             lambda m, p, c: identities.symmetrized_permanent(m),
             max_n=5,
         ),
-        # 4^n submatrix sums, each to the n-th power: 2.3 s at n = 8, 8.5 s at n = 9.
+        # 4^n submatrix sums, each to the n-th power: 3.8 s at n = 9, 13 s at n = 10.
         MethodSpec(
             "eper_identity",
             SquareMatrix,
             lambda m, p, c: identities.symmetrized_permanent_identity(m, p.get("delta")),
-            max_n=8,
+            max_n=9,
         ),
         # n! permanents of n! diagonals each: at n = 6 a plain run takes about
         # 0.3 s and a counted one 0.8 s; at n = 7 the plain run alone takes 22 s.

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Any, Callable, Iterable, Mapping
 
 VARIABLE_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -474,6 +476,20 @@ class _PackedPolyRing(Ring):
         return {key: -coeff for key, coeff in x.items()}
 
     def mul(self, x: dict, y: dict) -> dict:
+        # Factors in disjoint variables fill disjoint bit fields, so each
+        # pair of terms makes its own monomial; a factor of one term does
+        # too.  Then one comprehension of nonzero coefficient products is
+        # the whole product.  Products of row sums in distinct variables are
+        # of this kind.  The factors of a power share their variables and go
+        # to the accumulating loop.
+        if x is not y and (
+            len(x) == 1 or len(y) == 1 or not reduce(or_, x, 0) & reduce(or_, y, 0)
+        ):
+            return {
+                key_x + key_y: coeff_x * coeff_y
+                for key_y, coeff_y in y.items()
+                for key_x, coeff_x in x.items()
+            }
         terms: dict[int, int] = {}
         get = terms.get
         for key_y, coeff_y in y.items():

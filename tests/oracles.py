@@ -111,3 +111,23 @@ def brute_space_determinant(sections):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def brute_submatrix_power_sum(rows, exponent, delta):
+    """Sum of (-1)**(r+s) * (delta + submatrix element sum)**exponent over every
+    choice of r >= 1 rows and s >= 1 columns, each sum rebuilt from its entries."""
+    n = len(rows)
+    total = None
+    for r in range(1, n + 1):
+        for s in range(1, n + 1):
+            for chosen_rows in itertools.combinations(range(n), r):
+                for chosen_cols in itertools.combinations(range(n), s):
+                    shifted = delta
+                    for i in chosen_rows:
+                        for j in chosen_cols:
+                            shifted = shifted + rows[i][j]
+                    term = _product([shifted] * exponent)
+                    if (r + s) % 2:
+                        term = -term
+                    total = term if total is None else total + term
+    return total

@@ -212,7 +212,7 @@ def test_compute_prints_pinned_symmetrized_permanents(tmp_path, capsys):
     ]
     path.write_text(json.dumps({"kind": "matrix", "ring": "matrix2", "n": 3, "entries": entries}))
     value = "value: [[10, 271/36], [69/4, 241/12]]\n"
-    identity_ops = "ops: adds=194 negs=0 muls=0 power_muls=100 powers=50 int_divs=1 f_evals=0\n"
+    identity_ops = "ops: adds=120 negs=0 muls=0 power_muls=100 powers=50 int_divs=1 f_evals=0\n"
     definitional_ops = "ops: adds=36 negs=0 muls=72 power_muls=0 powers=0 int_divs=6 f_evals=0\n"
     for method, flags, ops in (
         ("identity", (), identity_ops),

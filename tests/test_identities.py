@@ -1,6 +1,8 @@
 """Definitional evaluators against their power-sum identities."""
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -47,6 +49,7 @@ from oracles import (
     brute_determinant,
     brute_permanent,
     brute_space_determinant,
+    brute_submatrix_power_sum,
     brute_symmetrized_permanent,
     gauss_determinant,
 )
@@ -239,6 +242,49 @@ def test_submatrix_power_identity_validates_exponent():
         submatrix_power_residual(matrix, 0)
     with pytest.raises(ValueError):
         submatrix_power_residual(matrix, 3)
+
+
+def random_rational_matrix2_element(rng):
+    return MatrixElement([[random_rational(rng) for _ in range(2)] for _ in range(2)])
+
+
+def _own_element(value):
+    """A value of the lifted rings as an element with its own operators: ints
+    stay ints and (a, b, c, d) tuples become 2x2 matrix elements."""
+    return MatrixElement([value[:2], value[2:]]) if isinstance(value, tuple) else value
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "draw",
+    [random_integer, random_rational, random_rational_matrix2_element],
+    ids=["integer", "pq", "matrix2"],
+)
+def test_submatrix_walk_agrees_with_the_oracle_plain_and_lifted(n, draw):
+    # Both walks of _signed_submatrix_power_sum against every submatrix sum
+    # rebuilt from its entries, on the request and on its lifted twin.
+    rng = derive_rng(37, "submatrix walk", draw.__name__, n)
+    ring = MATRIX2 if draw is random_rational_matrix2_element else RATIONAL
+    matrix = SquareMatrix(ring, [[draw(rng) for _ in range(n)] for _ in range(n)])
+    delta = draw(rng)
+    lifted, params, _ = lift(matrix, {"delta": delta})
+    assert lifted.ring in (rings._INTEGER, rings._INTEGER_MATRIX)
+    for obj, shift in ((matrix, delta), (lifted, params["delta"])):
+        rows = [[_own_element(entry) for entry in row] for row in obj.entries]
+        zero = _own_element(obj.ring.zero())
+        for m in range(1, n + 1):
+            residual = _own_element(submatrix_power_residual(obj, m))
+            assert residual == brute_submatrix_power_sum(rows, m, zero)
+        for free in (None, shift):
+            d = zero if free is None else _own_element(free)
+            expected = brute_submatrix_power_sum(rows, n, d) - functools.reduce(
+                operator.mul, [d] * n
+            )
+            value = _own_element(symmetrized_permanent_identity(obj, free))
+            factorial = math.factorial(n)
+            if isinstance(value, MatrixElement):
+                factorial = MatrixElement.scalar(factorial)
+            assert value * factorial == expected
 
 
 def test_symmetrized_zero_criterion_both_directions():

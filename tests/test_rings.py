@@ -257,3 +257,35 @@ def test_packed_polynomial_and_integer_matrix_division_refuse_a_remainder():
     assert rings._INTEGER_MATRIX.div_int((6, -4, 0, 2), 2) == (3, -2, 0, 1)
     with pytest.raises(ArithmeticError, match=re.escape("(6, -4, 1, 2) is not divisible by 2")):
         rings._INTEGER_MATRIX.div_int((6, -4, 1, 2), 2)
+
+
+def _naive_packed_product(x, y):
+    terms = {}
+    for key_x, coeff_x in x.items():
+        for key_y, coeff_y in y.items():
+            terms[key_x + key_y] = terms.get(key_x + key_y, 0) + coeff_x * coeff_y
+    return {key: coeff for key, coeff in terms.items() if coeff}
+
+
+# Packed monomials below 8, so shifting one factor's keys by 3 bits keeps
+# every sum of a key from each factor distinct.
+packed_polys = st.dictionaries(st.integers(0, 7), st.integers(-3, 3).filter(bool), max_size=5)
+
+
+@given(packed_polys, packed_polys, st.lists(st.sampled_from((1, -1)), min_size=5, max_size=5))
+def test_packed_product_matches_a_naive_double_loop(x, y, signs):
+    disjoint = {key << 3: coeff for key, coeff in y.items()}
+    # Same monomials as x with some signs flipped: shared terms can cancel.
+    flipped = {key: coeff * sign for (key, coeff), sign in zip(x.items(), signs)}
+    for a, b in ((x, disjoint), (disjoint, x), (x, y), (x, x), (x, flipped), (flipped, x)):
+        product = rings._PACKED.mul(a, b)
+        assert product == _naive_packed_product(a, b)
+        assert 0 not in product.values()
+
+
+def test_packed_products_worked_by_hand():
+    # (a + b)(a - b) = a^2 - b^2 with a packed as 1 and b as 8: the cross
+    # terms cancel.  Then 2a(1 - 3b) = 2a - 6ab, whose factor of one term
+    # takes the comprehension.
+    assert rings._PACKED.mul({1: 1, 8: 1}, {1: 1, 8: -1}) == {2: 1, 16: -1}
+    assert rings._PACKED.mul({1: 2}, {8: -3, 0: 1}) == {9: -6, 1: 2}

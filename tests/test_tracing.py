@@ -81,6 +81,6 @@ def test_traced_runs_print_what_untraced_runs_print(tracing, docs, capsys, monke
     assert runs.count(("bench.run", "bench.evaluate_method")) == 2
     assert runs.count(("bench.run_counted", "bench.count_ops")) == 2
     # Only generator functions are traced as streams with per-item counts.
-    for stream in ("enumerate_transpositions", "enumerate_submatrices"):
+    for stream in ("enumerate_transpositions", "enumerate_gray_steps"):
         spans = [s for s in tracer.spans if s[tracing.NAME] == f"combinatorics.{stream}"]
         assert sum(span[tracing.ITEMS] for span in spans) > 0, stream
