@@ -11,9 +11,12 @@ methods.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import replace
-from typing import Any, Mapping
+from functools import partial
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .matrices import CubeMatrix, SquareMatrix
 from .methods import COUNT_FIELDS, MethodDisagreement, OpCounts, evaluate_method, lifted_request
@@ -25,14 +28,19 @@ from .sampling import derive_rng, random_integer_matrix
 
 
 class CountingRing(Ring):
-    """Wrapper ring that counts operations and delegates values to a base ring."""
+    """Wrapper ring that counts operations and delegates values to a base ring.
+
+    The base ring runs every fold whole.  The wrapper counts each fold's items
+    as they stream past and tallies the operations from their number, and a
+    power's multiplications from the exponent's bits, so no operation inside
+    a fold or a power is a call of its own.
+    """
 
     def __init__(self, base: Ring):
         name = f"counting({base.name})"
         super().__init__(name, base.from_int, base.is_element, base.commutative)
         self.base = base
         self.counts = OpCounts()
-        self._power_depth = 0
 
     def add(self, x: Any, y: Any) -> Any:
         self.counts.adds += 1
@@ -47,10 +55,7 @@ class CountingRing(Ring):
         return self.base.neg(x)
 
     def mul(self, x: Any, y: Any) -> Any:
-        if self._power_depth:
-            self.counts.power_muls += 1
-        else:
-            self.counts.muls += 1
+        self.counts.muls += 1
         return self.base.mul(x, y)
 
     def _div_exact(self, x: Any, k: int) -> Any:
@@ -58,14 +63,45 @@ class CountingRing(Ring):
         return self.base._div_exact(x, k)
 
     def power(self, x: Any, exponent: int) -> Any:
+        # Ring's square-and-multiply, even over a base ring with native
+        # powers, so the value is reached the way power_muls counts it.
+        value = Ring.power(self.base, x, exponent)
         self.counts.powers += 1
-        self._power_depth += 1
-        try:
-            # Ring's square-and-multiply, even over a base ring with native
-            # powers, so power_muls counts the multiplications it makes.
-            return super().power(x, exponent)
-        finally:
-            self._power_depth -= 1
+        if exponent:
+            self.counts.power_muls += exponent.bit_length() + exponent.bit_count() - 2
+        return value
+
+    @staticmethod
+    def _fold(fold: Callable[[Iterable], Any], items: Iterable) -> tuple[Any, int]:
+        """fold(items) and the number of items it consumed."""
+        tally = itertools.count()
+        value = fold(map(itemgetter(0), zip(items, tally)))
+        return value, next(tally)
+
+    def sum(self, items: Iterable[Any]) -> Any:
+        value, k = self._fold(self.base.sum, items)
+        self.counts.adds += max(k - 1, 0)
+        return value
+
+    def signed_sum(self, pairs: Iterable[tuple[int, Any]]) -> Any:
+        value, k = self._fold(self.base.signed_sum, pairs)
+        self.counts.adds += k
+        return value
+
+    def product(self, items: Iterable[Any]) -> Any:
+        # A product has at most n factors, so a tuple is cheaper than _fold.
+        items = tuple(items)
+        if items:
+            self.counts.muls += len(items) - 1
+        return self.base.product(items)
+
+    def diagonal_sum(
+        self, rows: Sequence[Sequence[Any]], pairs: Iterable[tuple[Sequence[int], int]]
+    ) -> Any:
+        value, k = self._fold(partial(self.base.diagonal_sum, rows), pairs)
+        self.counts.muls += k * (len(rows) - 1)
+        self.counts.adds += k
+        return value
 
 
 def count_ops(

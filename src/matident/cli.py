@@ -13,6 +13,7 @@ runs; no timing data is ever printed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -34,6 +35,9 @@ class UsageError(ValueError):
     """Bad flag combination or argument value."""
 
 
+# Built once per process: parsing leaves the parser unchanged, and the choices
+# it reads from METHODS and SUITES are their names, which never change.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matident",

@@ -3,7 +3,8 @@
 Each function family pairs a brute-force definitional evaluator (the oracle)
 with an algebraic identity that rebuilds the same value from sums of entries
 raised to the n-th power.  Every evaluator is one signed sum over a stream
-from `combinatorics`, folded by `Ring.signed_sum`.  The determinant and
+from `combinatorics`, folded by `Ring.signed_sum`, or by `Ring.diagonal_sum`
+where each term is the product of one diagonal's entries.  The determinant and
 symmetrized-permanent identities use only addition, subtraction, n-th powers
 and one exact division by n!; the permanent and space-determinant identities
 multiply row sums instead.  Their agreement with the definitional forms over
@@ -56,18 +57,12 @@ def _checked_param(matrix: SquareMatrix | CubeMatrix, value: Any) -> Any:
     return value
 
 
-def _rows_permanent(ring: Ring, rows: Sequence[Sequence[Any]], images: Iterable[tuple]) -> Any:
-    """Sum over the column images of the product of the entries each picks
-    from rows, one add per image."""
-    return ring.signed_sum((EVEN, ring.product(map(getitem, rows, image))) for image in images)
-
-
 def permanent(matrix: SquareMatrix) -> Any:
     """Sum of products over all diagonals (the definitional permanent)."""
     ring = matrix.ring
     _require_commutative(ring, "permanent")
-    images = (image for image, _ in enumerate_permutations(matrix.n))
-    return _rows_permanent(ring, matrix.entries, images)
+    pairs = ((image, EVEN) for image, _ in enumerate_permutations(matrix.n))
+    return ring.diagonal_sum(matrix.entries, pairs)
 
 
 def permanent_identity(matrix: SquareMatrix, gammas: Sequence[Any] | None = None) -> Any:
@@ -125,11 +120,7 @@ def determinant(matrix: SquareMatrix) -> Any:
     """Alternating sum of products over all diagonals (the definitional determinant)."""
     ring = matrix.ring
     _require_commutative(ring, "determinant")
-    rows = matrix.entries
-    return ring.signed_sum(
-        (sign, ring.product(map(getitem, rows, image)))
-        for image, sign in enumerate_permutations(matrix.n)
-    )
+    return ring.diagonal_sum(matrix.entries, enumerate_permutations(matrix.n))
 
 
 def _diagonal_residual(matrix: SquareMatrix, t: int, shift: Any) -> Any:
@@ -322,9 +313,9 @@ def space_determinant(cube: CubeMatrix) -> Any:
     """
     ring = cube.ring
     permutations = list(enumerate_permutations(cube.n))
-    images = [image for image, _ in permutations]
+    unsigned = [(image, EVEN) for image, _ in permutations]
     return ring.signed_sum(
-        (sign, _rows_permanent(ring, _assembled_rows(cube, image), images))
+        (sign, ring.diagonal_sum(_assembled_rows(cube, image), unsigned))
         for image, sign in permutations
     )
 

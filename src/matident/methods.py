@@ -74,7 +74,7 @@ class MethodSpec:
 METHODS: dict[str, MethodSpec] = {
     spec.name: spec
     for spec in (
-        # n! diagonals: 2.3 s at n = 9, 24 s at n = 10.
+        # n! diagonals: 1.5 s at n = 9, 17 s at n = 10.
         MethodSpec(
             "per_definitional",
             SquareMatrix,
@@ -91,7 +91,7 @@ METHODS: dict[str, MethodSpec] = {
         ),
         # 2^n permanents of n x n matrices: n = 7 takes seconds, n = 8 minutes.
         MethodSpec("per_polarization", SquareMatrix, _run_per_polarization, max_n=7),
-        # n! diagonals: 2.7 s at n = 9, 23 s at n = 10.
+        # n! diagonals: 1.5 s at n = 9, 15 s at n = 10.
         MethodSpec(
             "det_definitional",
             SquareMatrix,
@@ -106,7 +106,7 @@ METHODS: dict[str, MethodSpec] = {
             max_n=8,
         ),
         # n! diagonals of n! orderings each: on matrix2 a plain and a counted run
-        # take about 0.1 s together at n = 5 and about 6 s at n = 6.
+        # take about 0.15 s together at n = 5 and about 7 s at n = 6.
         MethodSpec(
             "eper_definitional",
             SquareMatrix,
@@ -120,8 +120,8 @@ METHODS: dict[str, MethodSpec] = {
             lambda m, p, c: identities.symmetrized_permanent_identity(m, p.get("delta")),
             max_n=9,
         ),
-        # n! permanents of n! diagonals each: at n = 6 a plain run takes about
-        # 0.3 s and a counted one 0.8 s; at n = 7 the plain run alone takes 22 s.
+        # n! permanents of n! diagonals each: at n = 6 a plain and a counted run
+        # take about 0.5 s each; at n = 7 the plain run alone takes 25 s.
         MethodSpec(
             "detp_definitional",
             CubeMatrix,

@@ -19,8 +19,8 @@ import math
 import re
 from fractions import Fraction
 from functools import reduce
-from operator import or_
-from typing import Any, Callable, Iterable, Mapping
+from operator import getitem, or_
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 VARIABLE_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -35,7 +35,8 @@ class Ring:
     recognises its own elements, and every operation is the element type's
     operator.  Wrapper rings (the counting ring) subclass it and override the
     operation methods, so operations stay methods, never instance attributes,
-    and the folds (sum, signed_sum, product) go through the overrides.
+    and the folds (sum, signed_sum, product, diagonal_sum) go through the
+    overrides.
     """
 
     def __init__(
@@ -94,10 +95,10 @@ class Ring:
         return self._div_exact(x, k)
 
     def power(self, x: Any, exponent: int) -> Any:
-        """x**exponent for exponent >= 0, with x**0 = one, by square-and-multiply.
+        """x**exponent for exponent >= 0, with x**0 = one, by square-and-multiply:
+        bit_length - 1 squarings and bit_count - 1 further multiplications.
 
-        Wrapper rings inherit this through self.one and self.mul, so a counted
-        run makes and counts every multiplication.  The lifted integer ring
+        The counting ring runs this on its base ring.  The lifted integer ring
         overrides it with int powers, so there a plain and a counted run reach
         the same value by two different algorithms.
         """
@@ -140,6 +141,15 @@ class Ring:
         for item in items:
             total = item if total is None else self.mul(total, item)
         return self.one() if total is None else total
+
+    def diagonal_sum(
+        self, rows: Sequence[Sequence[Any]], pairs: Iterable[tuple[Sequence[int], int]]
+    ) -> Any:
+        """Signed sum over (image, sign) pairs of the product of the entries
+        image picks from rows, row i giving entry image[i]: one product of
+        len(rows) entries and one add or sub per pair."""
+        product = self.product
+        return self.signed_sum((sign, product(map(getitem, rows, image))) for image, sign in pairs)
 
 
 def _merge_monomials(a: tuple, b: tuple) -> tuple:
@@ -417,8 +427,8 @@ class _IntegerRing(Ring):
 
     The folds and powers run on the builtins (sum, math.prod, int powers),
     which give the same exact values as Ring's one-call-per-operation folds
-    and square-and-multiply.  A counting ring over this one derives from
-    Ring, so a counted run still makes and counts every operation.
+    and square-and-multiply.  A counting ring over this one folds with these
+    builtins too but raises powers by Ring's square-and-multiply.
     """
 
     def sum(self, items: Iterable[int]) -> int:
@@ -429,6 +439,15 @@ class _IntegerRing(Ring):
 
     def product(self, items: Iterable[int]) -> int:
         return math.prod(items)
+
+    def diagonal_sum(
+        self, rows: Sequence[Sequence[int]], pairs: Iterable[tuple[Sequence[int], int]]
+    ) -> int:
+        prod = math.prod
+        return sum(
+            prod(map(getitem, rows, image)) if sign > 0 else -prod(map(getitem, rows, image))
+            for image, sign in pairs
+        )
 
     def power(self, x: int, exponent: int) -> int:
         if exponent < 0:

@@ -438,17 +438,44 @@ def test_verify_keys_each_trial_stream_by_suite_size_and_trial(monkeypatch, caps
     assert keys == [(5, suite, 2, t) for suite in verify.SUITES for t in (1, 2)]
 
 
+def _source_env():
+    """The environment with this package's source first on PYTHONPATH."""
+    source = str(Path(verify.__file__).resolve().parents[1])
+    path = [source, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def test_importing_the_cli_does_not_load_multiprocessing():
     # Every verify trial runs in the calling process, so no CLI run needs
     # multiprocessing; importing it would add to every run's start-up.
-    source = str(Path(verify.__file__).resolve().parents[1])
-    path = [source, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     script = "import sys, matident.cli; print('multiprocessing' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_source_env(),
+        check=True,
     )
     assert result.stdout == "False\n"
+
+
+def test_one_process_prints_what_fresh_processes_print(docs, capsys):
+    # The argument parser is built once per process and serves every main
+    # call, a failed one included.
+    env = _source_env()
+    requests = [
+        ("compute", "--fn", "det", "--method", "identity", "--gamma", "1/2", docs["m3"]),
+        ("compute", "--fn", "det", "--method", "gauss", docs["m3"]),
+        ("verify", "--suite", "thm3", "--n", "3", "--trials", "2", "--seed", "4"),
+    ]
+    codes = []
+    for argv in requests:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "matident", *argv], capture_output=True, text=True, env=env
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(fresh.returncode)
+    assert codes == [0, 2, 0]
 
 
 def test_bench_prints_table_and_writes_records(tmp_path, capsys):

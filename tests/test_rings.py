@@ -1,6 +1,7 @@
 """Ring axioms and canonical forms for the three concrete rings, and exact
 division in their lifted integer twins."""
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from matident import rings
 from matident.bench import CountingRing
+from matident.methods import OpCounts
 from matident.rings import (
     MATRIX2,
     RATIONAL,
@@ -17,6 +19,7 @@ from matident.rings import (
     MatrixElement,
     Poly,
 )
+from oracles import brute_determinant, brute_permanent, cycle_sign
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -289,3 +292,105 @@ def test_packed_products_worked_by_hand():
     # takes the comprehension.
     assert rings._PACKED.mul({1: 1, 8: 1}, {1: 1, 8: -1}) == {2: 1, 16: -1}
     assert rings._PACKED.mul({1: 2}, {8: -3, 0: 1}) == {9: -6, 1: 2}
+
+
+class _CallCountingRing(rings.Ring):
+    """Counts every add, sub and mul it makes and keeps Ring's generic folds
+    and square-and-multiply, so each operation of a fold is a call here."""
+
+    def __init__(self, base):
+        super().__init__(base.name, base.from_int, base.is_element, base.commutative)
+        self.base = base
+        self.adds = self.muls = 0
+
+    def add(self, x, y):
+        self.adds += 1
+        return self.base.add(x, y)
+
+    def sub(self, x, y):
+        self.adds += 1
+        return self.base.sub(x, y)
+
+    def mul(self, x, y):
+        self.muls += 1
+        return self.base.mul(x, y)
+
+
+FOLD_RINGS = {
+    "rational": (RATIONAL, rationals),
+    "integer": (rings._INTEGER, st.integers(-10**6, 10**6)),
+    "packed": (rings._PACKED, packed_polys),
+}
+
+
+@st.composite
+def fold_requests(draw):
+    """A ring, a list of its elements, signs, a square of its elements with
+    signed column images, and a power."""
+    ring, elements = FOLD_RINGS[draw(st.sampled_from(sorted(FOLD_RINGS)))]
+    n = draw(st.integers(1, 4))
+    rows = [[draw(elements) for _ in range(n)] for _ in range(n)]
+    images = st.permutations(range(n)).map(tuple)
+    return (
+        ring,
+        draw(st.lists(elements, max_size=6)),
+        draw(st.lists(signs, min_size=6, max_size=6)),
+        rows,
+        draw(st.lists(st.tuples(images, signs), max_size=6)),
+        draw(elements),
+        draw(st.integers(0, 64)),
+    )
+
+
+@given(fold_requests())
+@settings(max_examples=60, deadline=None)
+def test_counted_folds_tally_what_one_call_per_operation_counts(request):
+    ring, items, sign_list, rows, pairs, x, exponent = request
+    folds = (
+        ("muls", lambda r: r.product(items)),
+        ("muls", lambda r: r.sum(items)),
+        ("muls", lambda r: r.signed_sum(zip(sign_list, items))),
+        ("muls", lambda r: r.diagonal_sum(rows, pairs)),
+        ("muls", lambda r: r.diagonal_sum(rows, iter(pairs))),
+        ("power_muls", lambda r: r.power(x, exponent)),
+    )
+    for field, fold in folds:
+        counting, calls = CountingRing(ring), _CallCountingRing(ring)
+        assert fold(counting) == fold(calls)
+        counts = counting.counts
+        assert (counts.adds, getattr(counts, field)) == (calls.adds, calls.muls)
+        assert counts.muls + counts.power_muls == calls.muls
+    assert counts.powers == 1
+
+
+def test_counted_empty_folds_count_nothing():
+    for ring, _ in FOLD_RINGS.values():
+        counting = CountingRing(ring)
+        assert counting.product([]) == ring.one()
+        assert counting.sum([]) == counting.signed_sum([]) == ring.zero()
+        assert counting.diagonal_sum([[ring.one()]], []) == ring.zero()
+        assert counting.power(ring.from_int(2), 0) == ring.one()
+        assert counting.product([ring.from_int(3)]) == ring.from_int(3)
+        assert counting.counts == OpCounts(powers=1)
+
+
+def _as_poly(value):
+    """A packed polynomial read as one in x, its key the exponent; any other
+    element unchanged."""
+    if not isinstance(value, dict):
+        return value
+    return Poly({((("x", key),) if key else ()): coeff for key, coeff in value.items()})
+
+
+@given(st.sampled_from(sorted(FOLD_RINGS)), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_diagonal_sums_match_the_brute_permanent_and_determinant(name, n, data):
+    ring, elements = FOLD_RINGS[name]
+    rows = data.draw(st.lists(st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n))
+    images = list(itertools.permutations(range(n)))
+    unsigned = [(image, 1) for image in images]
+    signed = [(image, cycle_sign(image)) for image in images]
+    polys_rows = [[_as_poly(x) for x in row] for row in rows]
+    for evaluator in (ring, CountingRing(ring)):
+        assert _as_poly(evaluator.diagonal_sum(rows, unsigned)) == brute_permanent(polys_rows)
+        assert _as_poly(evaluator.diagonal_sum(rows, signed)) == brute_determinant(polys_rows)
