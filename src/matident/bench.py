@@ -22,7 +22,7 @@ from .matrices import CubeMatrix, SquareMatrix
 from .methods import COUNT_FIELDS, MethodDisagreement, OpCounts, evaluate_method, lifted_request
 # The registry's own dict, not a copy: perfbench/tracing.py rebinds its
 # entries through bench.METHODS, and every run must see them.
-from .methods import METHODS  # noqa: F401
+from .methods import METHODS
 from .rings import Ring
 from .sampling import derive_rng, random_integer_matrix
 
@@ -129,7 +129,7 @@ COMPARED_METHODS = (
     "det_identity",
 )
 
-MAX_BENCH_N = 8
+MAX_BENCH_N = min(METHODS[method].max_n for method in COMPARED_METHODS)
 
 # Bench rows and the table leave out f_evals: no compared method calls a
 # diagonal restriction.

@@ -12,7 +12,8 @@ documented order, so it is restartable:
   perfbench/micro.py's stream drains.
 - enumerate_transpositions(n) yields the left index i of each adjacent swap
   (i, i+1) that walks all n! arrangements from the identity in
-  Steinhaus-Johnson-Trotter order.
+  Steinhaus-Johnson-Trotter order: the largest value sweeps across, and
+  each turn takes one swap of the same walk on the smaller values.
 - enumerate_gray_steps(n) yields (column, entering) for each step of the
   reflected Gray code, which walks all 2**n column subsets from the empty one.
 """
@@ -89,35 +90,27 @@ def enumerate_submatrices(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, 
 def enumerate_transpositions(n: int) -> Iterator[int]:
     """The n! - 1 adjacent swaps that walk all arrangements of 0..n-1 once.
 
-    Steinhaus-Johnson-Trotter order (Johnson 1963; Trotter 1962) with Even's
-    speed-up: every value carries a direction, the largest value still
-    moving swaps one step that way, and it stops on reaching either end or
-    a larger neighbour; every larger value then turns to face it.  Swapping
-    positions i and i+1 of an arrangement flips its sign, so a consumer
-    replaying the swaps from the identity knows every sign without
-    computing one.  Yields i for each swap of positions (i, i+1).
+    Steinhaus-Johnson-Trotter order (Johnson 1963; Trotter 1962), written as
+    plain changes by recursive sweeps (Knuth, TAOCP 4A, 7.2.1.2): the
+    largest value sweeps across the n positions, leftward first, and turns
+    at either end.  Between two sweeps comes the next swap of the walk on
+    the n - 1 other values, shifted right by one while the largest value
+    rests at the left end.  Swapping positions i and i+1 of an arrangement
+    flips its sign, so a consumer replaying the swaps from the identity
+    knows every sign without computing one.  Yields i for each swap of
+    positions (i, i+1).
     """
     _check_n(n)
-    arrangement = list(range(n))
-    position = list(range(n))
-    # -1 moves left, +1 moves right, 0 is still; the value 0 never moves.
-    direction = [0] + [-1] * (n - 1)
-    value = n - 1
-    while value > 0:
-        i = position[value]
-        j = i + direction[value]
-        other = arrangement[j]
-        arrangement[i], arrangement[j] = other, value
-        position[value], position[other] = j, i
-        yield min(i, j)
-        k = j + direction[value]
-        if k < 0 or k >= n or arrangement[k] > value:
-            direction[value] = 0
-        for larger in range(value + 1, n):
-            direction[larger] = 1 if position[larger] < j else -1
-        value = n - 1
-        while value > 0 and not direction[value]:
-            value -= 1
+    if n == 1:
+        return
+    inner = enumerate_transpositions(n - 1)
+    leftward, rightward = range(n - 2, -1, -1), range(n - 1)
+    for shift in itertools.cycle((1, 0)):
+        yield from leftward if shift else rightward
+        i = next(inner, None)
+        if i is None:
+            return
+        yield i + shift
 
 
 def enumerate_gray_steps(n: int) -> Iterator[tuple[int, bool]]:

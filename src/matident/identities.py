@@ -18,7 +18,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import getitem
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .combinatorics import (
     EVEN,
@@ -65,54 +65,52 @@ def permanent(matrix: SquareMatrix) -> Any:
     return ring.diagonal_sum(matrix.entries, pairs)
 
 
+def _gray_sums(
+    start: Sequence[Any], vectors: Sequence[Sequence[Any]], enter: Callable, leave: Callable
+) -> Iterator[tuple[int, Sequence[Any]]]:
+    """Yield (sign, start +- the vectors in S) for every subset S of the vectors.
+
+    The subsets come in Gray-code order from the empty one, so each step
+    moves one vector in or out of S and changes every entry once: enter(value,
+    entry) when the vector joins S, leave(value, entry) when it goes.  The
+    sign is (-1)**|S|.
+    """
+    current = start
+    sign = EVEN
+    yield sign, current
+    for j, entering in enumerate_gray_steps(len(vectors)):
+        current = list(map(enter if entering else leave, current, vectors[j]))
+        sign = -sign
+        yield sign, current
+
+
 def permanent_identity(matrix: SquareMatrix, gammas: Sequence[Any] | None = None) -> Any:
     """Division-free permanent from signed products of shifted column sums.
 
     Over all column subsets S (the empty one included) this accumulates
     (-1)**|S| times the product over rows i of (gamma_i - sum of the row-i
-    entries in the columns of S).  The subsets come in Gray-code order, so
-    each step moves one column in or out of S and the shifted vector
-    changes by one entry per row.  The value is independent of the free
-    parameters gamma_i; omitting them uses all zeros.
+    entries in the columns of S).  The shifted vectors come from the Gray-code
+    walk `_gray_sums`, one entry change per row and step.  The value is
+    independent of the free parameters gamma_i; omitting them uses all zeros.
     """
     ring = matrix.ring
     _require_commutative(ring, "permanent")
     params = _checked_gammas(matrix, gammas)
-    rows = matrix.entries
-
-    def terms():
-        shifted = params
-        sign = EVEN
-        yield sign, ring.product(shifted)
-        for j, entering in enumerate_gray_steps(matrix.n):
-            step = ring.sub if entering else ring.add
-            shifted = [step(value, row[j]) for value, row in zip(shifted, rows)]
-            sign = -sign
-            yield sign, ring.product(shifted)
-
-    return ring.signed_sum(terms())
+    walk = _gray_sums(params, matrix.columns(), ring.sub, ring.add)
+    return ring.signed_sum((sign, ring.product(shifted)) for sign, shifted in walk)
 
 
 def permanent_ryser(matrix: SquareMatrix) -> Any:
     """Inclusion-exclusion permanent from products of row sums over column subsets.
 
-    The nonempty subsets come in Gray-code order, so each step moves one
-    column in or out and every row sum changes by one entry.
+    The row sums over each nonempty column subset come from the Gray-code
+    walk `_gray_sums`, one entry change per row and step.
     """
     ring = matrix.ring
     _require_commutative(ring, "permanent")
-    rows = matrix.entries
-
-    def terms():
-        sums = [ring.zero()] * matrix.n
-        sign = EVEN
-        for j, entering in enumerate_gray_steps(matrix.n):
-            step = ring.add if entering else ring.sub
-            sums = [step(value, row[j]) for value, row in zip(sums, rows)]
-            sign = -sign
-            yield sign, ring.product(sums)
-
-    total = ring.signed_sum(terms())
+    walk = _gray_sums([ring.zero()] * matrix.n, matrix.columns(), ring.add, ring.sub)
+    nonempty = itertools.islice(walk, 1, None)
+    total = ring.signed_sum((sign, ring.product(sums)) for sign, sums in nonempty)
     return ring.neg(total) if matrix.n % 2 else total
 
 
@@ -238,22 +236,19 @@ def _signed_submatrix_power_sum(matrix: SquareMatrix, exponent: int, delta: Any)
     """Sum of (-1)**(rows+cols) * (delta + submatrix element sum)**exponent
     over all nonempty row and column selections.
 
-    Both selections come in Gray-code order.  The row walk keeps the column
-    sums of the chosen rows, n adds per step.  For each row subset the
-    column walk moves the shifted sum, which starts at delta, by one column
-    sum per step.  The sign flips at every step of either walk.
+    Both selections come in Gray-code order.  The row walk is `_gray_sums`
+    over the rows, which keeps the column sums of the chosen rows, n adds
+    per step.  For each row subset the column walk moves the shifted sum,
+    which starts at delta, by one column sum per step.  The sign flips at
+    every step of either walk.
     """
     ring = matrix.ring
     add, sub, power = ring.add, ring.sub, ring.power
-    rows = matrix.entries
     column_steps = list(enumerate_gray_steps(matrix.n))
+    row_walk = _gray_sums([ring.zero()] * matrix.n, matrix.entries, add, sub)
 
     def terms():
-        sums = [ring.zero()] * matrix.n
-        row_sign = EVEN
-        for i, entering in enumerate_gray_steps(matrix.n):
-            sums = list(map(add if entering else sub, sums, rows[i]))
-            row_sign = -row_sign
+        for row_sign, sums in itertools.islice(row_walk, 1, None):
             shifted, sign = delta, row_sign
             for j, column_entering in column_steps:
                 shifted = add(shifted, sums[j]) if column_entering else sub(shifted, sums[j])

@@ -131,3 +131,35 @@ def brute_submatrix_power_sum(rows, exponent, delta):
                         term = -term
                     total = term if total is None else total + term
     return total
+
+
+def even_transpositions(n):
+    """Steinhaus-Johnson-Trotter swaps by Even's direction arrays.
+
+    Every value carries a direction; the largest value still moving swaps
+    one step that way and stops on reaching either end or a larger
+    neighbour, and every larger value then turns to face it.  Returns the
+    left index i of each swap of positions (i, i+1), from the identity.
+    """
+    arrangement = list(range(n))
+    position = list(range(n))
+    # -1 moves left, +1 moves right, 0 is still; the value 0 never moves.
+    direction = [0] + [-1] * (n - 1)
+    swaps = []
+    value = n - 1
+    while value > 0:
+        i = position[value]
+        j = i + direction[value]
+        other = arrangement[j]
+        arrangement[i], arrangement[j] = other, value
+        position[value], position[other] = j, i
+        swaps.append(min(i, j))
+        k = j + direction[value]
+        if k < 0 or k >= n or arrangement[k] > value:
+            direction[value] = 0
+        for larger in range(value + 1, n):
+            direction[larger] = 1 if position[larger] < j else -1
+        value = n - 1
+        while value > 0 and not direction[value]:
+            value -= 1
+    return swaps

@@ -503,6 +503,39 @@ def test_bench_prints_the_recorded_table(capsys):
     )
 
 
+COMPUTE_DIR = Path(__file__).resolve().parent / "data" / "compute_stdout"
+
+# Each expected file sits beside the document it names; the CI workflow diffs the
+# installed command against the same files.
+RECORDED_COMPUTE = {
+    "symbolic-det-identity-gamma.txt": ["det", "identity", "--gamma=g", "symbolic.json"],
+    # Products of row sums in distinct variables share no monomial.
+    "distinct-per-ryser.txt": ["per", "ryser", "distinct.json"],
+    "distinct-per-identity.txt": ["per", "identity", "distinct.json"],
+    # The definitional sums fold through Ring.diagonal_sum's generic loop.
+    "distinct-det-definitional.txt": ["det", "definitional", "distinct.json"],
+    "distinct-per-definitional.txt": ["per", "definitional", "distinct.json"],
+    "symbolic_cube-detp-definitional.txt": ["detp", "definitional", "symbolic_cube.json"],
+    "matrix2-eper-identity-delta.txt": [
+        "eper",
+        "identity",
+        '--delta=[[1,"-1/2"],[0,3]]',
+        "matrix2.json",
+    ],
+    "rational-det-definitional.txt": ["det", "definitional", "rational.json"],
+    "rational-per-definitional.txt": ["per", "definitional", "rational.json"],
+    "rational-det-identity-gamma.txt": ["det", "identity", "--gamma=-3/2", "rational.json"],
+    "cube-detp-definitional.txt": ["detp", "definitional", "cube.json"],
+}
+
+
+@pytest.mark.parametrize("name", RECORDED_COMPUTE)
+def test_compute_prints_the_recorded_bytes(name, capsys):
+    fn, method, *flags, document = RECORDED_COMPUTE[name]
+    argv = ["compute", "--fn", fn, "--method", method, *flags, str(COMPUTE_DIR / document)]
+    assert run(capsys, *argv) == (0, (COMPUTE_DIR / name).read_text(), "")
+
+
 def test_bench_refuses_an_unwritable_out_path_before_printing(tmp_path, capsys):
     out_path = tmp_path / "missing" / "rows.jsonl"
     code, out, err = run(capsys, "bench", "--nmin", "2", "--nmax", "2", "--out", str(out_path))

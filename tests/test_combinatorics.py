@@ -18,7 +18,7 @@ from matident.combinatorics import (
 from matident.identities import symmetrize
 from matident.rings import MATRIX2, RATIONAL, MatrixElement, Poly, SYMBOLIC
 
-from oracles import cycle_sign
+from oracles import cycle_sign, even_transpositions
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -234,6 +234,13 @@ def test_transpositions_follow_plain_changes():
     # 012, 021, 201, 210, 120, 102: the largest value sweeps, then one step.
     assert _replayed(3) == [(0, 1, 2), (0, 2, 1), (2, 0, 1), (2, 1, 0), (1, 2, 0), (1, 0, 2)]
     assert list(enumerate_transpositions(4))[:6] == [2, 1, 0, 2, 0, 1]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_transpositions_replay_the_direction_array_algorithm(n):
+    # Visiting every arrangement with alternating signs would not pin the
+    # order; the identities' op counts and bytes depend on it.
+    assert list(enumerate_transpositions(n)) == even_transpositions(n)
 
 
 def test_transposition_stream_size_limits():

@@ -6,9 +6,12 @@ import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from matident.bench import CountingRing
 from matident.identities import (
+    _gray_sums,
     determinant,
     determinant_identity,
     determinant_zero_criterion,
@@ -171,6 +174,38 @@ def test_transposition_and_gray_walks_agree_with_the_oracles(n, draw):
     for t in exponents:
         expected = math.factorial(n) * det if t == n else 0
         assert diagonal_power_residual(matrix, t) == expected
+
+
+@st.composite
+def gray_sum_cases(draw):
+    ring, elements = draw(
+        st.sampled_from(
+            [
+                (RATIONAL, st.fractions(min_value=-9, max_value=9, max_denominator=6)),
+                (rings._INTEGER, st.integers(-10**6, 10**6)),
+            ]
+        )
+    )
+    width = draw(st.integers(0, 3))
+    vector = st.lists(elements, min_size=width, max_size=width)
+    return ring, draw(vector), draw(st.lists(vector, max_size=5)), draw(st.sampled_from((1, -1)))
+
+
+@given(gray_sum_cases())
+def test_gray_sums_reach_each_reflected_binary_subset(case):
+    # into = 1 walks with enter/leave = add/sub, into = -1 with sub/add.
+    ring, start, vectors, into = case
+    enter, leave = (ring.add, ring.sub) if into == 1 else (ring.sub, ring.add)
+    walk = list(_gray_sums(start, vectors, enter, leave))
+    assert len(walk) == 2 ** len(vectors)
+    for k, (sign, current) in enumerate(walk):
+        subset = [j for j in range(len(vectors)) if (k ^ k >> 1) >> j & 1]
+        expected = [
+            value + into * sum(vectors[j][i] for j in subset) for i, value in enumerate(start)
+        ]
+        assert (sign, list(current)) == ((-1) ** len(subset), expected)
+    if not vectors:
+        assert walk == [(1, start)]
 
 
 def test_diagonal_power_identity_validates_exponent():
