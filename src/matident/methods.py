@@ -68,9 +68,9 @@ class MethodSpec:
     max_n: int = MAX_ENUMERATION_N
 
 
-# Each max_n keeps one compute (a plain and a counted run) within about 5 s
-# on a 2-vCPU machine; the times below are whole `matident compute` runs on
-# rational documents (matrix2 for eper).
+# Each max_n keeps one compute (a plain and a counted run) on a rational
+# document (matrix2 for eper) within about 5 s on a 2-vCPU machine, as the
+# times below show; symbolic ones can take minutes (README.md, size limits).
 METHODS: dict[str, MethodSpec] = {
     spec.name: spec
     for spec in (

@@ -152,6 +152,21 @@ class Ring:
         return self.signed_sum((sign, product(map(getitem, rows, image))) for image, sign in pairs)
 
 
+def _accumulate(terms: dict, pairs: Iterable[tuple[int, Mapping]]) -> dict:
+    """Add each (sign, coefficient map) pair into terms in place, negated for
+    sign -1, and delete every key that cancels to 0; returns terms.  The maps
+    must hold no zero coefficient, as Poly terms and packed elements never do."""
+    get = terms.get
+    for sign, item in pairs:
+        for key, coeff in item.items():
+            total = get(key, 0) + coeff if sign > 0 else get(key, 0) - coeff
+            if total:
+                terms[key] = total
+            else:
+                del terms[key]
+    return terms
+
+
 def _merge_monomials(a: tuple, b: tuple) -> tuple:
     """The product of two sorted (name, exponent) tuples: exponents of equal
     names add, and the result is sorted by name again."""
@@ -225,10 +240,7 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for monomial, coeff in other._terms.items():
-            terms[monomial] = terms.get(monomial, _ZERO) + coeff
-        return _poly(terms)
+        return _poly(_accumulate(dict(self._terms), ((1, other._terms),)))
 
     __radd__ = __add__
 
@@ -239,10 +251,7 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for monomial, coeff in other._terms.items():
-            terms[monomial] = terms.get(monomial, _ZERO) - coeff
-        return _poly(terms)
+        return _poly(_accumulate(dict(self._terms), ((-1, other._terms),)))
 
     def __rsub__(self, other: Any) -> "Poly":
         other = self._coerce(other)
@@ -466,30 +475,20 @@ class _PackedPolyRing(Ring):
 
     A monomial packs its exponents into one int, a fixed number of bits per
     variable (see _lift_polys), so the product of two monomials is one
-    integer addition.  Elements are never mutated.
+    integer addition.  Elements are never mutated; a fold (signed_sum, and
+    diagonal_sum through it) accumulates into one fresh dict.
     """
 
     def add(self, x: dict, y: dict) -> dict:
         if len(x) < len(y):
             x, y = y, x
-        terms = dict(x)
-        for key, coeff in y.items():
-            total = terms.get(key, 0) + coeff
-            if total:
-                terms[key] = total
-            else:
-                del terms[key]
-        return terms
+        return _accumulate(dict(x), ((1, y),))
 
     def sub(self, x: dict, y: dict) -> dict:
-        terms = dict(x)
-        for key, coeff in y.items():
-            total = terms.get(key, 0) - coeff
-            if total:
-                terms[key] = total
-            else:
-                del terms[key]
-        return terms
+        return _accumulate(dict(x), ((-1, y),))
+
+    def signed_sum(self, pairs: Iterable[tuple[int, dict]]) -> dict:
+        return _accumulate({}, pairs)
 
     def neg(self, x: dict) -> dict:
         return {key: -coeff for key, coeff in x.items()}

@@ -516,6 +516,10 @@ RECORDED_COMPUTE = {
     "distinct-det-definitional.txt": ["det", "definitional", "distinct.json"],
     "distinct-per-definitional.txt": ["per", "definitional", "distinct.json"],
     "symbolic_cube-detp-definitional.txt": ["detp", "definitional", "symbolic_cube.json"],
+    # Row 2 repeats row 1: det's products cancel inside the packed folds.
+    "repeated-det-definitional.txt": ["det", "definitional", "repeated.json"],
+    "repeated-det-identity.txt": ["det", "identity", "repeated.json"],
+    "repeated-per-definitional.txt": ["per", "definitional", "repeated.json"],
     "matrix2-eper-identity-delta.txt": [
         "eper",
         "identity",

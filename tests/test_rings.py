@@ -4,6 +4,7 @@ division in their lifted integer twins."""
 import itertools
 import re
 from fractions import Fraction
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings
@@ -100,8 +101,47 @@ integer_lists = st.lists(st.integers(-10**6, 10**6), max_size=8)
 signs = st.sampled_from((1, -1))
 
 
-@given(integer_lists, st.lists(signs, max_size=8), st.integers(-50, 50), st.integers(0, 12))
-def test_native_integer_folds_match_the_generic_folds(items, sign_list, x, exponent):
+# Few keys and coefficients, so that sums of these cancel, some down to {}.
+cancelling_packed = st.dictionaries(
+    st.integers(0, 3), st.sampled_from((-2, -1, 1, 2)), max_size=3
+)
+
+
+@st.composite
+def packed_folds(draw):
+    """A pool of packed elements, signed picks from it (one dict object can
+    recur in a fold) and a square of pool entries with signed images."""
+    pool = draw(st.lists(cancelling_packed, min_size=1, max_size=4))
+    picks = st.integers(0, len(pool) - 1)
+    pairs = [(sign, pool[i]) for sign, i in draw(st.lists(st.tuples(signs, picks), max_size=8))]
+    n = draw(st.integers(1, 3))
+    rows = [[pool[draw(picks)] for _ in range(n)] for _ in range(n)]
+    images = st.permutations(range(n)).map(tuple)
+    return pool, pairs, rows, draw(st.lists(st.tuples(images, signs), max_size=6))
+
+
+def _naive_packed_sum(pairs):
+    terms = {}
+    for sign, item in pairs:
+        for key, coeff in item.items():
+            terms[key] = terms.get(key, 0) + sign * coeff
+    return {key: coeff for key, coeff in terms.items() if coeff}
+
+
+def _generic_diagonal_sum(ring, rows, pairs):
+    """Ring's one-add-or-sub-per-item fold of the diagonal products."""
+    products = ((sign, ring.product(map(getitem, rows, image))) for image, sign in pairs)
+    return rings.Ring.signed_sum(ring, products)
+
+
+@given(
+    integer_lists,
+    st.lists(signs, max_size=8),
+    st.integers(-50, 50),
+    st.integers(0, 12),
+    packed_folds(),
+)
+def test_native_integer_folds_match_the_generic_folds(items, sign_list, x, exponent, packed):
     ring = rings._INTEGER
     pairs = list(zip(sign_list, items))
     assert ring.product(items) == rings.Ring.product(ring, items)
@@ -111,6 +151,39 @@ def test_native_integer_folds_match_the_generic_folds(items, sign_list, x, expon
     # Generators are consumed the same way as lists.
     assert ring.product(iter(items)) == ring.product(items)
     assert ring.signed_sum(iter(pairs)) == ring.signed_sum(pairs)
+
+    # The packed ring's accumulating folds, on sums that cancel.
+    ring = rings._PACKED
+    pool, pairs, rows, diagonals = packed
+    before = [dict(element) for element in pool]
+    y, z = pool[0], pool[-1]
+    results = [
+        ring.add(y, z),
+        ring.sub(y, z),
+        ring.add(y, y),
+        ring.sub(y, y),
+        ring.signed_sum(pairs),
+        ring.signed_sum(iter(pairs)),
+        ring.signed_sum([]),
+        ring.signed_sum([(1, y), (-1, y)]),
+        ring.diagonal_sum(rows, diagonals),
+        ring.diagonal_sum(rows, []),
+    ]
+    assert results == [
+        _naive_packed_sum([(1, y), (1, z)]),
+        _naive_packed_sum([(1, y), (-1, z)]),
+        _naive_packed_sum([(1, y), (1, y)]),
+        {},
+        rings.Ring.signed_sum(ring, pairs),
+        _naive_packed_sum(pairs),
+        {},
+        {},
+        _generic_diagonal_sum(ring, rows, diagonals),
+        {},
+    ]
+    for result in results:
+        assert 0 not in result.values()
+    assert pool == before
 
 
 def test_native_integer_folds_keep_the_empty_cases_and_the_negative_exponent_error():
@@ -187,16 +260,24 @@ def test_poly_builds_canonical_terms():
     assert Poly.constant(Fraction(4, 2)) == Poly.constant(2)
 
 
-def test_poly_arithmetic_keeps_nonzero_fraction_coefficients():
+@given(polys(), polys())
+@settings(max_examples=50)
+def test_poly_arithmetic_keeps_nonzero_fraction_coefficients(q, r):
+    q_terms, r_terms = q.terms(), r.terms()
     x = Poly.variable("x")
     y = Poly.variable("y")
     p = x + 3 * y - 1
     results = [p + x, p - x, p * (x - y), -p, p / 2, p / Fraction(2, 3), p - p]
+    results += [q + r, q - r, q + r - r, q - q]
     for result in results:
         for _, coeff in result.terms():
             assert type(coeff) is Fraction and coeff != 0
     assert ((x + y) - (x + y)).terms() == []
     assert type(Poly({(): 3}).coefficient(())) is Fraction
+    assert q + r - r == q and r + q - q == r
+    assert (q - q).terms() == []
+    # Sums work on a copy and leave both operands as they were.
+    assert (q.terms(), r.terms()) == (q_terms, r_terms)
 
 
 def test_poly_string_forms():
@@ -292,6 +373,26 @@ def test_packed_products_worked_by_hand():
     # takes the comprehension.
     assert rings._PACKED.mul({1: 1, 8: 1}, {1: 1, 8: -1}) == {2: 1, 16: -1}
     assert rings._PACKED.mul({1: 2}, {8: -3, 0: 1}) == {9: -6, 1: 2}
+
+
+def test_packed_folds_call_neither_add_nor_sub(monkeypatch):
+    # A fold through add and sub copies the growing sum once per item, which
+    # is quadratic in its terms; the packed folds accumulate in one pass.
+    ring = rings._PACKED
+    x, y = {1: 2, 8: -1}, {1: -2, 0: 3}
+    pairs = [(1, x), (-1, y), (1, x), (1, y), (-1, x)]
+    rows = [[x, y], [y, x]]
+    diagonals = [((0, 1), 1), ((1, 0), -1), ((0, 1), 1)]
+    expected = (rings.Ring.signed_sum(ring, pairs), _generic_diagonal_sum(ring, rows, diagonals))
+    assert expected[0] == {1: 2, 8: -1}
+
+    def refuse(x, y):
+        raise AssertionError("a packed fold called add or sub")
+
+    monkeypatch.setattr(ring, "add", refuse)
+    monkeypatch.setattr(ring, "sub", refuse)
+    for folding in (ring, CountingRing(ring)):
+        assert (folding.signed_sum(pairs), folding.diagonal_sum(rows, diagonals)) == expected
 
 
 class _CallCountingRing(rings.Ring):
