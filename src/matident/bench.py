@@ -2,11 +2,11 @@
 
 Counting lives in a wrapper ring rather than in the evaluators: rebinding a
 matrix to a CountingRing makes every ring operation tick a counter while the
-computed values stay exactly what the base ring produces.  Multiplications
-performed inside Ring.power are tallied separately from free-form ones, which
-is how the structural claim "identity evaluators multiply only inside n-th
-powers" is checked.  The evaluators themselves come from the registry in
-methods.
+computed values stay exactly what the base ring produces, powers included.
+The multiplications a power stands for are tallied from its exponent's bits,
+apart from free-form ones, which is how the structural claim "identity
+evaluators multiply only inside n-th powers" is checked.  The evaluators
+themselves come from the registry in methods.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from .sampling import derive_rng, random_integer_matrix
 class CountingRing(Ring):
     """Wrapper ring that counts operations and delegates values to a base ring.
 
-    The base ring runs every fold whole.  The wrapper counts each fold's items
-    as they stream past and tallies the operations from their number, and a
-    power's multiplications from the exponent's bits, so no operation inside
-    a fold or a power is a call of its own.
+    The base ring runs every fold and every power whole.  The wrapper counts
+    each fold's items as they stream past and tallies the operations from
+    their number, and a power's multiplications from the exponent's bits, so
+    no operation inside a fold or a power is a call of its own.
     """
 
     def __init__(self, base: Ring):
@@ -63,9 +63,7 @@ class CountingRing(Ring):
         return self.base._div_exact(x, k)
 
     def power(self, x: Any, exponent: int) -> Any:
-        # Ring's square-and-multiply, even over a base ring with native
-        # powers, so the value is reached the way power_muls counts it.
-        value = Ring.power(self.base, x, exponent)
+        value = self.base.power(x, exponent)
         self.counts.powers += 1
         if exponent:
             self.counts.power_muls += exponent.bit_length() + exponent.bit_count() - 2

@@ -21,7 +21,6 @@ from typing import Any
 
 from .bench import compare_methods, count_ops, format_table, write_records
 from .document import (
-    DocumentError,
     MatrixDocument,
     long_integer_message,
     parse_document,
@@ -93,10 +92,7 @@ def _parse_flag_scalar(ring_name: str, token: str, where: str):
         raise UsageError(f"{where}: nested too deeply") from None
     except ValueError:
         raise UsageError(long_integer_message(where)) from None
-    try:
-        return parse_scalar(ring_name, data, where)
-    except DocumentError as exc:
-        raise UsageError(str(exc)) from None
+    return parse_scalar(ring_name, data, where)
 
 
 def _gamma_values(document: MatrixDocument, raw: str, count: int) -> tuple:

@@ -67,19 +67,19 @@ def permanent(matrix: SquareMatrix) -> Any:
 
 def _gray_sums(
     start: Sequence[Any], vectors: Sequence[Sequence[Any]], enter: Callable, leave: Callable
-) -> Iterator[tuple[int, Sequence[Any]]]:
-    """Yield (sign, start +- the vectors in S) for every subset S of the vectors.
+) -> Iterator[tuple[int, tuple]]:
+    """Yield (sign, the tuple start +- the vectors in S) for every vector subset S.
 
     The subsets come in Gray-code order from the empty one, so each step
     moves one vector in or out of S and changes every entry once: enter(value,
     entry) when the vector joins S, leave(value, entry) when it goes.  The
     sign is (-1)**|S|.
     """
-    current = start
+    current = tuple(start)
     sign = EVEN
     yield sign, current
     for j, entering in enumerate_gray_steps(len(vectors)):
-        current = list(map(enter if entering else leave, current, vectors[j]))
+        current = tuple(map(enter if entering else leave, current, vectors[j]))
         sign = -sign
         yield sign, current
 

@@ -15,7 +15,7 @@ from . import identities
 from .combinatorics import MAX_ENUMERATION_N
 from .matrices import CubeMatrix, SquareMatrix
 from .polarization import DiagonalFunction, polarize
-from .rings import LIFTERS
+from .rings import LIFTERS, Poly
 
 
 @dataclass
@@ -23,7 +23,8 @@ class OpCounts:
     """Mutable tally of ring operations, and the report of one evaluator run.
 
     adds counts additions and subtractions; muls counts multiplications
-    issued outside Ring.power while power_muls counts the ones inside it;
+    issued outside powers while power_muls counts the ones square-and-multiply
+    makes inside them;
     f_evals counts diagonal-restriction calls made by polarization-based
     methods.  bench.count_ops fills in the counted run's value.
     """
@@ -66,74 +67,105 @@ class MethodSpec:
     kind: type  # SquareMatrix or CubeMatrix
     run: Callable[[Any, Mapping, OpCounts], Any]
     max_n: int = MAX_ENUMERATION_N
+    # The limit for polynomial entries, whose terms multiply with n.
+    symbolic_max_n: int = MAX_ENUMERATION_N
 
 
 # Each max_n keeps one compute (a plain and a counted run) on a rational
-# document (matrix2 for eper) within about 5 s on a 2-vCPU machine, as the
-# times below show; symbolic ones can take minutes (README.md, size limits).
+# document (matrix2 for eper) within about 5 s on a 2-vCPU machine, and each
+# symbolic_max_n does the same on a symbolic document of distinct variables
+# (a cube for detp), as the whole-run times below show (README.md, size limits).
 METHODS: dict[str, MethodSpec] = {
     spec.name: spec
     for spec in (
-        # n! diagonals: 1.5 s at n = 9, 17 s at n = 10.
+        # n! diagonals: 1.5 s at n = 9, 17 s at n = 10; symbolic 1.4-2 s at
+        # n = 8, 15.7 s at n = 9.
         MethodSpec(
             "per_definitional",
             SquareMatrix,
             lambda m, p, c: identities.permanent(m),
             max_n=9,
+            symbolic_max_n=8,
         ),
+        # per_identity and per_ryser: 2^n products of row sums, which on
+        # symbolic documents hold up to n^n terms each: 0.3-0.4 s at n = 6,
+        # 6.3-10 s at n = 7.
         MethodSpec(
             "per_identity",
             SquareMatrix,
             lambda m, p, c: identities.permanent_identity(m, p.get("gammas")),
+            symbolic_max_n=6,
         ),
         MethodSpec(
-            "per_ryser", SquareMatrix, lambda m, p, c: identities.permanent_ryser(m)
+            "per_ryser",
+            SquareMatrix,
+            lambda m, p, c: identities.permanent_ryser(m),
+            symbolic_max_n=6,
         ),
-        # 2^n permanents of n x n matrices: n = 7 takes seconds, n = 8 minutes.
-        MethodSpec("per_polarization", SquareMatrix, _run_per_polarization, max_n=7),
-        # n! diagonals: 1.5 s at n = 9, 15 s at n = 10.
+        # 2^n permanents of n x n matrices: n = 7 takes seconds, n = 8 minutes;
+        # symbolic 0.9-1.2 s at n = 5, over 60 s at n = 6.
+        MethodSpec(
+            "per_polarization",
+            SquareMatrix,
+            _run_per_polarization,
+            max_n=7,
+            symbolic_max_n=5,
+        ),
+        # n! diagonals: 1.5 s at n = 9, 15 s at n = 10; symbolic 1.3-2 s at
+        # n = 8, 14.5-18.8 s at n = 9.
         MethodSpec(
             "det_definitional",
             SquareMatrix,
             lambda m, p, c: identities.determinant(m),
             max_n=9,
+            symbolic_max_n=8,
         ),
-        # n! diagonals of n + 1 powers each: 1.6 s at n = 8, 14 s at n = 9.
+        # n! diagonals of n + 1 powers each: 1.6 s at n = 8, 14 s at n = 9;
+        # symbolic 0.2-0.3 s at n = 5, 4.0-6.6 s at n = 6.
         MethodSpec(
             "det_identity",
             SquareMatrix,
             lambda m, p, c: identities.determinant_identity(m, p.get("gamma")),
             max_n=8,
+            symbolic_max_n=5,
         ),
         # n! diagonals of n! orderings each: on matrix2 a plain and a counted run
-        # take about 0.15 s together at n = 5 and about 7 s at n = 6.
+        # take about 0.15 s together at n = 5 and about 7 s at n = 6; symbolic
+        # 0.2-0.44 s at n = 5.
         MethodSpec(
             "eper_definitional",
             SquareMatrix,
             lambda m, p, c: identities.symmetrized_permanent(m),
             max_n=5,
+            symbolic_max_n=5,
         ),
-        # 4^n submatrix sums, each to the n-th power: 3.8 s at n = 9, 13 s at n = 10.
+        # 4^n submatrix sums, each to the n-th power: 3.8 s at n = 9, 13 s at
+        # n = 10; symbolic 0.1-0.4 s at n = 4, 5.1-8.9 s at n = 5.
         MethodSpec(
             "eper_identity",
             SquareMatrix,
             lambda m, p, c: identities.symmetrized_permanent_identity(m, p.get("delta")),
             max_n=9,
+            symbolic_max_n=4,
         ),
         # n! permanents of n! diagonals each: at n = 6 a plain and a counted run
         # take about 0.5 s each; at n = 7 the plain run alone takes 25 s.
+        # Symbolic 0.7-1.2 s at n = 5, 37 s at n = 6.
         MethodSpec(
             "detp_definitional",
             CubeMatrix,
             lambda m, p, c: identities.space_determinant(m),
             max_n=6,
+            symbolic_max_n=5,
         ),
-        # n! permutations of n + 1 row-sum products each: 4.1 s at n = 8, 49 s at n = 9.
+        # n! permutations of n + 1 row-sum products each: 4.1 s at n = 8, 49 s
+        # at n = 9; symbolic 1.5-2.4 s at n = 5, over 90 s at n = 6.
         MethodSpec(
             "detp_identity",
             CubeMatrix,
             lambda m, p, c: identities.space_determinant_identity(m),
             max_n=8,
+            symbolic_max_n=5,
         ),
     )
 }
@@ -194,8 +226,14 @@ def lifted_request(
     if not isinstance(obj, spec.kind):
         container = "square matrix" if spec.kind is SquareMatrix else "cube"
         raise ValueError(f"method {method} expects a {container}")
-    if obj.n > spec.max_n:
-        raise ValueError(f"method {method} supports n up to {spec.max_n}, got {obj.n}")
+    # The entries' type, not obj.ring, so a request rebound to a wrapper ring
+    # is refused at the same sizes.
+    corner = obj.entries[0][0] if isinstance(obj, SquareMatrix) else obj.sections[0][0][0]
+    symbolic = isinstance(corner, Poly)
+    limit = spec.symbolic_max_n if symbolic else spec.max_n
+    if obj.n > limit:
+        over = " over polynomials" if symbolic else ""
+        raise ValueError(f"method {method} supports n up to {limit}{over}, got {obj.n}")
     return (spec, *lift(obj, dict(params or {})))
 
 

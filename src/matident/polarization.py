@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .combinatorics import enumerate_gray_steps
+from .identities import _gray_sums
 from .rings import Ring
 
 
@@ -30,10 +30,10 @@ def polarize(func: DiagonalFunction, xs: Sequence[tuple], gamma: tuple, ring: Ri
     Input-space points are tuples of ring elements as long as gamma (any
     other length is refused before F is called), added componentwise;
     `ring` also supplies the output-side arithmetic including the exact
-    division by n!.  Subsets are visited in Gray-code order, so each
-    point sum is the previous one with one point added or subtracted
-    componentwise; the empty subset contributes F(gamma) with sign (-1)**n,
-    and the result does not depend on gamma.
+    division by n!.  Subsets are visited in the Gray-code order of
+    identities' subset walk, so each point sum is the previous one with one
+    point added or subtracted componentwise; the empty subset contributes
+    F(gamma) with sign (-1)**n, and the result does not depend on gamma.
     """
     n = func.arity
     if n < 1:
@@ -44,15 +44,14 @@ def polarize(func: DiagonalFunction, xs: Sequence[tuple], gamma: tuple, ring: Ri
     if any(len(point) != len(gamma) for point in points):
         raise ValueError(f"every input point must have the length of gamma, {len(gamma)}")
     # Not Ring.signed_sum: the first term is negated, not subtracted from
-    # zero, and the printed adds and negs count exactly that.
-    value = func.evaluate(gamma)
-    positive = n % 2 == 0
-    total = value if positive else ring.neg(value)
-    shifted = gamma
-    for j, entering in enumerate_gray_steps(n):
-        step = ring.add if entering else ring.sub
-        shifted = tuple(step(a, b) for a, b in zip(shifted, points[j]))
+    # zero, and the printed adds and negs count exactly that.  Subset S
+    # enters with sign (-1)**(n - |S|), the walk's sign times parity.
+    parity = -1 if n % 2 else 1
+    walk = _gray_sums(gamma, points, ring.add, ring.sub)
+    _, shifted = next(walk)
+    value = func.evaluate(shifted)
+    total = value if parity > 0 else ring.neg(value)
+    for sign, shifted in walk:
         value = func.evaluate(shifted)
-        positive = not positive
-        total = ring.add(total, value) if positive else ring.sub(total, value)
+        total = ring.add(total, value) if sign == parity else ring.sub(total, value)
     return ring.div_int(total, math.factorial(n))

@@ -97,10 +97,6 @@ class Ring:
     def power(self, x: Any, exponent: int) -> Any:
         """x**exponent for exponent >= 0, with x**0 = one, by square-and-multiply:
         bit_length - 1 squarings and bit_count - 1 further multiplications.
-
-        The counting ring runs this on its base ring.  The lifted integer ring
-        overrides it with int powers, so there a plain and a counted run reach
-        the same value by two different algorithms.
         """
         if exponent < 0:
             raise ValueError("ring exponent must be nonnegative")
@@ -436,8 +432,7 @@ class _IntegerRing(Ring):
 
     The folds and powers run on the builtins (sum, math.prod, int powers),
     which give the same exact values as Ring's one-call-per-operation folds
-    and square-and-multiply.  A counting ring over this one folds with these
-    builtins too but raises powers by Ring's square-and-multiply.
+    and square-and-multiply.  A counting ring over this one runs them too.
     """
 
     def sum(self, items: Iterable[int]) -> int:

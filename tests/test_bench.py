@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from matident import bench
+from matident import bench, rings
 from matident.bench import (
     COMPARED_METHODS,
     CountingRing,
@@ -380,6 +380,37 @@ def test_costly_methods_are_refused_above_their_size_limit(monkeypatch, method):
     for run in (evaluate_method, count_ops):
         with pytest.raises(ValueError, match=f"{method} supports n up to {limit}, got {n}"):
             run(method, obj)
+
+
+def test_symbolic_limits_follow_the_entries_not_the_ring(monkeypatch):
+    # A wrapper ring around SYMBOLIC, as the benchmark's tracing binds, is
+    # refused at the same size; a rational request of that size is admitted.
+    spec = METHODS["det_identity"]
+    monkeypatch.setitem(METHODS, "det_identity", dataclasses.replace(spec, run=lambda m, p, c: 0))
+    n = spec.symbolic_max_n + 1
+    symbolic = symbolic_matrix(n)
+    message = f"det_identity supports n up to {n - 1} over polynomials, got {n}"
+    for obj in (symbolic, symbolic.with_ring(CountingRing(SYMBOLIC))):
+        for run in (evaluate_method, count_ops):
+            with pytest.raises(ValueError, match=message):
+                run("det_identity", obj)
+    assert evaluate_method("det_identity", SquareMatrix(RATIONAL, [[1] * n] * n)) == 0
+
+
+def test_a_counted_run_raises_each_power_on_its_integer_base_ring(monkeypatch):
+    raised = []
+    native = rings._IntegerRing.power
+
+    def recording(ring, x, exponent):
+        raised.append(exponent)
+        return native(ring, x, exponent)
+
+    matrix = SquareMatrix(RATIONAL, [[Fraction(1, 2), 2, 0], [3, -1, 4], [1, Fraction(-2, 3), 5]])
+    plain = evaluate_method("det_identity", matrix)
+    monkeypatch.setattr(rings._IntegerRing, "power", recording)
+    report = count_ops("det_identity", matrix)
+    assert report.value == plain
+    assert raised == [3] * report.powers and report.powers == 4 * math.factorial(3)
 
 
 def test_signed_sum_makes_one_add_or_sub_per_item_starting_from_zero():

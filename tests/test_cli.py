@@ -12,6 +12,7 @@ import pytest
 from matident import bench, identities, verify
 from matident.bench import CountingRing
 from matident.cli import main
+from matident.matrices import CubeMatrix
 
 
 @pytest.fixture()
@@ -128,6 +129,50 @@ def test_compute_refuses_polarization_above_n_7(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "compute", "--fn", "per", "--method", "polarization", str(path))
     assert (code, out) == (2, "")
     assert err == "error: method per_polarization supports n up to 7, got 8\n"
+
+
+SYMBOLIC_SIZE_LIMITS = {
+    "per_definitional": 8,
+    "per_identity": 6,
+    "per_ryser": 6,
+    "per_polarization": 5,
+    "det_definitional": 8,
+    "det_identity": 5,
+    "eper_definitional": 5,
+    "eper_identity": 4,
+    "detp_definitional": 5,
+    "detp_identity": 5,
+}
+
+
+@pytest.mark.parametrize("method", SYMBOLIC_SIZE_LIMITS)
+def test_compute_refuses_a_symbolic_document_above_its_limit(
+    tmp_path, capsys, monkeypatch, method
+):
+    limit = SYMBOLIC_SIZE_LIMITS[method]
+    assert bench.METHODS[method].symbolic_max_n == limit
+
+    def wrap(real):
+        def never(matrix, params, counts):
+            raise AssertionError("evaluated")
+
+        return never
+
+    _wrapped_run(monkeypatch, method, wrap)
+    n = limit + 1
+    names = iter(f"x{k}" for k in range(n**3))
+    if bench.METHODS[method].kind is CubeMatrix:
+        entries = [[[next(names) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        kind = "cube"
+    else:
+        entries = [[next(names) for _ in range(n)] for _ in range(n)]
+        kind = "matrix"
+    path = tmp_path / "distinct.json"
+    path.write_text(json.dumps({"kind": kind, "ring": "symbolic", "n": n, "entries": entries}))
+    fn, _, name = method.partition("_")
+    code, out, err = run(capsys, "compute", "--fn", fn, "--method", name, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: method {method} supports n up to {limit} over polynomials, got {n}\n"
 
 
 def _wrapped_run(monkeypatch, method, wrap):

@@ -203,9 +203,10 @@ def test_gray_sums_reach_each_reflected_binary_subset(case):
         expected = [
             value + into * sum(vectors[j][i] for j in subset) for i, value in enumerate(start)
         ]
+        assert type(current) is tuple
         assert (sign, list(current)) == ((-1) ** len(subset), expected)
     if not vectors:
-        assert walk == [(1, start)]
+        assert walk == [(1, tuple(start))]
 
 
 def test_diagonal_power_identity_validates_exponent():

@@ -74,6 +74,10 @@ def test_the_registry_reaches_no_caller():
     assert not _matident_imports("methods") & {"bench", "cli", "verify"}
 
 
+def test_polarization_imports_no_caller():
+    assert not _matident_imports("polarization") & {"methods", "bench", "verify", "cli"}
+
+
 def test_verify_reads_the_registry_without_bench():
     assert "bench" not in _matident_imports("verify")
 

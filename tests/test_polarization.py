@@ -126,6 +126,20 @@ def test_polarization_agrees_with_the_diagonal_on_equal_arguments():
     assert value == func.evaluate(x)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_polarize_hands_f_tuples_in_reflected_gray_order(n):
+    calls = []
+    func = DiagonalFunction(n, _counting(lambda point: point[0] ** n, calls))
+    points = [(Fraction(2**j), Fraction(-3 * 2**j)) for j in range(n)]
+    gamma = (Fraction(1, 3), Fraction(0))
+    polarize(func, points, gamma, RATIONAL)
+    assert len(calls) == 2**n
+    for k, point in enumerate(calls):
+        subset = [j for j in range(n) if (k ^ k >> 1) >> j & 1]
+        assert type(point) is tuple
+        assert point == tuple(g + sum(points[j][i] for j in subset) for i, g in enumerate(gamma))
+
+
 def test_polarization_validates_arity():
     func = DiagonalFunction(2, lambda point: point[0])
     with pytest.raises(ValueError):
