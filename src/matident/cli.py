@@ -4,7 +4,9 @@ Three subcommands: ``compute`` evaluates one function on a matrix or cube
 document and reports the value plus ring-operation counts, ``verify`` runs
 the randomized identity cross-check suites, and ``bench`` prints the
 op-count comparison table.  Exit codes: 0 success, 1 verification or
-cross-check failure, 2 usage or parse error.
+cross-check failure, 2 usage or parse error.  The --gamma and --delta
+shifts are read by the document they apply to (MatrixDocument.scalar), in
+its ring's cell syntax and with its refusals; this module parses no JSON.
 
 For a fixed seed the verify and bench outputs are byte-identical across
 runs; no timing data is ever printed.
@@ -14,18 +16,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 from typing import Any
 
 from .bench import compare_methods, count_ops, format_table, write_records
-from .document import (
-    MatrixDocument,
-    long_integer_message,
-    parse_document,
-    parse_scalar,
-)
+from .document import MatrixDocument, parse_document
 from .methods import COUNT_FIELDS, METHODS, MethodDisagreement, evaluate_method
 from .verify import SUITES, run_suites
 
@@ -80,21 +76,6 @@ def _load_document(path: str) -> MatrixDocument:
     return parse_document(text)
 
 
-def _parse_flag_scalar(ring_name: str, token: str, where: str):
-    text = token.strip()
-    if not text:
-        raise UsageError(f"{where}: empty scalar")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        data = text
-    except RecursionError:
-        raise UsageError(f"{where}: nested too deeply") from None
-    except ValueError:
-        raise UsageError(long_integer_message(where)) from None
-    return parse_scalar(ring_name, data, where)
-
-
 def _gamma_values(document: MatrixDocument, raw: str, count: int) -> tuple:
     tokens = raw.split(",")
     if len(tokens) != count:
@@ -103,7 +84,7 @@ def _gamma_values(document: MatrixDocument, raw: str, count: int) -> tuple:
             f"got {len(tokens)}"
         )
     return tuple(
-        _parse_flag_scalar(document.ring_name, token, f"--gamma value {i}")
+        document.scalar(token, f"--gamma value {i}")
         for i, token in enumerate(tokens, start=1)
     )
 
@@ -141,7 +122,7 @@ def _run_compute(args: argparse.Namespace) -> int:
             raise UsageError("--gamma applies only to per or det with --method identity")
     if args.delta is not None:
         if method == "eper_identity":
-            params["delta"] = _parse_flag_scalar(document.ring_name, args.delta, "--delta")
+            params["delta"] = document.scalar(args.delta, "--delta")
         else:
             raise UsageError("--delta applies only to eper with --method identity")
     value = evaluate_method(method, document.content, params)

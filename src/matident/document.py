@@ -4,7 +4,9 @@ A document is a single JSON object {"kind", "ring", "n", "entries"} and
 nothing else: unknown or duplicate fields, shape mismatches, and malformed
 scalars are rejected with positional context.  A cube is a matrix one level
 deeper, so one walker checks the shape of both.  Parsed rationals are
-canonical Fractions: "2/4" and "-3/1" read as 1/2 and -3.
+canonical Fractions: "2/4" and "-3/1" read as 1/2 and -3.  This module reads
+every scalar a user types: the cells, and through MatrixDocument.scalar the
+CLI's shift flags, which take the document ring's cell syntax.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict:
     return mapping
 
 
-def long_integer_message(where: str) -> str:
+def _long_integer_message(where: str) -> str:
     """The refusal of an integer longer than CPython's int-from-str digit limit.
 
     json.loads reports bad syntax as a JSONDecodeError and Fraction only sees
@@ -74,7 +76,7 @@ def _rational_scalar(value: Any, where: str) -> Fraction:
         except ZeroDivisionError:
             raise DocumentError(f"{where}: zero denominator in {value!r}") from None
         except ValueError:
-            raise DocumentError(long_integer_message(where)) from None
+            raise DocumentError(_long_integer_message(where)) from None
     raise DocumentError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
 
 
@@ -110,17 +112,30 @@ _SCALAR_PARSERS = {
 }
 
 
-def parse_scalar(ring_name: str, value: Any, where: str) -> Any:
-    """Parse one entry in the named ring's document syntax."""
-    return _SCALAR_PARSERS[ring_name](value, where)
-
-
 @dataclass(frozen=True)
 class MatrixDocument:
-    """A parsed input document: its ring's name and its content."""
+    """A parsed input document: its ring's name and its content.  scalar
+    reads one more value, such as a shift flag, in the cells' syntax."""
 
     ring_name: str
     content: SquareMatrix | CubeMatrix
+
+    def scalar(self, token: str, where: str) -> Any:
+        """Read token as one cell of this document: as JSON when it parses
+        (a number, a 2x2 array), else as the bare text (a variable name or
+        'p/q').  Every refusal is a DocumentError that starts with where."""
+        text = token.strip()
+        if not text:
+            raise DocumentError(f"{where}: empty scalar")
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError:
+            data = text
+        except RecursionError:
+            raise DocumentError(f"{where}: nested too deeply") from None
+        except ValueError:
+            raise DocumentError(_long_integer_message(where)) from None
+        return _SCALAR_PARSERS[self.ring_name](data, where)
 
 
 # A matrix walks the last two levels, a cube all three.
@@ -164,7 +179,7 @@ def parse_document(text: str) -> MatrixDocument:
     except RecursionError:
         raise DocumentError("document is nested too deeply") from None
     except ValueError:
-        raise DocumentError(long_integer_message("document")) from None
+        raise DocumentError(_long_integer_message("document")) from None
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
     unknown = sorted(set(data) - set(_REQUIRED_FIELDS))

@@ -8,7 +8,7 @@ copying entries.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .rings import Poly, Ring, SYMBOLIC
 
@@ -39,10 +39,6 @@ class SquareMatrix:
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("SquareMatrix instances are immutable")
-
-    @classmethod
-    def from_columns(cls, ring: Ring, columns: Sequence[Sequence[Any]]) -> "SquareMatrix":
-        return cls(ring, zip(*columns))
 
     def columns(self) -> tuple[tuple, ...]:
         return tuple(zip(*self.entries))

@@ -54,7 +54,7 @@ def _run_per_polarization(matrix: SquareMatrix, params: Mapping, counts: OpCount
 
     def diagonal_eval(column: tuple) -> Any:
         counts.f_evals += 1
-        return identities.permanent(SquareMatrix.from_columns(ring, [column] * n))
+        return identities.permanent(SquareMatrix(ring, [[x] * n for x in column]))
 
     gamma = tuple(ring.zero() for _ in range(n))
     func = DiagonalFunction(n, diagonal_eval)
@@ -66,9 +66,10 @@ class MethodSpec:
     name: str
     kind: type  # SquareMatrix or CubeMatrix
     run: Callable[[Any, Mapping, OpCounts], Any]
+    # The limit for polynomial entries, whose terms multiply with n.  No
+    # default, so no entry admits them up to the document maximum by omission.
+    symbolic_max_n: int
     max_n: int = MAX_ENUMERATION_N
-    # The limit for polynomial entries, whose terms multiply with n.
-    symbolic_max_n: int = MAX_ENUMERATION_N
 
 
 # Each max_n keeps one compute (a plain and a counted run) on a rational

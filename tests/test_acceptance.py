@@ -217,7 +217,7 @@ def test_polarization_reconstructs_permanent():
 
             def diagonal(column):
                 calls.append(column)
-                return permanent(SquareMatrix.from_columns(RATIONAL, [column] * n))
+                return permanent(SquareMatrix(RATIONAL, [[x] * n for x in column]))
 
             func = DiagonalFunction(n, diagonal)
             value = polarize(func, matrix.columns(), gammas, RATIONAL)

@@ -17,6 +17,7 @@ from matident.bench import (
     format_table,
     write_records,
 )
+from matident.combinatorics import MAX_ENUMERATION_N
 from matident.matrices import (
     CubeMatrix,
     SquareMatrix,
@@ -24,7 +25,13 @@ from matident.matrices import (
     symbolic_gammas,
     symbolic_matrix,
 )
-from matident.methods import METHODS, MethodDisagreement, OpCounts, evaluate_method
+from matident.methods import (
+    METHODS,
+    MethodDisagreement,
+    MethodSpec,
+    OpCounts,
+    evaluate_method,
+)
 from matident.rings import MATRIX2, RATIONAL, SYMBOLIC, MatrixElement, Poly
 from matident.sampling import (
     derive_rng,
@@ -395,6 +402,18 @@ def test_symbolic_limits_follow_the_entries_not_the_ring(monkeypatch):
             with pytest.raises(ValueError, match=message):
                 run("det_identity", obj)
     assert evaluate_method("det_identity", SquareMatrix(RATIONAL, [[1] * n] * n)) == 0
+
+
+def test_every_registry_entry_states_a_symbolic_limit_within_its_own():
+    # symbolic_max_n has no default, so an entry cannot admit polynomial
+    # documents up to the document maximum by leaving it out.
+    assert "symbolic_max_n" not in {
+        field.name
+        for field in dataclasses.fields(MethodSpec)
+        if field.default is not dataclasses.MISSING
+    }
+    for name, spec in METHODS.items():
+        assert 1 <= spec.symbolic_max_n <= spec.max_n <= MAX_ENUMERATION_N, name
 
 
 def test_a_counted_run_raises_each_power_on_its_integer_base_ring(monkeypatch):

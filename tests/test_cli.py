@@ -15,6 +15,10 @@ from matident.cli import main
 from matident.matrices import CubeMatrix
 
 
+# Deeper than the JSON reader's recursion limit.
+NESTED_SCALAR = "[" * 5000 + "]" * 5000
+
+
 @pytest.fixture()
 def docs(tmp_path):
     paths = {}
@@ -53,11 +57,11 @@ def docs(tmp_path):
             ],
         },
     )
-    nested = "[" * 5000 + "]" * 5000
     path = tmp_path / "nested.json"
-    path.write_text('{"kind": "matrix", "ring": "rational", "n": 1, "entries": ' + nested + "}")
+    path.write_text(
+        '{"kind": "matrix", "ring": "rational", "n": 1, "entries": ' + NESTED_SCALAR + "}"
+    )
     paths["nested"] = str(path)
-    paths["nested_scalar"] = nested
     return paths
 
 
@@ -318,10 +322,6 @@ def test_usage_errors_exit_2(docs, capsys):
         ("compute", "--fn", "per", "--method", "definitional", docs["mm"]),
         ("compute", "--fn", "per", "--method", "definitional", "/no/such/file.json"),
         ("compute", "--fn", "per", "--method", "definitional", docs["nested"]),
-        ("compute", "--fn", "det", "--method", "identity", "--gamma", docs["nested_scalar"],
-         docs["m2"]),
-        ("compute", "--fn", "eper", "--method", "identity", "--delta", docs["nested_scalar"],
-         docs["mm"]),
         ("verify", "--suite", "thm4", "--n", "4"),
         ("verify", "--trials", "0"),
         ("bench", "--nmin", "3", "--nmax", "2"),
@@ -331,6 +331,41 @@ def test_usage_errors_exit_2(docs, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+# Shift flags are read as cells of the document they apply to, so each refusal
+# is the cell's, positioned by the flag.
+@pytest.mark.parametrize(
+    "document, flags, message",
+    [
+        ("m2", ("det", "--gamma="), "--gamma value 1: empty scalar"),
+        ("m2", ("per", "--gamma=1,"), "--gamma value 2: empty scalar"),
+        ("mm", ("eper", "--delta= "), "--delta: empty scalar"),
+        ("m2", ("det", f"--gamma={NESTED_SCALAR}"), "--gamma value 1: nested too deeply"),
+        ("mm", ("eper", f"--delta={NESTED_SCALAR}"), "--delta: nested too deeply"),
+        ("m2", ("det", "--gamma=zz"), "--gamma value 1: cannot parse 'zz' as a rational"),
+        (
+            "m2",
+            ("det", "--gamma=true"),
+            "--gamma value 1: expected an integer or 'p/q' string, got a boolean",
+        ),
+        ("mm", ("eper", "--delta=[[1,0],[0]]"), "--delta: expected a 2x2 array of rationals"),
+    ],
+    ids=[
+        "empty",
+        "empty-second",
+        "blank",
+        "nested-gamma",
+        "nested-delta",
+        "name-on-rational",
+        "boolean",
+        "ragged",
+    ],
+)
+def test_a_malformed_shift_exits_2_with_the_exact_refusal(docs, capsys, document, flags, message):
+    fn, flag = flags
+    argv = ("compute", "--fn", fn, "--method", "identity", flag, docs[document])
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_per_and_det_on_a_matrix2_document_keep_their_error(docs, capsys):

@@ -1,0 +1,51 @@
+"""The CI workflow diffs the installed commands against the recorded bytes that
+the tier-1 tests check, case for case."""
+
+import shlex
+from pathlib import Path
+
+from test_cli import COMPUTE_DIR, RECORDED_COMPUTE
+from test_verify import RECORDED, STDOUT_DIR
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+BENCH_DIR = ROOT / "tests" / "data" / "bench_stdout"
+
+
+def _step(name):
+    """The shell words of each line of the named workflow step."""
+    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    start = lines.index(f"      - name: {name}")
+    end = next(
+        (i for i in range(start + 1, len(lines)) if lines[i].startswith("      - ")), len(lines)
+    )
+    return [shlex.split(line, comments=True) for line in lines[start + 1 : end]]
+
+
+def _checks(name):
+    """The (recorded file, arguments) of each check line of the named step."""
+    return sorted((words[1], words[2:]) for words in _step(name) if words[:1] == ["check"])
+
+
+def test_ci_diffs_exactly_the_recorded_compute_cases():
+    expected = [
+        (name, ["--fn", fn, "--method", method, *flags, f"$docs/{document}"])
+        for name, (fn, method, *flags, document) in RECORDED_COMPUTE.items()
+    ]
+    assert _checks("Installed compute prints the recorded bytes") == sorted(expected)
+    assert {path.name for path in COMPUTE_DIR.glob("*.txt")} == set(RECORDED_COMPUTE)
+
+
+def test_ci_diffs_exactly_the_recorded_verify_cases():
+    expected = sorted(RECORDED.items())
+    assert _checks("Installed verify prints the recorded bytes") == expected
+    assert {path.name for path in STDOUT_DIR.glob("*.txt")} == set(RECORDED)
+
+
+def test_ci_diffs_the_recorded_bench_table():
+    words = _step("Installed bench prints the recorded table")
+    runs = [line[1:line.index(">")] for line in words if line[:1] == ["matident"]]
+    diffed = [line[1] for line in words if line[:1] == ["diff"]]
+    assert runs == [["bench", "--nmin", "1", "--nmax", "6", "--seed", "1"]]
+    assert diffed == ["tests/data/bench_stdout/nmin1-nmax6-seed1.txt"]
+    assert [path.name for path in BENCH_DIR.iterdir()] == ["nmin1-nmax6-seed1.txt"]
