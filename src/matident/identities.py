@@ -35,6 +35,12 @@ def _require_commutative(ring: Ring, what: str) -> None:
         raise ValueError(f"{what} requires a commutative ring, got {ring.name}")
 
 
+def _checked_shift(ring: Ring, value: Any) -> Any:
+    if not ring.is_element(value):
+        raise ValueError(f"free parameter {value!r} is not an element of {ring.name}")
+    return value
+
+
 def _checked_gammas(matrix: SquareMatrix, gammas: Sequence[Any] | None) -> tuple:
     ring = matrix.ring
     if gammas is None:
@@ -42,19 +48,12 @@ def _checked_gammas(matrix: SquareMatrix, gammas: Sequence[Any] | None) -> tuple
     values = tuple(gammas)
     if len(values) != matrix.n:
         raise ValueError(f"expected {matrix.n} free parameters, got {len(values)}")
-    for value in values:
-        if not ring.is_element(value):
-            raise ValueError(f"free parameter {value!r} is not an element of {ring.name}")
-    return values
+    return tuple(_checked_shift(ring, value) for value in values)
 
 
 def _checked_param(matrix: SquareMatrix | CubeMatrix, value: Any) -> Any:
     ring = matrix.ring
-    if value is None:
-        return ring.zero()
-    if not ring.is_element(value):
-        raise ValueError(f"free parameter {value!r} is not an element of {ring.name}")
-    return value
+    return ring.zero() if value is None else _checked_shift(ring, value)
 
 
 def permanent(matrix: SquareMatrix) -> Any:
@@ -180,7 +179,8 @@ def determinant_identity(matrix: SquareMatrix, gamma: Any = None) -> Any:
     shift = _checked_param(matrix, gamma)
     value = ring.div_int(_diagonal_residual(matrix, n, shift), math.factorial(n))
     # The division by n! is exact for integer inputs; anything else is a bug.
-    # Deciding from the values keeps the guard on under any wrapper ring.
+    # The guard sees only Fraction inputs, so it is inert on a lifted request,
+    # whose inputs are ints; there _IntegerRing._div_exact refuses a remainder.
     inputs = [entry for row in matrix.entries for entry in row] + [shift]
     if _all_integral(inputs) and not _all_integral((value,)):
         raise ArithmeticError(f"integer determinant came out non-integral: {value}")

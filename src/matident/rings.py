@@ -10,7 +10,8 @@ counting wrapper without touching evaluator code.
 Each of the three has a private lifted twin over Python ints (integers,
 packed-monomial int polynomials, integer 2x2 matrices), and LIFTERS maps an
 element type to the function that scales a request's values onto its twin
-and the result back (see methods.lift).
+and the result back (see methods.lift).  A 2x2 element and its twin share
+one cell layout and one set of formulas, so lifting scales each cell.
 """
 
 from __future__ import annotations
@@ -329,15 +330,18 @@ class Poly:
 
 
 class MatrixElement:
-    """2x2 matrix of rationals, the package's noncommutative ring element."""
+    """2x2 matrix of rationals, the package's noncommutative ring element.
 
-    __slots__ = ("rows",)
+    cells is (a, b, c, d) for [[a, b], [c, d]], and the operators run the
+    lifted integer 2x2 ring's formulas on these Fraction cells."""
+
+    __slots__ = ("cells",)
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
         frozen = tuple(tuple(Fraction(entry) for entry in row) for row in rows)
         if len(frozen) != 2 or any(len(row) != 2 for row in frozen):
             raise ValueError("matrix element must be 2x2")
-        object.__setattr__(self, "rows", frozen)
+        object.__setattr__(self, "cells", frozen[0] + frozen[1])
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("MatrixElement instances are immutable")
@@ -345,53 +349,44 @@ class MatrixElement:
     @classmethod
     def scalar(cls, value: Fraction | int) -> "MatrixElement":
         value = Fraction(value)
-        return _matrix(value, _ZERO, _ZERO, value)
+        return _matrix((value, _ZERO, _ZERO, value))
 
     def __add__(self, other: Any) -> "MatrixElement":
         if not isinstance(other, MatrixElement):
             return NotImplemented
-        (a, b), (c, d) = self.rows
-        (e, f), (g, h) = other.rows
-        return _matrix(a + e, b + f, c + g, d + h)
+        return _matrix(_INTEGER_MATRIX.add(self.cells, other.cells))
 
     def __sub__(self, other: Any) -> "MatrixElement":
         if not isinstance(other, MatrixElement):
             return NotImplemented
-        (a, b), (c, d) = self.rows
-        (e, f), (g, h) = other.rows
-        return _matrix(a - e, b - f, c - g, d - h)
+        return _matrix(_INTEGER_MATRIX.sub(self.cells, other.cells))
 
     def __neg__(self) -> "MatrixElement":
-        (a, b), (c, d) = self.rows
-        return _matrix(-a, -b, -c, -d)
+        return _matrix(_INTEGER_MATRIX.neg(self.cells))
 
     def __mul__(self, other: Any) -> "MatrixElement":
         if not isinstance(other, MatrixElement):
             return NotImplemented
-        (a, b), (c, d) = self.rows
-        (e, f), (g, h) = other.rows
-        return _matrix(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        return _matrix(_INTEGER_MATRIX.mul(self.cells, other.cells))
 
     def __truediv__(self, other: Any) -> "MatrixElement":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         if other == 0:
             raise ZeroDivisionError("division of a matrix element by zero")
-        (a, b), (c, d) = self.rows
-        return _matrix(a / other, b / other, c / other, d / other)
+        return _matrix(tuple(cell / other for cell in self.cells))
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, MatrixElement):
             return NotImplemented
-        return self.rows == other.rows
+        return self.cells == other.cells
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash(self.cells)
 
     def __str__(self) -> str:
-        return "[" + ", ".join(
-            "[" + ", ".join(str(a) for a in row) + "]" for row in self.rows
-        ) + "]"
+        a, b, c, d = self.cells
+        return f"[[{a}, {b}], [{c}, {d}]]"
 
     def __repr__(self) -> str:
         return f"MatrixElement({self})"
@@ -405,11 +400,11 @@ def _poly(terms: dict[tuple, Fraction]) -> Poly:
     return poly
 
 
-def _matrix(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> MatrixElement:
-    """The element [[a, b], [c, d]] built from Fractions without the public
-    constructor's shape check and coercion."""
+def _matrix(cells: tuple[Fraction, Fraction, Fraction, Fraction]) -> MatrixElement:
+    """The element with these Fraction cells (a, b, c, d), built without the
+    public constructor's shape check and coercion."""
     element = object.__new__(MatrixElement)
-    object.__setattr__(element, "rows", ((a, b), (c, d)))
+    object.__setattr__(element, "cells", cells)
     return element
 
 
@@ -524,8 +519,9 @@ class _PackedPolyRing(Ring):
 
 
 class _IntegerMatrixRing(Ring):
-    """2x2 integer matrices as (a, b, c, d) tuples, read row by row; exact
-    division refuses a remainder in any cell."""
+    """2x2 integer matrices as (a, b, c, d) tuples, read row by row.  add,
+    sub, neg and mul hold for any cells (MatrixElement runs them on Fractions);
+    only the exact division is integer-only, refusing a remainder in any cell."""
 
     def add(self, x: tuple, y: tuple) -> tuple:
         a, b, c, d = x
@@ -629,17 +625,15 @@ def _lift_matrices(values: list[MatrixElement], n: int) -> _Lifted:
     a product of m cells is a multiple of (n!)**m, so both divide exactly.
     The value comes back over c**n.
     """
-    cells = [cell for value in values for row in value.rows for cell in row]
-    scale = math.lcm(*(cell.denominator for cell in cells)) * math.factorial(n)
+    scale = math.lcm(*(cell.denominator for value in values for cell in value.cells))
+    scale *= math.factorial(n)
 
     def up(value: MatrixElement) -> tuple:
-        return tuple(
-            cell.numerator * (scale // cell.denominator) for row in value.rows for cell in row
-        )
+        return tuple(cell.numerator * (scale // cell.denominator) for cell in value.cells)
 
     def down(value: tuple) -> MatrixElement:
         denominator = scale**n
-        return _matrix(*(Fraction(cell, denominator) for cell in value))
+        return _matrix(tuple(Fraction(cell, denominator) for cell in value))
 
     return _INTEGER_MATRIX, up, down
 

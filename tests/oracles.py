@@ -163,3 +163,21 @@ def even_transpositions(n):
         while value > 0 and not direction[value]:
             value -= 1
     return swaps
+
+
+def matrix2_add(x, y):
+    """Entrywise sum of two 2x2 matrices given as nested lists."""
+    return [[x[i][j] + y[i][j] for j in range(2)] for i in range(2)]
+
+
+def matrix2_sub(x, y):
+    return [[x[i][j] - y[i][j] for j in range(2)] for i in range(2)]
+
+
+def matrix2_neg(x):
+    return [[-x[i][j] for j in range(2)] for i in range(2)]
+
+
+def matrix2_mul(x, y):
+    """Row-by-column product: entry (i, j) sums x[i][k] * y[k][j] over k."""
+    return [[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)] for i in range(2)]

@@ -411,3 +411,33 @@ def test_free_parameter_validation():
         determinant_identity(M2, "not an element")
     with pytest.raises(ValueError):
         symmetrized_permanent_identity(M2, object())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: permanent_identity(M2, (Fraction(1), "x")),
+            "free parameter 'x' is not an element of rationals",
+        ),
+        (
+            lambda: permanent_identity(M2, (Fraction(1),)),
+            "expected 2 free parameters, got 1",
+        ),
+        (
+            lambda: determinant_identity(M2, "not an element"),
+            "free parameter 'not an element' is not an element of rationals",
+        ),
+        (
+            lambda: symmetrized_permanent_identity(
+                SquareMatrix(MATRIX2, [[MATRIX2.one()]]), Fraction(1)
+            ),
+            "free parameter Fraction(1, 1) is not an element of 2x2 rational matrices",
+        ),
+    ],
+    ids=["gammas-member", "gammas-length", "gamma", "delta-on-matrix2"],
+)
+def test_free_parameter_messages(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message

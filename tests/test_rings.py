@@ -20,7 +20,15 @@ from matident.rings import (
     MatrixElement,
     Poly,
 )
-from oracles import brute_determinant, brute_permanent, cycle_sign
+from oracles import (
+    brute_determinant,
+    brute_permanent,
+    cycle_sign,
+    matrix2_add,
+    matrix2_mul,
+    matrix2_neg,
+    matrix2_sub,
+)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -247,6 +255,37 @@ def test_matrix_element_validation_and_equality():
         [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
     )
     assert str(MatrixElement([[1, Fraction(1, 2)], [0, 2]])) == "[[1, 1/2], [0, 2]]"
+
+
+def _cells(rows):
+    return tuple(rows[0] + rows[1])
+
+
+_integer_rows = st.lists(
+    st.lists(st.integers(-50, 50), min_size=2, max_size=2), min_size=2, max_size=2
+)
+_rational_rows = st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=2, max_size=2)
+
+
+@given(_rational_rows, _rational_rows, st.integers(1, 12) | st.integers(-12, -1))
+def test_matrix_element_arithmetic_matches_the_oracle(x, y, k):
+    a, b = MatrixElement(x), MatrixElement(y)
+    assert a + b == MatrixElement(matrix2_add(x, y))
+    assert a - b == MatrixElement(matrix2_sub(x, y))
+    assert a * b == MatrixElement(matrix2_mul(x, y))
+    assert -a == MatrixElement(matrix2_neg(x))
+    inverse = Fraction(1, k)
+    assert a / k == MatrixElement(matrix2_mul(x, [[inverse, 0], [0, inverse]]))
+
+
+@given(_integer_rows, _integer_rows)
+def test_integer_matrix_arithmetic_matches_the_oracle(x, y):
+    ring = rings._INTEGER_MATRIX
+    a, b = _cells(x), _cells(y)
+    assert ring.add(a, b) == _cells(matrix2_add(x, y))
+    assert ring.sub(a, b) == _cells(matrix2_sub(x, y))
+    assert ring.mul(a, b) == _cells(matrix2_mul(x, y))
+    assert ring.neg(a) == _cells(matrix2_neg(x))
 
 
 def test_poly_builds_canonical_terms():
