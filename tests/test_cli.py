@@ -610,6 +610,9 @@ RECORDED_COMPUTE = {
     "rational-per-definitional.txt": ["per", "definitional", "rational.json"],
     "rational-det-identity-gamma.txt": ["det", "identity", "--gamma=-3/2", "rational.json"],
     "cube-detp-definitional.txt": ["detp", "definitional", "cube.json"],
+    "rational-per-polarization.txt": ["per", "polarization", "rational.json"],
+    "matrix2-eper-definitional.txt": ["eper", "definitional", "matrix2.json"],
+    "cube-detp-identity.txt": ["detp", "identity", "cube.json"],
 }
 
 
