@@ -1,12 +1,15 @@
-"""Operation counting and method comparison.
+"""Operation counts and method comparison.
 
-Counting lives in a wrapper ring rather than in the evaluators: rebinding a
-matrix to a CountingRing makes every ring operation tick a counter while the
-computed values stay exactly what the base ring produces, powers included.
-The multiplications a power stands for are tallied from its exponent's bits,
-apart from free-form ones, which is how the structural claim "identity
-evaluators multiply only inside n-th powers" is checked.  The evaluators
-themselves come from the registry in methods.
+count_ops reads a request's counts from the registry's closed forms without
+running anything; that is what compute prints.  run_counted measures them:
+rebinding a matrix to a CountingRing makes every ring operation tick a
+counter while the computed values stay exactly what the base ring produces,
+powers included.  The multiplications a power stands for are tallied from
+its exponent's bits, apart from free-form ones, which is how the structural
+claim "identity evaluators multiply only inside n-th powers" is checked.
+compare_methods runs every compared method counted and checks its counts
+against the closed form.  The evaluators themselves come from the registry
+in methods.
 """
 
 from __future__ import annotations
@@ -19,11 +22,18 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .matrices import CubeMatrix, SquareMatrix
-from .methods import COUNT_FIELDS, MethodDisagreement, OpCounts, evaluate_method, lifted_request
+from .methods import (
+    COUNT_FIELDS,
+    MethodDisagreement,
+    OpCounts,
+    checked_spec,
+    evaluate_method,
+    lifted_request,
+)
 # The registry's own dict, not a copy: perfbench/tracing.py rebinds its
 # entries through bench.METHODS, and every run must see them.
 from .methods import METHODS
-from .rings import Ring
+from .rings import Ring, power_muls
 from .sampling import derive_rng, random_integer_matrix
 
 
@@ -65,8 +75,7 @@ class CountingRing(Ring):
     def power(self, x: Any, exponent: int) -> Any:
         value = self.base.power(x, exponent)
         self.counts.powers += 1
-        if exponent:
-            self.counts.power_muls += exponent.bit_length() + exponent.bit_count() - 2
+        self.counts.power_muls += power_muls(exponent)
         return value
 
     @staticmethod
@@ -102,16 +111,27 @@ class CountingRing(Ring):
         return value
 
 
-def count_ops(
+def count_ops(method: str, obj: SquareMatrix | CubeMatrix) -> OpCounts:
+    """The op counts one run of method makes on obj, from the registry's
+    closed form; nothing is evaluated, and the report's value is None.
+
+    The registry's checks (method name, container, size limits) are made as
+    for a run.  The counts depend on method and obj.n alone, not on the ring
+    or the shifts.
+    """
+    return checked_spec(method, obj).counts(obj.n)
+
+
+def run_counted(
     method: str, obj: SquareMatrix | CubeMatrix, params: Mapping | None = None
 ) -> OpCounts:
     """Run a registered evaluator once, in a counting ring, and report its op
     counts and the value it computed.
 
-    Callers compare report.value with a plain run: a mismatch means the
-    wrapper ring changed semantics.  A lifted request (see methods.lift)
-    counts the same operations on exact integers; moving its value back is
-    not counted.
+    Callers compare report.value with a plain run, where a mismatch means the
+    wrapper ring changed semantics, and the counts with count_ops.  A lifted
+    request (see methods.lift) counts the same operations on exact integers;
+    moving its value back is not counted.
     """
     spec, lifted, params, down = lifted_request(method, obj, params)
     counting = CountingRing(lifted.ring)
@@ -138,8 +158,9 @@ def compare_methods(n_min: int, n_max: int, seed: int) -> list[dict]:
     """Op-count comparison rows for the core methods on seeded random matrices.
 
     One integer matrix is drawn per n and shared by all methods; methods of
-    the same family must agree on the value or the comparison hard-fails.
-    Rows carry no wall-clock numbers, so output is reproducible.
+    the same family must agree on the value, and every counted run must make
+    the counts of its closed form, or the comparison hard-fails.  Rows carry
+    no wall-clock numbers, so output is reproducible.
     """
     if n_min < 1 or n_min > n_max or n_max > MAX_BENCH_N:
         raise ValueError(f"need 1 <= nmin <= nmax <= {MAX_BENCH_N}")
@@ -149,7 +170,15 @@ def compare_methods(n_min: int, n_max: int, seed: int) -> list[dict]:
         family_values: dict[str, list[tuple[str, Any]]] = {}
         for method in COMPARED_METHODS:
             value = evaluate_method(method, matrix)
-            report = count_ops(method, matrix)
+            report = run_counted(method, matrix)
+            model = count_ops(method, matrix)
+            for field in COUNT_FIELDS:
+                counted, predicted = getattr(report, field), getattr(model, field)
+                if counted != predicted:
+                    raise MethodDisagreement(
+                        f"counted {method} at n={n} made {field}={counted} "
+                        f"but its closed form gives {predicted}"
+                    )
             # The counted run must agree with its family like any other method.
             pairs = family_values.setdefault(method.split("_")[0], [])
             pairs += [(method, value), (f"instrumented {method}", report.value)]

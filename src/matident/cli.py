@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Three subcommands: ``compute`` evaluates one function on a matrix or cube
-document and reports the value plus ring-operation counts, ``verify`` runs
-the randomized identity cross-check suites, and ``bench`` prints the
-op-count comparison table.  Exit codes: 0 success, 1 verification or
-cross-check failure, 2 usage or parse error.  The --gamma and --delta
+document once and reports the value plus the ring-operation counts of that
+run, read from the registry's closed forms, ``verify`` runs the randomized
+identity cross-check suites, and ``bench`` prints the op-count comparison
+table.  Exit codes: 0 success, 1 verification or cross-check failure, 2
+usage or parse error.  The --gamma and --delta
 shifts are read by the document they apply to (MatrixDocument.scalar), in
 its ring's cell syntax and with its refusals; this module parses no JSON.
 
@@ -126,11 +127,7 @@ def _run_compute(args: argparse.Namespace) -> int:
         else:
             raise UsageError("--delta applies only to eper with --method identity")
     value = evaluate_method(method, document.content, params)
-    report = count_ops(method, document.content, params)
-    if not document.content.ring.eq(report.value, value):
-        raise MethodDisagreement(
-            f"instrumented {method} produced {report.value} but plain run produced {value}"
-        )
+    report = count_ops(method, document.content)
     print(f"value: {_uncapped_str(value)}")
     print("ops: " + " ".join(f"{field}={getattr(report, field)}" for field in COUNT_FIELDS))
     return 0

@@ -1,13 +1,17 @@
 """The method registry that compute, bench and verify all read.
 
-METHODS maps each `<fn>_<method>` name to the evaluator that computes it and
-the container it takes.  evaluate_method runs one plainly; bench.count_ops
-runs one in a counting ring.  Both first move the request onto exact
-integers with lift when its values are all of one ring's element type.
+METHODS maps each `<fn>_<method>` name to the evaluator that computes it, the
+container it takes and the closed form of the op counts one run makes, which
+depend on n alone.  evaluate_method runs an evaluator once, first moving the
+request onto exact integers with lift when its values are all of one ring's
+element type; compute prints the closed form's counts beside its value.
+bench.run_counted runs an evaluator in a counting ring, and bench and the
+tests check every closed form against those counted runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -15,7 +19,7 @@ from . import identities
 from .combinatorics import MAX_ENUMERATION_N
 from .matrices import CubeMatrix, SquareMatrix
 from .polarization import DiagonalFunction, polarize
-from .rings import LIFTERS, Poly
+from .rings import LIFTERS, Poly, power_muls
 
 
 @dataclass
@@ -26,7 +30,8 @@ class OpCounts:
     issued outside powers while power_muls counts the ones square-and-multiply
     makes inside them;
     f_evals counts diagonal-restriction calls made by polarization-based
-    methods.  bench.count_ops fills in the counted run's value.
+    methods.  bench.run_counted fills in the counted run's value; a closed
+    form (MethodSpec.counts) leaves it None.
     """
 
     adds: int = 0
@@ -61,21 +66,47 @@ def _run_per_polarization(matrix: SquareMatrix, params: Mapping, counts: OpCount
     return polarize(func, matrix.columns(), gamma, ring)
 
 
+_F = math.factorial
+
+
+def _per_polarization_counts(n: int) -> OpCounts:
+    """2**n permanents of n x n matrices (f_evals), n adds per step of the
+    subset walk and one add or sub per value, the first negated for odd n."""
+    s = 2**n
+    return OpCounts(
+        adds=s * _F(n) + (n + 1) * (s - 1),
+        negs=n % 2,
+        muls=s * _F(n) * (n - 1),
+        int_divs=1,
+        f_evals=s,
+    )
+
+
+def _power_sum_counts(n: int, adds: int, powers: int) -> OpCounts:
+    """Counts of an identity that multiplies only inside its n-th powers and
+    divides once by n!."""
+    return OpCounts(adds=adds, power_muls=powers * power_muls(n), powers=powers, int_divs=1)
+
+
 @dataclass(frozen=True)
 class MethodSpec:
     name: str
     kind: type  # SquareMatrix or CubeMatrix
     run: Callable[[Any, Mapping, OpCounts], Any]
+    # The op counts of one run at size n, whatever the ring and the shifts.
+    counts: Callable[[int], OpCounts]
     # The limit for polynomial entries, whose terms multiply with n.  No
     # default, so no entry admits them up to the document maximum by omission.
     symbolic_max_n: int
     max_n: int = MAX_ENUMERATION_N
 
 
-# Each max_n keeps one compute (a plain and a counted run) on a rational
-# document (matrix2 for eper) within about 5 s on a 2-vCPU machine, and each
-# symbolic_max_n does the same on a symbolic document of distinct variables
-# (a cube for detp), as the whole-run times below show (README.md, size limits).
+# Each max_n kept one compute on a rational document (matrix2 for eper) within
+# about 5 s on a 2-vCPU machine, and each symbolic_max_n did the same on a
+# symbolic document of distinct variables (a cube for detp), as the whole-run
+# times below show (README.md, size limits).  The times were measured when a
+# compute made two runs, a plain and a counted one; it now makes one, and
+# the limits are kept as they were.
 METHODS: dict[str, MethodSpec] = {
     spec.name: spec
     for spec in (
@@ -85,6 +116,7 @@ METHODS: dict[str, MethodSpec] = {
             "per_definitional",
             SquareMatrix,
             lambda m, p, c: identities.permanent(m),
+            lambda n: OpCounts(adds=_F(n), muls=_F(n) * (n - 1)),
             max_n=9,
             symbolic_max_n=8,
         ),
@@ -95,12 +127,17 @@ METHODS: dict[str, MethodSpec] = {
             "per_identity",
             SquareMatrix,
             lambda m, p, c: identities.permanent_identity(m, p.get("gammas")),
+            # n adds per step of the subset walk, one per product.
+            lambda n: OpCounts(adds=n * (2**n - 1) + 2**n, muls=2**n * (n - 1)),
             symbolic_max_n=6,
         ),
         MethodSpec(
             "per_ryser",
             SquareMatrix,
             lambda m, p, c: identities.permanent_ryser(m),
+            lambda n: OpCounts(
+                adds=(n + 1) * (2**n - 1), negs=n % 2, muls=(2**n - 1) * (n - 1)
+            ),
             symbolic_max_n=6,
         ),
         # 2^n permanents of n x n matrices: n = 7 takes seconds, n = 8 minutes;
@@ -109,6 +146,7 @@ METHODS: dict[str, MethodSpec] = {
             "per_polarization",
             SquareMatrix,
             _run_per_polarization,
+            _per_polarization_counts,
             max_n=7,
             symbolic_max_n=5,
         ),
@@ -118,6 +156,7 @@ METHODS: dict[str, MethodSpec] = {
             "det_definitional",
             SquareMatrix,
             lambda m, p, c: identities.determinant(m),
+            lambda n: OpCounts(adds=_F(n), muls=_F(n) * (n - 1)),
             max_n=9,
             symbolic_max_n=8,
         ),
@@ -127,6 +166,13 @@ METHODS: dict[str, MethodSpec] = {
             "det_identity",
             SquareMatrix,
             lambda m, p, c: identities.determinant_identity(m, p.get("gamma")),
+            # The first diagonal sum, one sub per subdiagonal, four per swap
+            # of the n! - 1, and one add or sub per power.
+            lambda n: _power_sum_counts(
+                n,
+                adds=n + n * _F(n) + 4 * (_F(n) - 1) + (n + 1) * _F(n),
+                powers=(n + 1) * _F(n),
+            ),
             max_n=8,
             symbolic_max_n=5,
         ),
@@ -137,6 +183,7 @@ METHODS: dict[str, MethodSpec] = {
             "eper_definitional",
             SquareMatrix,
             lambda m, p, c: identities.symmetrized_permanent(m),
+            lambda n: OpCounts(adds=_F(n) ** 2, muls=_F(n) ** 2 * (n - 1), int_divs=_F(n)),
             max_n=5,
             symbolic_max_n=5,
         ),
@@ -146,6 +193,13 @@ METHODS: dict[str, MethodSpec] = {
             "eper_identity",
             SquareMatrix,
             lambda m, p, c: identities.symmetrized_permanent_identity(m, p.get("delta")),
+            # The row walk's n adds per step, an add or sub and a power per
+            # submatrix and per term, and the delta**n word subtracted.
+            lambda n: _power_sum_counts(
+                n,
+                adds=n * (2**n - 1) + 2 * (2**n - 1) ** 2 + 1,
+                powers=(2**n - 1) ** 2 + 1,
+            ),
             max_n=9,
             symbolic_max_n=4,
         ),
@@ -156,6 +210,7 @@ METHODS: dict[str, MethodSpec] = {
             "detp_definitional",
             CubeMatrix,
             lambda m, p, c: identities.space_determinant(m),
+            lambda n: OpCounts(adds=_F(n) * (_F(n) + 1), muls=_F(n) ** 2 * (n - 1)),
             max_n=6,
             symbolic_max_n=5,
         ),
@@ -165,6 +220,9 @@ METHODS: dict[str, MethodSpec] = {
             "detp_identity",
             CubeMatrix,
             lambda m, p, c: identities.space_determinant_identity(m),
+            # Per permutation: n row sums, n^2 depleted sums, n + 1 products
+            # and n + 1 terms.
+            lambda n: OpCounts(adds=_F(n) * (2 * n * n + 1), muls=_F(n) * (n + 1) * (n - 1)),
             max_n=8,
             symbolic_max_n=5,
         ),
@@ -216,11 +274,8 @@ def lift(
     return lifted, lifted_params, down
 
 
-def lifted_request(
-    method: str, obj: SquareMatrix | CubeMatrix, params: Mapping | None
-) -> tuple[MethodSpec, SquareMatrix | CubeMatrix, dict, Callable[[Any], Any]]:
-    """The checked spec of method, and the request lifted onto exact integers
-    with the map that moves its value back (see lift)."""
+def checked_spec(method: str, obj: SquareMatrix | CubeMatrix) -> MethodSpec:
+    """The spec of method, once obj is its container and within its size limit."""
     spec = METHODS.get(method)
     if spec is None:
         raise ValueError(f"unknown method {method!r}")
@@ -235,7 +290,15 @@ def lifted_request(
     if obj.n > limit:
         over = " over polynomials" if symbolic else ""
         raise ValueError(f"method {method} supports n up to {limit}{over}, got {obj.n}")
-    return (spec, *lift(obj, dict(params or {})))
+    return spec
+
+
+def lifted_request(
+    method: str, obj: SquareMatrix | CubeMatrix, params: Mapping | None
+) -> tuple[MethodSpec, SquareMatrix | CubeMatrix, dict, Callable[[Any], Any]]:
+    """The checked spec of method, and the request lifted onto exact integers
+    with the map that moves its value back (see lift)."""
+    return (checked_spec(method, obj), *lift(obj, dict(params or {})))
 
 
 def evaluate_method(

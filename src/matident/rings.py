@@ -29,6 +29,12 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def power_muls(exponent: int) -> int:
+    """The multiplications Ring.power makes for x**exponent: bit_length - 1
+    squarings and bit_count - 1 further multiplications, none for x**0."""
+    return exponent.bit_length() + exponent.bit_count() - 2 if exponent else 0
+
+
 class Ring:
     """An exact ring whose elements supply ``+ - * / ==`` themselves.
 
@@ -96,9 +102,8 @@ class Ring:
         return self._div_exact(x, k)
 
     def power(self, x: Any, exponent: int) -> Any:
-        """x**exponent for exponent >= 0, with x**0 = one, by square-and-multiply:
-        bit_length - 1 squarings and bit_count - 1 further multiplications.
-        """
+        """x**exponent for exponent >= 0, with x**0 = one, by square-and-multiply
+        (power_muls(exponent) multiplications)."""
         if exponent < 0:
             raise ValueError("ring exponent must be nonnegative")
         if exponent == 0:

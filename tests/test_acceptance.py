@@ -10,7 +10,7 @@ import sys
 import time
 from fractions import Fraction
 
-from matident.bench import count_ops
+from matident.bench import run_counted
 from matident.identities import (
     determinant,
     determinant_identity,
@@ -230,11 +230,11 @@ def test_identity_evaluators_use_only_additive_ops_and_powers():
     clock = _Clock()
     for n in (2, 3, 4):
         matrix = random_integer_matrix(derive_rng(SEED, "structural-det", n), n)
-        report = count_ops("det_identity", matrix)
+        report = run_counted("det_identity", matrix)
         assert report.muls == 0, f"det_identity used {report.muls} free multiplications"
     for n in (2, 3):
         matrix = random_matrix2_matrix(derive_rng(SEED, "structural-eper", n), n)
-        report = count_ops("eper_identity", matrix)
+        report = run_counted("eper_identity", matrix)
         assert report.muls == 0, f"eper_identity used {report.muls} free multiplications"
     clock.report("identity evaluators multiply only inside n-th powers")
 
@@ -244,8 +244,8 @@ def test_identity_multiplication_economy():
     ratios = []
     for n in range(2, 8):
         matrix = random_integer_matrix(derive_rng(SEED, "economy", n), n)
-        identity_muls = count_ops("per_identity", matrix).muls
-        definitional_muls = count_ops("per_definitional", matrix).muls
+        identity_muls = run_counted("per_identity", matrix).muls
+        definitional_muls = run_counted("per_definitional", matrix).muls
         assert identity_muls == 2**n * (n - 1)
         assert definitional_muls == math.factorial(n) * (n - 1)
         if n >= 4:

@@ -9,12 +9,14 @@ from fractions import Fraction
 import pytest
 
 from matident import bench, rings
+from matident.cli import main
 from matident.bench import (
     COMPARED_METHODS,
     CountingRing,
     compare_methods,
     count_ops,
     format_table,
+    run_counted,
     write_records,
 )
 from matident.combinatorics import MAX_ENUMERATION_N
@@ -47,13 +49,13 @@ M3 = SquareMatrix(RATIONAL, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
 
 def test_definitional_permanent_multiplication_count():
     # n! diagonals, n-1 multiplications each
-    report = count_ops("per_definitional", M3)
+    report = run_counted("per_definitional", M3)
     assert report.muls == math.factorial(3) * 2 == 12
     assert report.powers == 0 and report.int_divs == 0
 
 
 def test_ryser_multiplication_count_and_bound():
-    report = count_ops("per_ryser", M3)
+    report = run_counted("per_ryser", M3)
     assert report.muls == (2**3 - 1) * 2 == 14
     assert report.muls <= 3 * (2**3 - 1)
 
@@ -61,36 +63,36 @@ def test_ryser_multiplication_count_and_bound():
 def test_identity_permanent_multiplication_count():
     for n in (2, 3, 4):
         matrix = random_rational_matrix(derive_rng(41, "count", n), n)
-        report = count_ops("per_identity", matrix)
+        report = run_counted("per_identity", matrix)
         assert report.muls == 2**n * (n - 1)
 
 
 def test_determinant_identity_power_count():
-    report = count_ops("det_identity", M3)
+    report = run_counted("det_identity", M3)
     # one n-th power per full diagonal and per length-(n-1) subdiagonal
     assert report.powers == math.factorial(3) + 3 * math.factorial(3) == 24
     assert report.int_divs == 1
 
 
 def test_identity_evaluators_multiply_only_inside_powers():
-    report = count_ops("det_identity", M3)
+    report = run_counted("det_identity", M3)
     assert report.muls == 0 and report.power_muls > 0
     matrix = random_matrix2_matrix(derive_rng(42, "structural"), 2)
-    report = count_ops("eper_identity", matrix)
+    report = run_counted("eper_identity", matrix)
     assert report.muls == 0 and report.power_muls > 0
 
 
 def test_polarization_evaluation_count():
     for n in (2, 3):
         matrix = random_rational_matrix(derive_rng(43, "f-evals", n), n)
-        report = count_ops("per_polarization", matrix)
+        report = run_counted("per_polarization", matrix)
         assert report.f_evals == 2**n
 
 
 def test_instrumented_value_matches_plain_value():
     for method in COMPARED_METHODS:
         value = evaluate_method(method, M3)
-        report = count_ops(method, M3)
+        report = run_counted(method, M3)
         assert report.value == value
         assert evaluate_method(method, M3) == value
 
@@ -105,10 +107,10 @@ def test_counting_ring_reports_its_base():
 
 
 def test_unknown_method_is_rejected():
-    with pytest.raises(ValueError, match="unknown method 'per_quantum'"):
-        count_ops("per_quantum", M3)
     cube = CubeMatrix(RATIONAL, [[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
-    for run in (evaluate_method, count_ops):
+    for run in (evaluate_method, count_ops, run_counted):
+        with pytest.raises(ValueError, match="unknown method 'per_quantum'"):
+            run("per_quantum", M3)
         with pytest.raises(ValueError, match="method detp_definitional expects a cube"):
             run("detp_definitional", M3)
         with pytest.raises(ValueError, match="method per_definitional expects a square matrix"):
@@ -177,8 +179,8 @@ def test_economy_of_the_identity_form():
     ratios = []
     for n in range(2, 8):
         matrix = random_rational_matrix(derive_rng(44, "economy", n), n)
-        identity_muls = count_ops("per_identity", matrix).muls
-        definitional_muls = count_ops("per_definitional", matrix).muls
+        identity_muls = run_counted("per_identity", matrix).muls
+        definitional_muls = run_counted("per_definitional", matrix).muls
         if n >= 4:
             assert identity_muls < definitional_muls
         ratios.append(identity_muls / definitional_muls)
@@ -216,7 +218,7 @@ def test_rational_requests_run_on_integers_with_the_same_value_and_counts(method
         assert value == spec.run(obj, params, OpCounts())
         counting = CountingRing(RATIONAL)
         expected = spec.run(obj.with_ring(counting), params, counting.counts)
-        report = count_ops(method, obj, params)
+        report = run_counted(method, obj, params)
         assert isinstance(report.value, Fraction) and report.value == expected == value
         for field in COUNT_FIELDS:
             assert getattr(report, field) == getattr(counting.counts, field), (n, field)
@@ -261,12 +263,12 @@ def test_single_type_requests_reach_the_evaluator_on_exact_integers(monkeypatch)
 
 
 def _assert_lift_matches_the_original_ring(method, obj, params):
-    """evaluate_method and count_ops agree with spec.run on obj's own ring in
+    """evaluate_method and run_counted agree with spec.run on obj's own ring in
     value, in printed form and in all seven counts."""
     counting = CountingRing(obj.ring)
     expected = METHODS[method].run(obj.with_ring(counting), params, counting.counts)
     value = evaluate_method(method, obj, params)
-    report = count_ops(method, obj, params)
+    report = run_counted(method, obj, params)
     assert type(value) is type(report.value) is type(expected)
     assert value == report.value == expected
     assert str(value) == str(report.value) == str(expected)
@@ -354,7 +356,7 @@ def test_a_polynomial_shift_on_a_rational_matrix_keeps_its_error():
     with pytest.raises(ValueError, match=message):
         evaluate_method("det_identity", matrix, {"gamma": Poly.variable("g")})
     with pytest.raises(ValueError, match=r"is not an element of counting\(rationals\)"):
-        count_ops("det_identity", matrix, {"gamma": Poly.variable("g")})
+        run_counted("det_identity", matrix, {"gamma": Poly.variable("g")})
 
 
 SIZE_LIMITS = {
@@ -384,7 +386,7 @@ def test_costly_methods_are_refused_above_their_size_limit(monkeypatch, method):
         obj = CubeMatrix(RATIONAL, [[[1] * n] * n] * n)
     else:
         obj = SquareMatrix(RATIONAL, [[1] * n] * n)
-    for run in (evaluate_method, count_ops):
+    for run in (evaluate_method, count_ops, run_counted):
         with pytest.raises(ValueError, match=f"{method} supports n up to {limit}, got {n}"):
             run(method, obj)
 
@@ -398,7 +400,7 @@ def test_symbolic_limits_follow_the_entries_not_the_ring(monkeypatch):
     symbolic = symbolic_matrix(n)
     message = f"det_identity supports n up to {n - 1} over polynomials, got {n}"
     for obj in (symbolic, symbolic.with_ring(CountingRing(SYMBOLIC))):
-        for run in (evaluate_method, count_ops):
+        for run in (evaluate_method, count_ops, run_counted):
             with pytest.raises(ValueError, match=message):
                 run("det_identity", obj)
     assert evaluate_method("det_identity", SquareMatrix(RATIONAL, [[1] * n] * n)) == 0
@@ -427,7 +429,7 @@ def test_a_counted_run_raises_each_power_on_its_integer_base_ring(monkeypatch):
     matrix = SquareMatrix(RATIONAL, [[Fraction(1, 2), 2, 0], [3, -1, 4], [1, Fraction(-2, 3), 5]])
     plain = evaluate_method("det_identity", matrix)
     monkeypatch.setattr(rings._IntegerRing, "power", recording)
-    report = count_ops("det_identity", matrix)
+    report = run_counted("det_identity", matrix)
     assert report.value == plain
     assert raised == [3] * report.powers and report.powers == 4 * math.factorial(3)
 
@@ -489,14 +491,16 @@ PINNED_COUNTS = {
 
 def _pinned_count_requests(method, n):
     """Integer, p/q and symbolic requests (and matrix2 ones for eper), each
-    once without shifts and once with a random value for every shift."""
+    once without shifts and once with a random value for every shift; the
+    symbolic ones only up to the method's symbolic size limit."""
     rng = derive_rng(47, "pinned", method, n)
     x = Poly.variable("x")
     draws = [
         (RATIONAL, lambda: random_integer(rng)),
         (RATIONAL, lambda: random_rational(rng)),
-        (SYMBOLIC, lambda: x * random_integer(rng) + random_rational(rng)),
     ]
+    if n <= METHODS[method].symbolic_max_n:
+        draws.append((SYMBOLIC, lambda: x * random_integer(rng) + random_rational(rng)))
     if method.startswith("eper"):
         draws.append((MATRIX2, lambda: random_matrix2_element(rng)))
     for ring, draw in draws:
@@ -516,6 +520,57 @@ def test_every_method_has_pinned_counts():
 @pytest.mark.parametrize("method, n", PINNED_COUNTS)
 def test_counts_are_pinned_and_depend_only_on_method_and_n(method, n):
     for obj, params in _pinned_count_requests(method, n):
-        report = count_ops(method, obj, params)
+        report = run_counted(method, obj, params)
         counts = tuple(getattr(report, field) for field in COUNT_FIELDS)
         assert counts == PINNED_COUNTS[method, n], (obj.ring.name, params)
+
+
+def _counts(report):
+    return tuple(getattr(report, field) for field in COUNT_FIELDS)
+
+
+def test_closed_forms_give_the_pinned_counts_without_running(monkeypatch):
+    def never(matrix, params, counts):
+        raise AssertionError("evaluated")
+
+    for method, spec in list(METHODS.items()):
+        monkeypatch.setitem(METHODS, method, dataclasses.replace(spec, run=never))
+    for (method, n), pinned in PINNED_COUNTS.items():
+        assert _counts(METHODS[method].counts(n)) == pinned, (method, n)
+        obj = next(_pinned_count_requests(method, n))[0]
+        report = count_ops(method, obj)
+        assert _counts(report) == pinned and report.value is None, (method, n)
+
+
+# The largest n each closed form is checked at against counted runs; the
+# n!-sized methods stop at 7, eper_definitional and detp_definitional (n!
+# products of n! terms each) at 5.
+MODEL_SWEEP_MAX_N = {
+    "per_identity": 10,
+    "per_ryser": 10,
+    "per_polarization": 6,
+    "eper_definitional": 5,
+    "detp_definitional": 5,
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_closed_forms_match_counted_runs(method):
+    for n in range(1, MODEL_SWEEP_MAX_N.get(method, 7) + 1):
+        model = _counts(METHODS[method].counts(n))
+        for obj, params in _pinned_count_requests(method, n):
+            assert _counts(run_counted(method, obj, params)) == model, (n, obj.ring.name, params)
+
+
+def test_compare_methods_rejects_a_closed_form_that_disagrees(monkeypatch, capsys):
+    spec = bench.METHODS["per_ryser"]
+
+    def miscounted(n):
+        return dataclasses.replace(spec.counts(n), muls=spec.counts(n).muls + 1)
+
+    monkeypatch.setitem(bench.METHODS, "per_ryser", dataclasses.replace(spec, counts=miscounted))
+    message = "counted per_ryser at n=2 made muls=3 but its closed form gives 4"
+    with pytest.raises(MethodDisagreement, match=message):
+        compare_methods(2, 2, seed=1)
+    assert main(["bench", "--nmin", "2", "--nmax", "2"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -185,12 +185,12 @@ def _wrapped_run(monkeypatch, method, wrap):
     monkeypatch.setitem(bench.METHODS, method, dataclasses.replace(spec, run=wrap(spec.run)))
 
 
-def test_compute_runs_the_evaluator_once_plain_and_once_counted(docs, capsys, monkeypatch):
-    counted = []
+def test_compute_runs_the_evaluator_once_uncounted(docs, capsys, monkeypatch):
+    rings = []
 
     def wrap(real):
         def run_spy(matrix, params, counts):
-            counted.append(isinstance(matrix.ring, CountingRing))
+            rings.append(matrix.ring)
             return real(matrix, params, counts)
 
         return run_spy
@@ -198,21 +198,7 @@ def test_compute_runs_the_evaluator_once_plain_and_once_counted(docs, capsys, mo
     _wrapped_run(monkeypatch, "det_identity", wrap)
     code, out, _ = run(capsys, "compute", "--fn", "det", "--method", "identity", docs["m2"])
     assert code == 0 and out.splitlines()[0] == "value: -2"
-    assert sorted(counted) == [False, True]
-
-
-def test_compute_exits_1_when_the_counted_run_disagrees(docs, capsys, monkeypatch):
-    def wrap(real):
-        def skewed(matrix, params, counts):
-            value = real(matrix, params, counts)
-            return value + 1 if isinstance(matrix.ring, CountingRing) else value
-
-        return skewed
-
-    _wrapped_run(monkeypatch, "per_ryser", wrap)
-    code, out, err = run(capsys, "compute", "--fn", "per", "--method", "ryser", docs["m2"])
-    assert code == 1 and out == ""
-    assert err.startswith("error: instrumented per_ryser produced 11")
+    assert len(rings) == 1 and not isinstance(rings[0], CountingRing)
 
 
 def test_compute_determinant_on_singular_matrix(docs, capsys):
