@@ -135,9 +135,7 @@ METHODS: dict[str, MethodSpec] = {
             "per_ryser",
             SquareMatrix,
             lambda m, p, c: identities.permanent_ryser(m),
-            lambda n: OpCounts(
-                adds=(n + 1) * (2**n - 1), negs=n % 2, muls=(2**n - 1) * (n - 1)
-            ),
+            lambda n: OpCounts(adds=(n + 1) * (2**n - 1), negs=n % 2, muls=(2**n - 1) * (n - 1)),
             symbolic_max_n=6,
         ),
         # 2^n permanents of n x n matrices: n = 7 takes seconds, n = 8 minutes;

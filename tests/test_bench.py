@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from matident import bench, rings
-from matident.cli import main
 from matident.bench import (
     COMPARED_METHODS,
     CountingRing,
@@ -19,6 +18,7 @@ from matident.bench import (
     run_counted,
     write_records,
 )
+from matident.cli import main
 from matident.combinatorics import MAX_ENUMERATION_N
 from matident.matrices import (
     CubeMatrix,
@@ -517,16 +517,15 @@ def test_every_method_has_pinned_counts():
     assert {method for method, _ in PINNED_COUNTS} == set(METHODS)
 
 
+def _counts(report):
+    return tuple(getattr(report, field) for field in COUNT_FIELDS)
+
+
 @pytest.mark.parametrize("method, n", PINNED_COUNTS)
 def test_counts_are_pinned_and_depend_only_on_method_and_n(method, n):
     for obj, params in _pinned_count_requests(method, n):
-        report = run_counted(method, obj, params)
-        counts = tuple(getattr(report, field) for field in COUNT_FIELDS)
+        counts = _counts(run_counted(method, obj, params))
         assert counts == PINNED_COUNTS[method, n], (obj.ring.name, params)
-
-
-def _counts(report):
-    return tuple(getattr(report, field) for field in COUNT_FIELDS)
 
 
 def test_closed_forms_give_the_pinned_counts_without_running(monkeypatch):
