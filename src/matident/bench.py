@@ -2,24 +2,22 @@
 
 count_ops reads a request's counts from the registry's closed forms without
 running anything; that is what compute prints.  run_counted measures them:
-rebinding a matrix to a CountingRing makes every ring operation tick a
-counter while the computed values stay exactly what the base ring produces,
-powers included.  The multiplications a power stands for are tallied from
-its exponent's bits, apart from free-form ones, which is how the structural
-claim "identity evaluators multiply only inside n-th powers" is checked.
-compare_methods runs every compared method counted and checks its counts
-against the closed form.  The evaluators themselves come from the registry
-in methods.
+rebinding a matrix to a CountingRing makes every ring operation a call that
+ticks a counter.  Its folds are Ring's own loops, one call per operation,
+while a power runs whole on the base ring and the multiplications it stands
+for are tallied from its exponent's bits, apart from free-form ones, which
+is how the structural claim "identity evaluators multiply only inside n-th
+powers" is checked.  compare_methods runs every compared method counted,
+checks its counts against the closed form and its value against a plain run,
+whose folds are the base ring's own.  The evaluators themselves come from
+the registry in methods.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import replace
-from functools import partial
-from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Mapping
 
 from .matrices import CubeMatrix, SquareMatrix
 from .methods import (
@@ -40,10 +38,9 @@ from .sampling import derive_rng, random_integer_matrix
 class CountingRing(Ring):
     """Wrapper ring that counts operations and delegates values to a base ring.
 
-    The base ring runs every fold and every power whole.  The wrapper counts
-    each fold's items as they stream past and tallies the operations from
-    their number, and a power's multiplications from the exponent's bits, so
-    no operation inside a fold or a power is a call of its own.
+    Every operation is one call that ticks its counter, the folds included:
+    they are Ring's loops over the overrides.  Only a power runs whole on the
+    base ring, and its multiplications are tallied from the exponent's bits.
     """
 
     def __init__(self, base: Ring):
@@ -76,38 +73,6 @@ class CountingRing(Ring):
         value = self.base.power(x, exponent)
         self.counts.powers += 1
         self.counts.power_muls += power_muls(exponent)
-        return value
-
-    @staticmethod
-    def _fold(fold: Callable[[Iterable], Any], items: Iterable) -> tuple[Any, int]:
-        """fold(items) and the number of items it consumed."""
-        tally = itertools.count()
-        value = fold(map(itemgetter(0), zip(items, tally)))
-        return value, next(tally)
-
-    def sum(self, items: Iterable[Any]) -> Any:
-        value, k = self._fold(self.base.sum, items)
-        self.counts.adds += max(k - 1, 0)
-        return value
-
-    def signed_sum(self, pairs: Iterable[tuple[int, Any]]) -> Any:
-        value, k = self._fold(self.base.signed_sum, pairs)
-        self.counts.adds += k
-        return value
-
-    def product(self, items: Iterable[Any]) -> Any:
-        # A product has at most n factors, so a tuple is cheaper than _fold.
-        items = tuple(items)
-        if items:
-            self.counts.muls += len(items) - 1
-        return self.base.product(items)
-
-    def diagonal_sum(
-        self, rows: Sequence[Sequence[Any]], pairs: Iterable[tuple[Sequence[int], int]]
-    ) -> Any:
-        value, k = self._fold(partial(self.base.diagonal_sum, rows), pairs)
-        self.counts.muls += k * (len(rows) - 1)
-        self.counts.adds += k
         return value
 
 

@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_document(path: str) -> MatrixDocument:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     return parse_document(text)
 

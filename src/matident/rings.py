@@ -432,7 +432,8 @@ class _IntegerRing(Ring):
 
     The folds and powers run on the builtins (sum, math.prod, int powers),
     which give the same exact values as Ring's one-call-per-operation folds
-    and square-and-multiply.  A counting ring over this one runs them too.
+    and square-and-multiply.  A counting ring over this one runs only its
+    powers; its folds are Ring's loops.
     """
 
     def sum(self, items: Iterable[int]) -> int:

@@ -430,8 +430,7 @@ def test_packed_folds_call_neither_add_nor_sub(monkeypatch):
 
     monkeypatch.setattr(ring, "add", refuse)
     monkeypatch.setattr(ring, "sub", refuse)
-    for folding in (ring, CountingRing(ring)):
-        assert (folding.signed_sum(pairs), folding.diagonal_sum(rows, diagonals)) == expected
+    assert (ring.signed_sum(pairs), ring.diagonal_sum(rows, diagonals)) == expected
 
 
 class _CallCountingRing(rings.Ring):
