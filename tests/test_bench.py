@@ -434,6 +434,23 @@ def test_a_counted_run_raises_each_power_on_its_integer_base_ring(monkeypatch):
     assert raised == [3] * report.powers and report.powers == 4 * math.factorial(3)
 
 
+def test_counted_runs_fold_through_ring_loops_not_the_integer_folds(monkeypatch):
+    requests = []
+    for method in COMPARED_METHODS:
+        for n in range(1, 6):
+            matrix, _ = _rational_request(method, n)
+            requests.append((method, matrix, evaluate_method(method, matrix)))
+
+    def refuse(*args):
+        raise AssertionError("a counted run called a native integer fold")
+
+    for fold in ("sum", "signed_sum", "product", "diagonal_sum"):
+        monkeypatch.setattr(rings._INTEGER, fold, refuse)
+    for method, matrix, value in requests:
+        report = run_counted(method, matrix)
+        assert report == dataclasses.replace(count_ops(method, matrix), value=value)
+
+
 def test_signed_sum_makes_one_add_or_sub_per_item_starting_from_zero():
     counting = CountingRing(RATIONAL)
     assert counting.signed_sum([]) == 0 and counting.counts.adds == 0

@@ -558,15 +558,20 @@ def test_bench_prints_table_and_writes_records(tmp_path, capsys):
     assert all("wall" not in key for row in rows for key in row)
 
 
-def test_bench_prints_the_recorded_table(capsys):
-    # The CI workflow diffs the installed command against the same file; it
-    # pins every op count of the compared methods up to n = 6.
-    recorded = Path(__file__).resolve().parent / "data" / "bench_stdout"
-    assert run(capsys, "bench", "--nmin", "1", "--nmax", "6", "--seed", "1") == (
-        0,
-        (recorded / "nmin1-nmax6-seed1.txt").read_text(),
-        "",
-    )
+BENCH_DIR = Path(__file__).resolve().parent / "data" / "bench_stdout"
+
+# The CI workflow diffs the installed command against the same files.  Together
+# they pin every counted op count of the compared methods up to MAX_BENCH_N.
+RECORDED_BENCH = {
+    "nmin1-nmax6-seed1.txt": ["--nmin", "1", "--nmax", "6", "--seed", "1"],
+    "nmin7-nmax8-seed1.txt": ["--nmin", "7", "--nmax", "8", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("name", RECORDED_BENCH)
+def test_bench_prints_the_recorded_table(name, capsys):
+    expected = (BENCH_DIR / name).read_text()
+    assert run(capsys, "bench", *RECORDED_BENCH[name]) == (0, expected, "")
 
 
 COMPUTE_DIR = Path(__file__).resolve().parent / "data" / "compute_stdout"
@@ -607,6 +612,14 @@ def test_compute_prints_the_recorded_bytes(name, capsys):
     fn, method, *flags, document = RECORDED_COMPUTE[name]
     argv = ["compute", "--fn", fn, "--method", method, *flags, str(COMPUTE_DIR / document)]
     assert run(capsys, *argv) == (0, (COMPUTE_DIR / name).read_text(), "")
+
+
+def test_compute_names_a_document_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "compute", "--fn", "per", "--method", "ryser", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ")
 
 
 def test_bench_refuses_an_unwritable_out_path_before_printing(tmp_path, capsys):

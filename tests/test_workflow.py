@@ -4,12 +4,11 @@ the tier-1 tests check, case for case."""
 import shlex
 from pathlib import Path
 
-from test_cli import COMPUTE_DIR, RECORDED_COMPUTE
+from test_cli import BENCH_DIR, COMPUTE_DIR, RECORDED_BENCH, RECORDED_COMPUTE
 from test_verify import RECORDED, STDOUT_DIR
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
-BENCH_DIR = ROOT / "tests" / "data" / "bench_stdout"
 
 
 def _step(name):
@@ -46,6 +45,9 @@ def test_ci_diffs_the_recorded_bench_table():
     words = _step("Installed bench prints the recorded table")
     runs = [line[1:line.index(">")] for line in words if line[:1] == ["matident"]]
     diffed = [line[1] for line in words if line[:1] == ["diff"]]
-    assert runs == [["bench", "--nmin", "1", "--nmax", "6", "--seed", "1"]]
-    assert diffed == ["tests/data/bench_stdout/nmin1-nmax6-seed1.txt"]
-    assert [path.name for path in BENCH_DIR.iterdir()] == ["nmin1-nmax6-seed1.txt"]
+    expected = [
+        (["bench", *argv], f"tests/data/bench_stdout/{name}")
+        for name, argv in RECORDED_BENCH.items()
+    ]
+    assert len(runs) == len(diffed) and list(zip(runs, diffed)) == expected
+    assert sorted(path.name for path in BENCH_DIR.iterdir()) == sorted(RECORDED_BENCH)
