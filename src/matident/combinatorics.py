@@ -1,10 +1,15 @@
 """Permutation, diagonal, and submatrix streams as plain tuples.
 
-Every index is 0-based and every stream is a generator in a fixed,
-documented order, so it is restartable:
+Every index is 0-based and every stream comes in a fixed, documented order;
+each enumerate_* function is a generator, so it is restartable:
 
 - enumerate_permutations(n) yields (image, sign): image[i] is the column
   picked in row i, and sign is EVEN (1) or ODD (-1).
+- diagonals(n) returns (signs, pickers), the same permutations in the same
+  order as C-level getters: pickers[k](flat) is the tuple of entries that
+  diagonal k picks from a matrix's row-major entries flat.  For n up to
+  TABLE_MAX_N both are tuples built once per process; above it they are
+  one-shot iterators.
 - enumerate_subdiagonals(n, k, sign) yields a tuple of k (row, col)
   positions.
 - enumerate_submatrices(n) yields (rows, cols), two sorted nonempty tuples.
@@ -20,14 +25,20 @@ documented order, so it is restartable:
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterator
+from operator import add, itemgetter, methodcaller, neg
+from typing import Callable, Iterable, Iterator
 
 EVEN = 1
 ODD = -1
 
 # Full permutation streams above this size are unreasonable on a desk machine.
 MAX_ENUMERATION_N = 10
+
+# diagonals(n) keeps a table for n up to this size: the tables for n = 1..7
+# take 1.03 MB together (tracemalloc), where one at n = 8 would take 7.4 MB.
+TABLE_MAX_N = 7
 
 
 def _check_n(n: int) -> None:
@@ -51,6 +62,59 @@ def enumerate_permutations(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     codes = itertools.product(*(range(n - i) for i in range(n)))
     for image, code in zip(itertools.permutations(range(n)), codes):
         yield image, ODD if sum(code) % 2 else EVEN
+
+
+def _blocks(n: int, m: int) -> tuple[Iterator[int], Iterator[tuple[int, ...]]]:
+    """The signs and the flat positions i*n + image[i] of the permutations of
+    0..n-1 in lexicographic order, from the table of size m < n.
+
+    The order comes in blocks, one per choice of the columns that the first
+    n - m rows pick, in lexicographic order (itertools.permutations with
+    r = n - m).  A block lists the permutations of the m columns left, which
+    are those of 0..m-1 relabelled in order, so the last m rows take the
+    table's positions read through the minor of those rows and columns.
+    The first rows' picks are the first Lehmer digits, so the table's signs
+    flip when those digits have an odd sum.  Every loop per permutation runs
+    in C.
+    """
+    table_signs, pickers = _table(m)
+    flipped = tuple(map(neg, table_signs))
+    signs, positions = [], []
+    for prefix in itertools.permutations(range(n), n - m):
+        others = [col for col in range(n) if col not in prefix]
+        minor = tuple(i * n + col for i in range(n - m, n) for col in others)
+        head = tuple(i * n + col for i, col in enumerate(prefix))
+        digits = sum(col - sum(map(col.__gt__, prefix[:i])) for i, col in enumerate(prefix))
+        signs.append(flipped if digits % 2 else table_signs)
+        picked = map(methodcaller("__call__", minor), pickers)
+        positions.append(map(add, itertools.repeat(head), picked))
+    return itertools.chain.from_iterable(signs), itertools.chain.from_iterable(positions)
+
+
+@functools.cache
+def _table(n: int) -> tuple[tuple[int, ...], tuple[Callable[[tuple], tuple], ...]]:
+    if n == 1:
+        return (EVEN,), (itemgetter(slice(0, 1)),)
+    signs, positions = _blocks(n, n - 1)
+    return tuple(signs), tuple(itertools.starmap(itemgetter, positions))
+
+
+def diagonals(n: int) -> tuple[Iterable[int], Iterable[Callable[[tuple], tuple]]]:
+    """The signs and the diagonal pickers of enumerate_permutations(n), in its order.
+
+    pickers[k](flat) is the tuple of the entries that permutation k picks from
+    a matrix's row-major entries flat, row i giving flat[i*n + image[i]] (a
+    slice at n = 1, so the pick is a tuple there too).  Up to TABLE_MAX_N
+    both are tuples, built on the first call and returned by every later one.
+    Above it they are fresh one-shot iterators, built block by block from
+    the table at TABLE_MAX_N (see _blocks), so a consumer that walks the
+    diagonals twice calls diagonals twice.
+    """
+    _check_n(n)
+    if n <= TABLE_MAX_N:
+        return _table(n)
+    signs, positions = _blocks(n, TABLE_MAX_N)
+    return signs, itertools.starmap(itemgetter, positions)
 
 
 def enumerate_subdiagonals(n: int, k: int, sign: int) -> Iterator[tuple[tuple[int, int], ...]]:

@@ -4,12 +4,13 @@ Each function family pairs a brute-force definitional evaluator (the oracle)
 with an algebraic identity that rebuilds the same value from sums of entries
 raised to the n-th power.  Every evaluator is one signed sum over a stream
 from `combinatorics`, folded by `Ring.signed_sum`, or by `Ring.diagonal_sum`
-where each term is the product of one diagonal's entries.  The determinant and
-symmetrized-permanent identities use only addition, subtraction, n-th powers
-and one exact division by n!; the permanent and space-determinant identities
-multiply row sums instead.  Their agreement with the definitional forms over
-every supported ring is the package's central claim and is what the verify
-suites check.
+where each term is the product of one diagonal's entries, picked from the
+matrix's row-major entries by the table of `combinatorics.diagonals`.  The
+determinant and symmetrized-permanent identities use only addition,
+subtraction, n-th powers and one exact division by n!; the permanent and
+space-determinant identities multiply row sums instead.  Their agreement
+with the definitional forms over every supported ring is the package's
+central claim and is what the verify suites check.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import getitem
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .combinatorics import (
     EVEN,
+    diagonals,
     enumerate_gray_steps,
     enumerate_permutations,
     enumerate_transpositions,
@@ -56,12 +57,22 @@ def _checked_param(matrix: SquareMatrix | CubeMatrix, value: Any) -> Any:
     return ring.zero() if value is None else _checked_shift(ring, value)
 
 
+def _flat(rows: Iterable[Iterable[Any]]) -> tuple:
+    """The entries of rows in row-major order, as diagonals' pickers read them."""
+    return tuple(itertools.chain.from_iterable(rows))
+
+
+def _flat_permanent(ring: Ring, flat: tuple, n: int) -> Any:
+    """The permanent of the n x n matrix whose row-major entries are flat."""
+    _, pickers = diagonals(n)
+    return ring.diagonal_sum(flat, itertools.repeat(EVEN), pickers)
+
+
 def permanent(matrix: SquareMatrix) -> Any:
     """Sum of products over all diagonals (the definitional permanent)."""
     ring = matrix.ring
     _require_commutative(ring, "permanent")
-    pairs = ((image, EVEN) for image, _ in enumerate_permutations(matrix.n))
-    return ring.diagonal_sum(matrix.entries, pairs)
+    return _flat_permanent(ring, _flat(matrix.entries), matrix.n)
 
 
 def _gray_sums(
@@ -117,7 +128,7 @@ def determinant(matrix: SquareMatrix) -> Any:
     """Alternating sum of products over all diagonals (the definitional determinant)."""
     ring = matrix.ring
     _require_commutative(ring, "determinant")
-    return ring.diagonal_sum(matrix.entries, enumerate_permutations(matrix.n))
+    return ring.diagonal_sum(_flat(matrix.entries), *diagonals(matrix.n))
 
 
 def _diagonal_residual(matrix: SquareMatrix, t: int, shift: Any) -> Any:
@@ -225,11 +236,9 @@ def symmetrized_permanent(matrix: SquareMatrix) -> Any:
     permanent.
     """
     ring = matrix.ring
-    rows = matrix.entries
-    return ring.signed_sum(
-        (EVEN, symmetrize(ring, map(getitem, rows, image)))
-        for image, _ in enumerate_permutations(matrix.n)
-    )
+    flat = _flat(matrix.entries)
+    _, pickers = diagonals(matrix.n)
+    return ring.signed_sum((EVEN, symmetrize(ring, pick(flat))) for pick in pickers)
 
 
 def _signed_submatrix_power_sum(matrix: SquareMatrix, exponent: int, delta: Any) -> Any:
@@ -304,14 +313,14 @@ def space_determinant(cube: CubeMatrix) -> Any:
 
     For each permutation s the matrix whose i-th column is column s(i) of
     section i is assembled and its permanent weighted by the sign of s.  The
-    n! permutations are drawn once and serve every inner permanent too.
+    outer walk is enumerate_permutations; each inner permanent picks its
+    diagonals from the assembled matrix's flat entries with diagonals(n).
     """
     ring = cube.ring
-    permutations = list(enumerate_permutations(cube.n))
-    unsigned = [(image, EVEN) for image, _ in permutations]
+    n = cube.n
     return ring.signed_sum(
-        (sign, ring.diagonal_sum(_assembled_rows(cube, image), unsigned))
-        for image, sign in permutations
+        (sign, _flat_permanent(ring, _flat(_assembled_rows(cube, image)), n))
+        for image, sign in enumerate_permutations(n)
     )
 
 

@@ -106,12 +106,14 @@ class MethodSpec:
 # symbolic document of distinct variables (a cube for detp), as the whole-run
 # times below show (README.md, size limits).  The times were measured when a
 # compute made two runs, a plain and a counted one; it now makes one, and
-# the limits are kept as they were.
+# the limits are kept as they were.  The definitional per, det and detp times
+# are one-run computes, re-measured with the diagonal tables, apart from the
+# symbolic ones above the limit.
 METHODS: dict[str, MethodSpec] = {
     spec.name: spec
     for spec in (
-        # n! diagonals: 1.5 s at n = 9, 17 s at n = 10; symbolic 1.4-2 s at
-        # n = 8, 15.7 s at n = 9.
+        # n! diagonals: 0.47-0.50 s at n = 9, 5.1 s at n = 10; symbolic
+        # 0.78-0.82 s at n = 8, 15.7 s at n = 9 (two runs).
         MethodSpec(
             "per_definitional",
             SquareMatrix,
@@ -148,8 +150,8 @@ METHODS: dict[str, MethodSpec] = {
             max_n=7,
             symbolic_max_n=5,
         ),
-        # n! diagonals: 1.5 s at n = 9, 15 s at n = 10; symbolic 1.3-2 s at
-        # n = 8, 14.5-18.8 s at n = 9.
+        # n! diagonals: 0.47 s at n = 9, 4.4 s at n = 10; symbolic 0.80-0.82 s
+        # at n = 8, 14.5-18.8 s at n = 9 (two runs).
         MethodSpec(
             "det_definitional",
             SquareMatrix,
@@ -201,9 +203,8 @@ METHODS: dict[str, MethodSpec] = {
             max_n=9,
             symbolic_max_n=4,
         ),
-        # n! permanents of n! diagonals each: at n = 6 a plain and a counted run
-        # take about 0.5 s each; at n = 7 the plain run alone takes 25 s.
-        # Symbolic 0.7-1.2 s at n = 5, 37 s at n = 6.
+        # n! permanents of n! diagonals each: 0.35-0.38 s at n = 6, 13.6 s at
+        # n = 7; symbolic 0.40-0.51 s at n = 5, 37 s at n = 6 (two runs).
         MethodSpec(
             "detp_definitional",
             CubeMatrix,

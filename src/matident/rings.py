@@ -20,7 +20,7 @@ import math
 import re
 from fractions import Fraction
 from functools import reduce
-from operator import getitem, or_
+from operator import methodcaller, mul, or_
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 VARIABLE_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -43,7 +43,8 @@ class Ring:
     operator.  Wrapper rings (the counting ring) subclass it and override the
     operation methods, so operations stay methods, never instance attributes,
     and the folds (sum, signed_sum, product, diagonal_sum) go through the
-    overrides.
+    overrides.  diagonal_sum is signed_sum over the products of the diagonals
+    that a table of combinatorics.diagonals picks from a flat entry tuple.
     """
 
     def __init__(
@@ -145,13 +146,14 @@ class Ring:
         return self.one() if total is None else total
 
     def diagonal_sum(
-        self, rows: Sequence[Sequence[Any]], pairs: Iterable[tuple[Sequence[int], int]]
+        self, flat: Sequence[Any], signs: Iterable[int], pickers: Iterable[Callable]
     ) -> Any:
-        """Signed sum over (image, sign) pairs of the product of the entries
-        image picks from rows, row i giving entry image[i]: one product of
-        len(rows) entries and one add or sub per pair."""
-        product = self.product
-        return self.signed_sum((sign, product(map(getitem, rows, image))) for image, sign in pairs)
+        """Signed sum over the diagonals of a matrix whose row-major entries
+        are flat: pickers[k](flat) gives diagonal k's entries in row order
+        (see combinatorics.diagonals) and signs[k] its sign.  One product of
+        the picked entries and one add or sub per diagonal."""
+        picked = map(methodcaller("__call__", flat), pickers)
+        return self.signed_sum(zip(signs, map(self.product, picked)))
 
 
 def _accumulate(terms: dict, pairs: Iterable[tuple[int, Mapping]]) -> dict:
@@ -432,8 +434,10 @@ class _IntegerRing(Ring):
 
     The folds and powers run on the builtins (sum, math.prod, int powers),
     which give the same exact values as Ring's one-call-per-operation folds
-    and square-and-multiply.  A counting ring over this one runs only its
-    powers; its folds are Ring's loops.
+    and square-and-multiply.  diagonal_sum maps the pickers, math.prod and
+    the signs over the diagonals, so no Python frame runs per diagonal.  A
+    counting ring over this one runs only its powers; its folds are Ring's
+    loops.
     """
 
     def sum(self, items: Iterable[int]) -> int:
@@ -446,13 +450,11 @@ class _IntegerRing(Ring):
         return math.prod(items)
 
     def diagonal_sum(
-        self, rows: Sequence[Sequence[int]], pairs: Iterable[tuple[Sequence[int], int]]
+        self, flat: Sequence[int], signs: Iterable[int], pickers: Iterable[Callable]
     ) -> int:
-        prod = math.prod
-        return sum(
-            prod(map(getitem, rows, image)) if sign > 0 else -prod(map(getitem, rows, image))
-            for image, sign in pairs
-        )
+        # Every loop runs in C: pick, multiply out, apply the sign, add up.
+        picked = map(methodcaller("__call__", flat), pickers)
+        return sum(map(mul, signs, map(math.prod, picked)))
 
     def power(self, x: int, exponent: int) -> int:
         if exponent < 0:

@@ -5,10 +5,14 @@ import math
 
 import pytest
 
+from matident import combinatorics
+from matident.bench import run_counted
 from matident.combinatorics import (
     EVEN,
     MAX_ENUMERATION_N,
     ODD,
+    TABLE_MAX_N,
+    diagonals,
     enumerate_gray_steps,
     enumerate_permutations,
     enumerate_subdiagonals,
@@ -16,9 +20,18 @@ from matident.combinatorics import (
     enumerate_transpositions,
 )
 from matident.identities import symmetrize
+from matident.matrices import CubeMatrix, symbolic_matrix
+from matident.methods import METHODS, OpCounts, evaluate_method
 from matident.rings import MATRIX2, RATIONAL, MatrixElement, Poly, SYMBOLIC
+from matident.sampling import (
+    derive_rng,
+    random_integer_matrix,
+    random_matrix2_matrix,
+    random_rational,
+    random_rational_matrix,
+)
 
-from oracles import cycle_sign, even_transpositions
+from oracles import brute_permanent, cycle_sign, even_transpositions, gauss_determinant
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -58,6 +71,100 @@ def test_enumeration_size_cap():
         list(enumerate_permutations(MAX_ENUMERATION_N + 1))
     with pytest.raises(ValueError):
         list(enumerate_permutations(0))
+
+
+def _picked_positions(n, pickers):
+    """What each picker takes from the row-major positions 0..n*n-1."""
+    flat = tuple(range(n * n))
+    return [pick(flat) for pick in pickers]
+
+
+def _expected_diagonals(n):
+    """The signs of enumerate_permutations(n) and the flat positions
+    i*n + image[i] of each of its images."""
+    perms = list(enumerate_permutations(n))
+    positions = [tuple(i * n + col for i, col in enumerate(image)) for image, _ in perms]
+    return [sign for _, sign in perms], positions
+
+
+@pytest.mark.parametrize("n", range(1, TABLE_MAX_N + 1))
+def test_diagonal_tables_pick_the_permutation_stream_in_order(n):
+    signs, pickers = diagonals(n)
+    assert isinstance(signs, tuple) and isinstance(pickers, tuple)
+    assert (list(signs), _picked_positions(n, pickers)) == _expected_diagonals(n)
+    # Built once: every later call returns the same table.
+    assert diagonals(n) is diagonals(n)
+
+
+def test_the_one_diagonal_of_a_1x1_matrix_is_picked_as_a_1_tuple():
+    signs, (pick,) = diagonals(1)
+    assert signs == (EVEN,)
+    assert pick(("x",)) == ("x",)
+
+
+@pytest.mark.parametrize("n", [TABLE_MAX_N + 1, TABLE_MAX_N + 2])
+def test_diagonals_above_the_table_cap_stream_the_same_order(n):
+    signs, pickers = diagonals(n)
+    assert iter(signs) is signs and iter(pickers) is pickers
+    assert (list(signs), _picked_positions(n, pickers)) == _expected_diagonals(n)
+    with pytest.raises(ValueError):
+        diagonals(MAX_ENUMERATION_N + 1)
+    with pytest.raises(ValueError):
+        diagonals(0)
+
+
+def test_definitional_sums_above_the_table_cap_cache_no_table(monkeypatch):
+    # Above the cap the diagonals come block by block from the tables up to
+    # the cap; every table asked for, the recursion's own included, is
+    # recorded.
+    table = combinatorics._table
+    table.cache_clear()
+    asked = []
+    monkeypatch.setattr(combinatorics, "_table", lambda n: asked.append(n) or table(n))
+    matrix = random_integer_matrix(derive_rng(28, "above the cap"), TABLE_MAX_N + 1)
+    assert evaluate_method("det_definitional", matrix) == gauss_determinant(matrix.entries)
+    assert evaluate_method("per_definitional", matrix) == brute_permanent(matrix.entries)
+    assert max(asked) == TABLE_MAX_N
+    assert table.cache_info().currsize == TABLE_MAX_N
+
+
+def _requests(method, rng):
+    """Seeded requests for method up to n = 4 over every ring it takes, with
+    a random value for every shift."""
+    kind = METHODS[method].kind
+    for n in range(1, 5):
+        params = {
+            "gammas": tuple(random_rational(rng) for _ in range(n)),
+            "gamma": random_rational(rng),
+            "delta": random_rational(rng),
+        }
+        if kind is CubeMatrix:
+            cells = [[[random_rational(rng) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+            yield CubeMatrix(RATIONAL, cells), params
+            continue
+        yield random_rational_matrix(rng, n), params
+        if n <= 3:
+            yield symbolic_matrix(n), {}
+            if method.startswith("eper"):
+                yield random_matrix2_matrix(rng, n), {}
+
+
+def test_no_registry_method_changes_the_cached_tables():
+    tables = {n: diagonals(n) for n in range(1, TABLE_MAX_N + 1)}
+    for method, spec in METHODS.items():
+        for obj, params in _requests(method, derive_rng(28, "tables", method)):
+            # Lifted, plain on the request's own ring, and counted.
+            evaluate_method(method, obj, params)
+            spec.run(obj, params, OpCounts())
+            run_counted(method, obj, params)
+    for method in ("det_definitional", "per_definitional"):
+        evaluate_method(method, random_integer_matrix(derive_rng(28, method), TABLE_MAX_N))
+    for n, table in tables.items():
+        assert diagonals(n) is table
+        fresh_signs, fresh_pickers = combinatorics._table.__wrapped__(n)
+        signs, pickers = table
+        assert signs == fresh_signs
+        assert _picked_positions(n, pickers) == _picked_positions(n, fresh_pickers)
 
 
 def test_diagonals_split_by_parity():

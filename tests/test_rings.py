@@ -4,7 +4,7 @@ division in their lifted integer twins."""
 import itertools
 import re
 from fractions import Fraction
-from operator import getitem
+from operator import getitem, itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +142,21 @@ def _generic_diagonal_sum(ring, rows, pairs):
     return rings.Ring.signed_sum(ring, products)
 
 
+def _flat_diagonals(rows, pairs):
+    """diagonal_sum's arguments for (image, sign) pairs over rows: the
+    row-major entries, the signs, and per image a getter of the positions
+    i*n + image[i] that returns a tuple (a slice when n = 1)."""
+    n = len(rows)
+    flat = tuple(entry for row in rows for entry in row)
+    pickers = [
+        itemgetter(*(i * n + col for i, col in enumerate(image)))
+        if n > 1
+        else itemgetter(slice(0, 1))
+        for image, _ in pairs
+    ]
+    return flat, [sign for _, sign in pairs], pickers
+
+
 @given(
     integer_lists,
     st.lists(signs, max_size=8),
@@ -174,8 +189,8 @@ def test_native_integer_folds_match_the_generic_folds(items, sign_list, x, expon
         ring.signed_sum(iter(pairs)),
         ring.signed_sum([]),
         ring.signed_sum([(1, y), (-1, y)]),
-        ring.diagonal_sum(rows, diagonals),
-        ring.diagonal_sum(rows, []),
+        ring.diagonal_sum(*_flat_diagonals(rows, diagonals)),
+        ring.diagonal_sum(*_flat_diagonals(rows, [])),
     ]
     assert results == [
         _naive_packed_sum([(1, y), (1, z)]),
@@ -430,7 +445,8 @@ def test_packed_folds_call_neither_add_nor_sub(monkeypatch):
 
     monkeypatch.setattr(ring, "add", refuse)
     monkeypatch.setattr(ring, "sub", refuse)
-    assert (ring.signed_sum(pairs), ring.diagonal_sum(rows, diagonals)) == expected
+    flat_diagonals = _flat_diagonals(rows, diagonals)
+    assert (ring.signed_sum(pairs), ring.diagonal_sum(*flat_diagonals)) == expected
 
 
 class _CallCountingRing(rings.Ring):
@@ -485,12 +501,13 @@ def fold_requests(draw):
 @settings(max_examples=60, deadline=None)
 def test_counted_folds_tally_what_one_call_per_operation_counts(request):
     ring, items, sign_list, rows, pairs, x, exponent = request
+    flat, diagonal_signs, pickers = _flat_diagonals(rows, pairs)
     folds = (
         ("muls", lambda r: r.product(items)),
         ("muls", lambda r: r.sum(items)),
         ("muls", lambda r: r.signed_sum(zip(sign_list, items))),
-        ("muls", lambda r: r.diagonal_sum(rows, pairs)),
-        ("muls", lambda r: r.diagonal_sum(rows, iter(pairs))),
+        ("muls", lambda r: r.diagonal_sum(flat, diagonal_signs, pickers)),
+        ("muls", lambda r: r.diagonal_sum(flat, iter(diagonal_signs), iter(pickers))),
         ("power_muls", lambda r: r.power(x, exponent)),
     )
     for field, fold in folds:
@@ -507,7 +524,7 @@ def test_counted_empty_folds_count_nothing():
         counting = CountingRing(ring)
         assert counting.product([]) == ring.one()
         assert counting.sum([]) == counting.signed_sum([]) == ring.zero()
-        assert counting.diagonal_sum([[ring.one()]], []) == ring.zero()
+        assert counting.diagonal_sum((ring.one(),), [], []) == ring.zero()
         assert counting.power(ring.from_int(2), 0) == ring.one()
         assert counting.product([ring.from_int(3)]) == ring.from_int(3)
         assert counting.counts == OpCounts(powers=1)
@@ -527,9 +544,11 @@ def test_diagonal_sums_match_the_brute_permanent_and_determinant(name, n, data):
     ring, elements = FOLD_RINGS[name]
     rows = data.draw(st.lists(st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n))
     images = list(itertools.permutations(range(n)))
-    unsigned = [(image, 1) for image in images]
-    signed = [(image, cycle_sign(image)) for image in images]
+    flat, _, pickers = _flat_diagonals(rows, [(image, 1) for image in images])
+    signs = [cycle_sign(image) for image in images]
     polys_rows = [[_as_poly(x) for x in row] for row in rows]
     for evaluator in (ring, CountingRing(ring)):
-        assert _as_poly(evaluator.diagonal_sum(rows, unsigned)) == brute_permanent(polys_rows)
-        assert _as_poly(evaluator.diagonal_sum(rows, signed)) == brute_determinant(polys_rows)
+        permanent = evaluator.diagonal_sum(flat, itertools.repeat(1), pickers)
+        determinant = evaluator.diagonal_sum(flat, signs, pickers)
+        assert _as_poly(permanent) == brute_permanent(polys_rows)
+        assert _as_poly(determinant) == brute_determinant(polys_rows)
