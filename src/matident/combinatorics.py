@@ -93,6 +93,7 @@ def _blocks(n: int, m: int) -> tuple[Iterator[int], Iterator[tuple[int, ...]]]:
 
 @functools.cache
 def _table(n: int) -> tuple[tuple[int, ...], tuple[Callable[[tuple], tuple], ...]]:
+    """diagonals(n) for n up to TABLE_MAX_N, each built from the table below."""
     if n == 1:
         return (EVEN,), (itemgetter(slice(0, 1)),)
     signs, positions = _blocks(n, n - 1)

@@ -44,7 +44,7 @@ class Ring:
     operation methods, so operations stay methods, never instance attributes,
     and the folds (sum, signed_sum, product, diagonal_sum) go through the
     overrides.  diagonal_sum is signed_sum over the products of the diagonals
-    that a table of combinatorics.diagonals picks from a flat entry tuple.
+    that the pickers of combinatorics.diagonals take from a flat entry tuple.
     """
 
     def __init__(
