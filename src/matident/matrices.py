@@ -37,6 +37,17 @@ class SquareMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _of(cls, ring: Ring, entries: tuple[tuple, ...]) -> "SquareMatrix":
+        """The matrix of n rows of n elements of ring, as tuples, built without
+        coercing or checking them: for entries that are ring elements by
+        construction (a lift's, another matrix's, duplicated columns)."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "ring", ring)
+        object.__setattr__(matrix, "n", len(entries))
+        object.__setattr__(matrix, "entries", entries)
+        return matrix
+
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("SquareMatrix instances are immutable")
 
@@ -45,7 +56,7 @@ class SquareMatrix:
 
     def with_ring(self, ring: Ring) -> "SquareMatrix":
         """The same entries viewed through another ring (e.g. a counting wrapper)."""
-        return SquareMatrix(ring, self.entries)
+        return SquareMatrix._of(ring, self.entries)
 
     def __repr__(self) -> str:
         return f"SquareMatrix(n={self.n}, ring={self.ring.name})"
@@ -77,11 +88,21 @@ class CubeMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "sections", frozen)
 
+    @classmethod
+    def _of(cls, ring: Ring, sections: tuple[tuple[tuple, ...], ...]) -> "CubeMatrix":
+        """The cube of n n x n sections of elements of the commutative ring, as
+        tuples, built without coercing or checking them (see SquareMatrix._of)."""
+        cube = object.__new__(cls)
+        object.__setattr__(cube, "ring", ring)
+        object.__setattr__(cube, "n", len(sections))
+        object.__setattr__(cube, "sections", sections)
+        return cube
+
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("CubeMatrix instances are immutable")
 
     def with_ring(self, ring: Ring) -> "CubeMatrix":
-        return CubeMatrix(ring, self.sections)
+        return CubeMatrix._of(ring, self.sections)
 
     def __repr__(self) -> str:
         return f"CubeMatrix(n={self.n}, ring={self.ring.name})"

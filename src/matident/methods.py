@@ -59,7 +59,7 @@ def _run_per_polarization(matrix: SquareMatrix, params: Mapping, counts: OpCount
 
     def diagonal_eval(column: tuple) -> Any:
         counts.f_evals += 1
-        return identities.permanent(SquareMatrix(ring, [[x] * n for x in column]))
+        return identities.permanent(SquareMatrix._of(ring, tuple((x,) * n for x in column)))
 
     gamma = tuple(ring.zero() for _ in range(n))
     func = DiagonalFunction(n, diagonal_eval)
@@ -230,47 +230,60 @@ METHODS: dict[str, MethodSpec] = {
 
 
 def lift(
-    obj: SquareMatrix | CubeMatrix, params: dict
-) -> tuple[SquareMatrix | CubeMatrix, dict, Callable[[Any], Any]]:
-    """The request moved onto exact integers, and the map that moves its value back.
+    obj: SquareMatrix | CubeMatrix, *param_sets: Mapping
+) -> tuple[SquareMatrix | CubeMatrix, tuple[dict, ...], Callable[[Any], Any]]:
+    """The instance and each set of params moved onto exact integers by one
+    scale, and the map that moves a value back.
 
     Every function in the registry is homogeneous of degree n in the entries
     and shifts together, so f(A, gamma) = f(c*A, c*gamma) / c**n for any
-    scale c.  A request whose entries and shifts are all Fractions, all
-    Polys or all MatrixElements is scaled until every coefficient is an
-    integer and runs over a ring of Python ints (see rings.LIFTERS).
-    Anything else is returned unchanged, so its errors stay the evaluators'
-    own.  A degree-t residual of the lifted matrix is c**t times the one of
-    obj, so it is zero exactly when obj's is; verify's corollary trials
-    decide zero-ness on the lifted matrix alone.
+    scale c.  An instance whose entries and every set's shifts (gammas,
+    gamma, delta) are all Fractions, all Polys or all MatrixElements is
+    scaled until every coefficient is an integer and runs over a ring of
+    Python ints (see rings.LIFTERS).  One scale covers every set, so one
+    lift serves every run on the instance; down is injective, so lifted
+    values are equal exactly when their values are, and verify compares
+    them on the lifted ring and moves them down only for a note.  Anything
+    else is returned unchanged, so its errors stay the evaluators' own.  A
+    degree-t residual of the lifted matrix is c**t times the one of obj, so
+    it is zero exactly when obj's is; verify's corollary trials decide
+    zero-ness on the lifted matrix alone.
     """
-    unchanged = obj, params, lambda value: value
+    unchanged = obj, param_sets, lambda value: value
     square = isinstance(obj, SquareMatrix)
     rows = obj.entries if square else [row for section in obj.sections for row in section]
     values = [entry for row in rows for entry in row]
-    gammas = params.get("gammas")
-    if gammas is not None:
-        if not isinstance(gammas, (tuple, list)):
-            return unchanged
-        values += gammas
-    shifts = {key: params[key] for key in ("gamma", "delta") if params.get(key) is not None}
-    values += shifts.values()
+    for params in param_sets:
+        gammas = params.get("gammas")
+        if gammas is not None:
+            if not isinstance(gammas, (tuple, list)):
+                return unchanged
+            values += gammas
+        values += (params[key] for key in ("gamma", "delta") if params.get(key) is not None)
     lifter = next(
         (fn for cls, fn in LIFTERS if all(isinstance(value, cls) for value in values)), None
     )
     if lifter is None:
         return unchanged
     ring, up, down = lifter(values, obj.n)
-    lifted_params = {**params, **{key: up(value) for key, value in shifts.items()}}
-    if gammas is not None:
-        lifted_params["gammas"] = tuple(up(value) for value in gammas)
+
+    def lift_params(params: Mapping) -> dict:
+        lifted = {**params}
+        for key in ("gamma", "delta"):
+            if params.get(key) is not None:
+                lifted[key] = up(params[key])
+        if params.get("gammas") is not None:
+            lifted["gammas"] = tuple(map(up, params["gammas"]))
+        return lifted
+
+    def lift_rows(rows: tuple) -> tuple:
+        return tuple(tuple(map(up, row)) for row in rows)
+
     if square:
-        lifted = SquareMatrix(ring, [[up(x) for x in row] for row in obj.entries])
+        lifted = SquareMatrix._of(ring, lift_rows(obj.entries))
     else:
-        lifted = CubeMatrix(
-            ring, [[[up(x) for x in row] for row in section] for section in obj.sections]
-        )
-    return lifted, lifted_params, down
+        lifted = CubeMatrix._of(ring, tuple(map(lift_rows, obj.sections)))
+    return lifted, tuple(map(lift_params, param_sets)), down
 
 
 def checked_spec(method: str, obj: SquareMatrix | CubeMatrix) -> MethodSpec:
@@ -297,7 +310,9 @@ def lifted_request(
 ) -> tuple[MethodSpec, SquareMatrix | CubeMatrix, dict, Callable[[Any], Any]]:
     """The checked spec of method, and the request lifted onto exact integers
     with the map that moves its value back (see lift)."""
-    return (checked_spec(method, obj), *lift(obj, dict(params or {})))
+    spec = checked_spec(method, obj)
+    lifted, (lifted_params,), down = lift(obj, dict(params or {}))
+    return spec, lifted, lifted_params, down
 
 
 def evaluate_method(

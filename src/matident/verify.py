@@ -3,12 +3,14 @@
 Each suite draws seeded random instances and compares identity-based
 evaluators against the definitional one, all run through the method registry
 in methods, or checks that a claimed invariant (vanishing power sums, zero
-criteria, reconstruction counts) holds exactly.  The invariant trials (cor1,
-cor2, polarization) run on the instance lifted to exact integers by
-methods.lift: scaling a matrix by c multiplies a degree-t power sum residual
-by c**t, so every zero-ness they check is the same on the lifted matrix, and
-the polarized permanent, homogeneous of degree n, is scaled back down before
-it is compared.
+criteria, reconstruction counts) holds exactly.  Every trial lifts each
+instance it draws once, with the shifts of every run on it, onto exact
+integers by methods.lift.  Every function compared is homogeneous of degree
+n and the lift's down map is injective, so values agree on the lifted
+instance exactly when they agree as drawn; they are compared there and
+moved down only for a failure note.  Scaling a matrix by c multiplies a
+degree-t power sum residual by c**t, so every zero-ness the invariant trials
+(cor1, cor2) check is also the same on the lifted matrix.
 Trials are independent jobs keyed by (suite, n, seed, trial): _run_job
 derives each trial's random stream from that key alone, so the report is
 deterministic.  Every trial runs in the calling process: a trial takes about
@@ -30,7 +32,7 @@ from .identities import (
     symmetrized_permanent_zero_criterion,
 )
 from .matrices import SquareMatrix
-from .methods import evaluate_method, lift
+from .methods import OpCounts, checked_spec, lift
 from .polarization import DiagonalFunction, polarize
 from .rings import MATRIX2
 from .sampling import (
@@ -48,13 +50,25 @@ TrialFunction = Callable[[random.Random, int], "tuple[bool, str]"]
 MAX_TRIALS = 1000
 
 
+def _run(method: str, obj, lifted, params: dict):
+    """method's registry run on lifted, the lifted twin of obj; obj as drawn
+    picks the spec and its size limit, as for an unlifted request."""
+    return checked_spec(method, obj).run(lifted, params, OpCounts())
+
+
 def _agree(obj, reference: str, runs) -> tuple[bool, str]:
-    """Whether every (method, params) run on obj equals the reference method's value."""
-    expected = evaluate_method(reference, obj)
-    for method, params in runs:
-        value = evaluate_method(method, obj, params)
-        if not obj.ring.eq(value, expected):
-            return False, f"{method}({params}) gave {value}, {reference} gave {expected}"
+    """Whether every (method, params) run on obj equals the reference method's value.
+
+    obj is lifted once, with every run's params, and the values are compared
+    on the lifted ring; a failure note moves both down to print them as drawn.
+    """
+    lifted, lifted_params, down = lift(obj, *(params for _, params in runs))
+    expected = _run(reference, obj, lifted, {})
+    for (method, params), run_params in zip(runs, lifted_params):
+        value = _run(method, obj, lifted, run_params)
+        if not lifted.ring.eq(value, expected):
+            note = f"{method}({params}) gave {down(value)}, {reference} gave {down(expected)}"
+            return False, note
     return True, ""
 
 
@@ -102,16 +116,16 @@ def _trial_diagonal_power_sums(rng, n: int) -> tuple[bool, str]:
     # A failure note recomputes its residual on the matrix as drawn, so it
     # prints in the drawn matrix's scale.
     matrix = random_rational_matrix(rng, n)
-    lifted = lift(matrix, {})[0]
+    lifted = lift(matrix)[0]
     t = _nonzero_residual_exponent(lifted)
     if t:
         return False, f"power sum residual {diagonal_power_residual(matrix, t)} at exponent {t}"
     claims_zero = determinant_zero_criterion(lifted)
-    is_zero = matrix.ring.is_zero(evaluate_method("det_definitional", matrix))
+    is_zero = lifted.ring.is_zero(_run("det_definitional", matrix, lifted, {}))
     if claims_zero != is_zero:
         return False, "zero criterion disagrees with the determinant"
     singular = singular_matrix(rng, n)
-    lifted = lift(singular, {})[0]
+    lifted = lift(singular)[0]
     t = _nonzero_residual_exponent(lifted)
     if t:
         residual = diagonal_power_residual(singular, t)
@@ -145,42 +159,43 @@ def _vanishing_symmetrized_instance(rng, n: int) -> SquareMatrix:
 
 def _trial_submatrix_power_sums(rng, n: int) -> tuple[bool, str]:
     matrix = random_matrix2_matrix(rng, n)
-    ring = matrix.ring
-    lifted = lift(matrix, {})[0]
+    lifted = lift(matrix)[0]
     for m in range(1, n):
         if not lifted.ring.is_zero(submatrix_power_residual(lifted, m)):
             return False, f"submatrix power sum residual nonzero at exponent {m}"
     claims_zero = symmetrized_permanent_zero_criterion(lifted)
-    is_zero = ring.is_zero(evaluate_method("eper_definitional", matrix))
+    is_zero = lifted.ring.is_zero(_run("eper_definitional", matrix, lifted, {}))
     if claims_zero != is_zero:
         return False, "zero criterion disagrees with the definitional value"
     vanishing = _vanishing_symmetrized_instance(rng, n)
-    if not ring.is_zero(evaluate_method("eper_definitional", vanishing)):
+    lifted = lift(vanishing)[0]
+    if not lifted.ring.is_zero(_run("eper_definitional", vanishing, lifted, {})):
         return False, "constructed instance was not actually zero"
-    if not symmetrized_permanent_zero_criterion(lift(vanishing, {})[0]):
+    if not symmetrized_permanent_zero_criterion(lifted):
         return False, "zero criterion missed a vanishing instance"
     return True, ""
 
 
 def _trial_polarization(rng, n: int) -> tuple[bool, str]:
     matrix = random_rational_matrix(rng, n)
-    reference = evaluate_method("per_definitional", matrix)
-    for which, gammas in enumerate(_shift_vectors(rng, n)):
-        # The columns and the shift are lifted by one scale.
-        lifted, params, down = lift(matrix, {"gammas": gammas})
-        ring = lifted.ring
+    # The columns and the three shifts are lifted by one scale.
+    shifts = [{"gammas": gammas} for gammas in _shift_vectors(rng, n)]
+    lifted, lifted_shifts, down = lift(matrix, *shifts)
+    ring = lifted.ring
+    reference = _run("per_definitional", matrix, lifted, {})
+    for which, params in enumerate(lifted_shifts):
         calls = 0
 
         def evaluate(point):
             nonlocal calls
             calls += 1
-            duplicated = SquareMatrix(ring, [[point[i]] * n for i in range(n)])
-            return permanent(duplicated)
+            return permanent(SquareMatrix._of(ring, tuple((x,) * n for x in point)))
 
         func = DiagonalFunction(arity=n, evaluate=evaluate)
-        value = down(polarize(func, lifted.columns(), params["gammas"], ring))
-        if not matrix.ring.eq(value, reference):
-            return False, f"reconstruction gave {value} at shift {which}, expected {reference}"
+        value = polarize(func, lifted.columns(), params["gammas"], ring)
+        if not ring.eq(value, reference):
+            note = f"reconstruction gave {down(value)} at shift {which}, expected {down(reference)}"
+            return False, note
         if calls != 2**n:
             return False, f"made {calls} diagonal evaluations, expected {2**n}"
     return True, ""

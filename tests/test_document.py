@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from matident.bench import CountingRing
 from matident.document import DocumentError, parse_document
 from matident.matrices import CubeMatrix, SquareMatrix
-from matident.rings import MatrixElement, Poly
+from matident.methods import lift
+from matident.rings import MATRIX2, RATIONAL, MatrixElement, Poly
 
 
 def test_rational_matrix_round_trip_is_canonical():
@@ -56,6 +58,51 @@ def test_cube_round_trip():
     assert isinstance(document.content, CubeMatrix)
     assert document.content.sections[1][0][1] == 6
     assert document.content.sections == (((1, 2), (3, 4)), ((5, 6), (7, 8)))
+
+
+def _fields(obj):
+    cells = obj.entries if isinstance(obj, SquareMatrix) else obj.sections
+    return type(obj), obj.ring, obj.n, cells
+
+
+@pytest.mark.parametrize(
+    "ring, kind, entries",
+    [
+        ("rational", "matrix", [[1, "2/4"], ["-3/1", 4]]),
+        ("symbolic", "matrix", [["a", "b"], [3, "1/2"]]),
+        ("matrix2", "matrix", [[[[1, 0], [0, "1/3"]]]]),
+        ("rational", "cube", [[[1, "1/2"], [3, 4]], [[5, 6], [7, "8/3"]]]),
+        ("symbolic", "cube", [[["a"]]]),
+    ],
+)
+def test_lifted_and_rebound_containers_equal_what_the_public_constructors_build(
+    ring, kind, entries
+):
+    payload = {"kind": kind, "ring": ring, "n": len(entries), "entries": entries}
+    obj = parse_document(json.dumps(payload)).content
+    lifted = lift(obj)[0]
+    assert lifted.ring is not obj.ring
+    rebound = obj.with_ring(CountingRing(obj.ring))
+    for built in (lifted, rebound, lifted.with_ring(CountingRing(lifted.ring))):
+        cls, built_ring, _, cells = _fields(built)
+        assert _fields(built) == _fields(cls(built_ring, cells))
+    assert _fields(rebound)[2:] == _fields(obj)[2:]
+
+
+def test_the_public_constructors_refuse_what_is_no_matrix():
+    cases = [
+        (lambda: SquareMatrix(RATIONAL, [[Fraction(1), "x"]]), "entry 'x' is not an element"),
+        (lambda: SquareMatrix(RATIONAL, [[True]]), "entry True is not an element of rationals"),
+        (lambda: SquareMatrix(RATIONAL, [[1, 2], [3]]), "matrix rows must all have length n"),
+        (lambda: SquareMatrix(RATIONAL, []), "matrix must have at least one row"),
+        (lambda: CubeMatrix(RATIONAL, [[[1, 2], [3, 4]], [[5]]]), "sections must all be n x n"),
+        (lambda: CubeMatrix(RATIONAL, [[[False]]]), "entry False is not an element"),
+        (lambda: CubeMatrix(RATIONAL, []), "cube must have at least one section"),
+        (lambda: CubeMatrix(MATRIX2, [[[1]]]), "cube matrices require a commutative ring"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def _rejects(text, fragment):

@@ -303,7 +303,7 @@ def test_submatrix_walk_agrees_with_the_oracle_plain_and_lifted(n, draw):
     ring = MATRIX2 if draw is random_rational_matrix2_element else RATIONAL
     matrix = SquareMatrix(ring, [[draw(rng) for _ in range(n)] for _ in range(n)])
     delta = draw(rng)
-    lifted, params, _ = lift(matrix, {"delta": delta})
+    lifted, (params,), _ = lift(matrix, {"delta": delta})
     assert lifted.ring in (rings._INTEGER, rings._INTEGER_MATRIX)
     for obj, shift in ((matrix, delta), (lifted, params["delta"])):
         rows = [[_own_element(entry) for entry in row] for row in obj.entries]
@@ -385,7 +385,7 @@ def test_space_determinant_agrees_with_the_oracle_plain_and_lifted(n, draw):
     expected = brute_space_determinant(cube.sections)
     assert space_determinant(cube) == expected
     # The lifted cube folds on native ints, the path evaluate_method takes.
-    lifted, _, down = lift(cube, {})
+    lifted, _, down = lift(cube)
     assert lifted.ring is rings._INTEGER
     assert down(space_determinant(lifted)) == expected
 

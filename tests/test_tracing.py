@@ -15,6 +15,9 @@ from pathlib import Path
 import pytest
 
 from matident.cli import main
+from matident.identities import symmetrized_permanent
+from matident.matrices import SquareMatrix
+from matident.rings import MATRIX2, RATIONAL
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -69,6 +72,14 @@ def test_traced_runs_print_what_untraced_runs_print(tracing, docs, capsys, monke
     assert traced == plain
     names = {span[tracing.NAME] for span in tracer.spans}
     assert {"document.parse_document", "bench.count_ops", "verify.trial"} <= names
+    # Every request runs on its lifted twin, whose ring is not rebound, so
+    # the parsed and drawn rings do no arithmetic in these runs; their
+    # timing rings must still time what runs on them.
+    assert not any(name.startswith("rings.") for name in names)
+    with tracing.installed(tracer):
+        for ring in (RATIONAL, MATRIX2):
+            symmetrized_permanent(tracer.bind(SquareMatrix(ring, [[1, 2], [3, 4]])))
+    names = {span[tracing.NAME] for span in tracer.spans}
     assert {"rings.rational", "rings.matrix2"} <= names
     # Both compute requests run their registry entry once, plainly, and
     # take their counts from the closed forms.  If bench.METHODS were a copy

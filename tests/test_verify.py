@@ -1,12 +1,13 @@
-"""The invariant trials of verify (cor1, cor2, polarization) run on the lifted
-matrix, keep their verdicts and notes, and print the recorded bytes."""
+"""Every verify trial lifts each instance it draws once, keeps its verdicts
+and notes, and prints the recorded bytes."""
 
+import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from matident import verify
+from matident import methods, verify
 from matident.cli import main
 from matident.identities import (
     determinant_zero_criterion,
@@ -15,7 +16,7 @@ from matident.identities import (
     symmetrized_permanent_zero_criterion,
 )
 from matident.matrices import SquareMatrix
-from matident.methods import lift
+from matident.methods import METHODS, lift
 from matident.rings import MATRIX2, RATIONAL, MatrixElement
 from matident.sampling import (
     derive_rng,
@@ -24,16 +25,22 @@ from matident.sampling import (
     random_rational_matrix,
     singular_matrix,
 )
+from oracles import gauss_determinant
 
 STDOUT_DIR = Path(__file__).resolve().parent / "data" / "verify_stdout"
 
-# Each file holds the stdout the command printed before these trials were
-# lifted; the CI workflow diffs the installed command against the same files.
+# Each file holds the stdout the command printed before each trial shared one
+# lift per drawn instance (the first four also before the invariant trials
+# were lifted); the CI workflow diffs the installed command against the same
+# files.
 RECORDED = {
     "all-trials2-seed7.txt": ["--suite", "all", "--trials", "2", "--seed", "7"],
     "cor1-n5-trials2.txt": ["--suite", "cor1", "--n", "5", "--trials", "2"],
     "polarization-n5-trials2.txt": ["--suite", "polarization", "--n", "5", "--trials", "2"],
     "cor2-n3-trials2.txt": ["--suite", "cor2", "--n", "3", "--trials", "2"],
+    "thm2-n6-trials2.txt": ["--suite", "thm2", "--n", "6", "--trials", "2"],
+    "thm3-n5-trials2.txt": ["--suite", "thm3", "--n", "5", "--trials", "2"],
+    "thm5-n4-trials2.txt": ["--suite", "thm5", "--n", "4", "--trials", "2"],
 }
 
 
@@ -100,6 +107,51 @@ def test_a_failing_cor1_note_prints_the_residual_of_the_matrix_as_drawn(monkeypa
     )
 
 
+def test_each_trial_lifts_each_instance_it_draws_once(monkeypatch):
+    lifted = []
+    real = lift
+
+    def recording(obj, *param_sets):
+        lifted.append(obj)
+        return real(obj, *param_sets)
+
+    # verify calls lift itself; evaluate_method reaches it through methods.
+    monkeypatch.setattr(methods, "lift", recording)
+    monkeypatch.setattr(verify, "lift", recording)
+    per_trial = {"cor1": 2, "cor2": 2}
+    for suite in verify.SUITES:
+        for n in (2, 3):
+            lifted.clear()
+            assert verify._run_job((suite, n, 1, 1)) == (True, "")
+            assert len(lifted) == per_trial.get(suite, 1), (suite, n)
+            assert len({id(obj) for obj in lifted}) == len(lifted), (suite, n)
+
+
+def test_a_failing_agreement_note_prints_the_values_as_drawn(monkeypatch, capsys):
+    # Twice the value is homogeneous of degree n like the value, so the note
+    # does not depend on the scale.  thm3's shifts have denominators, so the
+    # one scale of the trial's lift is not the one its first run would take
+    # alone.
+    spec = METHODS["det_identity"]
+
+    def doubled(matrix, params, counts):
+        value = spec.run(matrix, params, counts)
+        return matrix.ring.add(value, value)
+
+    monkeypatch.setitem(METHODS, "det_identity", dataclasses.replace(spec, run=doubled))
+    assert main(["verify", "--suite", "thm3", "--n", "3", "--trials", "1"]) == 1
+    drawn = random_rational_matrix(derive_rng(1, "thm3", 3, 1), 3)
+    value = gauss_determinant(drawn.entries)
+    assert value and value.denominator > 1
+    params = "{'gamma': Fraction(0, 1)}"
+    note = f"det_identity({params}) gave {2 * value}, det_definitional gave {value}"
+    assert capsys.readouterr().out == (
+        "verify: suite=thm3 trials=1 seed=1\n"
+        f"thm3 n=3: 0/1 ok: FAIL [trial 1: {note}]\n"
+        "result: FAIL (0/1 checks)\n"
+    )
+
+
 def _singular_rational_matrix(rng, n):
     """A p/q matrix with one row a p/q multiple of another."""
     if n == 1:
@@ -118,7 +170,7 @@ def test_the_lift_keeps_every_diagonal_residual_and_criterion_zero_or_not():
         matrices = [random_rational_matrix(rng, n) for _ in range(2)]
         matrices += [_singular_rational_matrix(rng, n), singular_matrix(rng, n)]
         for matrix in matrices:
-            lifted = lift(matrix, {})[0]
+            lifted = lift(matrix)[0]
             for t in range(1, n + 1):
                 zero = RATIONAL.is_zero(diagonal_power_residual(matrix, t))
                 assert lifted.ring.is_zero(diagonal_power_residual(lifted, t)) == zero
@@ -140,7 +192,7 @@ def test_the_lift_keeps_every_submatrix_residual_and_criterion_zero_or_not():
             verify._vanishing_symmetrized_instance(rng, n),
         ]
         for matrix in matrices:
-            lifted = lift(matrix, {})[0]
+            lifted = lift(matrix)[0]
             for m in range(1, n + 1):
                 zero = MATRIX2.is_zero(submatrix_power_residual(matrix, m))
                 assert lifted.ring.is_zero(submatrix_power_residual(lifted, m)) == zero

@@ -4,6 +4,7 @@ the tier-1 tests check, case for case."""
 import shlex
 from pathlib import Path
 
+from matident.verify import SUITES
 from test_cli import BENCH_DIR, COMPUTE_DIR, RECORDED_BENCH, RECORDED_COMPUTE
 from test_verify import RECORDED, STDOUT_DIR
 
@@ -39,6 +40,15 @@ def test_ci_diffs_exactly_the_recorded_verify_cases():
     expected = sorted(RECORDED.items())
     assert _checks("Installed verify prints the recorded bytes") == expected
     assert {path.name for path in STDOUT_DIR.glob("*.txt")} == set(RECORDED)
+
+
+def test_ci_diffs_every_suite_above_its_default_sizes_at_its_largest():
+    recorded = {(argv[1], int(argv[3])) for argv in RECORDED.values() if argv[2] == "--n"}
+    largest = {
+        (name, spec.max_n) for name, spec in SUITES.items() if spec.max_n > max(spec.default_ns)
+    }
+    assert largest == {("thm2", 6), ("thm3", 5), ("thm5", 4), ("cor1", 5), ("polarization", 5)}
+    assert largest <= recorded
 
 
 def test_ci_diffs_the_recorded_bench_table():
