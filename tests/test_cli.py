@@ -583,14 +583,22 @@ RECORDED_COMPUTE = {
     # Products of row sums in distinct variables share no monomial.
     "distinct-per-ryser.txt": ["per", "ryser", "distinct.json"],
     "distinct-per-identity.txt": ["per", "identity", "distinct.json"],
-    # The definitional sums fold through Ring.diagonal_sum's generic loop.
+    # The definitional sums fold through the packed ring's product_sum, as
+    # do the products of row sums below.
     "distinct-det-definitional.txt": ["det", "definitional", "distinct.json"],
     "distinct-per-definitional.txt": ["per", "definitional", "distinct.json"],
     "symbolic_cube-detp-definitional.txt": ["detp", "definitional", "symbolic_cube.json"],
-    # Row 2 repeats row 1: det's products cancel inside the packed folds.
+    "symbolic_cube-detp-identity.txt": ["detp", "identity", "symbolic_cube.json"],
+    "symbolic-per-identity-gamma.txt": ["per", "identity", "--gamma=g,h,1/2", "symbolic.json"],
+    # An odd exponent, 3: the fused power fold's last product is (x*x)*x.
+    "symbolic-eper-identity.txt": ["eper", "identity", "symbolic.json"],
+    # Row 2 repeats row 1: products share monomials and cancel inside the
+    # packed folds.
     "repeated-det-definitional.txt": ["det", "definitional", "repeated.json"],
     "repeated-det-identity.txt": ["det", "identity", "repeated.json"],
     "repeated-per-definitional.txt": ["per", "definitional", "repeated.json"],
+    "repeated-per-identity.txt": ["per", "identity", "repeated.json"],
+    "repeated-per-ryser.txt": ["per", "ryser", "repeated.json"],
     "matrix2-eper-identity-delta.txt": [
         "eper",
         "identity",
