@@ -3,14 +3,16 @@
 Each function family pairs a brute-force definitional evaluator (the oracle)
 with an algebraic identity that rebuilds the same value from sums of entries
 raised to the n-th power.  Every evaluator is one signed sum over a stream
-from `combinatorics`, folded by `Ring.signed_sum`, or by `Ring.diagonal_sum`
-where each term is the product of one diagonal's entries, picked from the
-matrix's row-major entries by the table of `combinatorics.diagonals`.  The
-determinant and symmetrized-permanent identities use only addition,
-subtraction, n-th powers and one exact division by n!; the permanent and
-space-determinant identities multiply row sums instead.  Their agreement
-with the definitional forms over every supported ring is the package's
-central claim and is what the verify suites check.
+from `combinatorics`, folded by `Ring.signed_sum`, by `Ring.power_sum` when
+each term is a power, or by `Ring.product_sum` when each term is a product:
+of row sums, or, through `Ring.diagonal_sum`, of one diagonal's entries,
+picked from the matrix's row-major entries by the table of
+`combinatorics.diagonals`.  The determinant and symmetrized-permanent
+identities use only addition, subtraction, n-th powers and one exact
+division by n!; the permanent and space-determinant identities multiply row
+sums instead.  Their agreement with the definitional forms over every
+supported ring is the package's central claim and is what the verify suites
+check.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .combinatorics import (
     EVEN,
+    ODD,
     diagonals,
     enumerate_gray_steps,
     enumerate_permutations,
@@ -94,6 +98,12 @@ def _gray_sums(
         yield sign, current
 
 
+def _alternating(first: int) -> Iterator[int]:
+    """first, -first, first, ...: the signs of a walk whose sign flips at
+    every step, as _gray_sums' does."""
+    return itertools.cycle((first, -first))
+
+
 def permanent_identity(matrix: SquareMatrix, gammas: Sequence[Any] | None = None) -> Any:
     """Division-free permanent from signed products of shifted column sums.
 
@@ -107,7 +117,7 @@ def permanent_identity(matrix: SquareMatrix, gammas: Sequence[Any] | None = None
     _require_commutative(ring, "permanent")
     params = _checked_gammas(matrix, gammas)
     walk = _gray_sums(params, matrix.columns(), ring.sub, ring.add)
-    return ring.signed_sum((sign, ring.product(shifted)) for sign, shifted in walk)
+    return ring.product_sum(_alternating(EVEN), map(itemgetter(1), walk))
 
 
 def permanent_ryser(matrix: SquareMatrix) -> Any:
@@ -120,7 +130,7 @@ def permanent_ryser(matrix: SquareMatrix) -> Any:
     _require_commutative(ring, "permanent")
     walk = _gray_sums([ring.zero()] * matrix.n, matrix.columns(), ring.add, ring.sub)
     nonempty = itertools.islice(walk, 1, None)
-    total = ring.signed_sum((sign, ring.product(sums)) for sign, sums in nonempty)
+    total = ring.product_sum(_alternating(ODD), map(itemgetter(1), nonempty))
     return ring.neg(total) if matrix.n % 2 else total
 
 
@@ -139,23 +149,25 @@ def _diagonal_residual(matrix: SquareMatrix, t: int, shift: Any) -> Any:
     entry the current diagonal takes in row i and full is shift plus their
     sum.  A swap of rows i and i+1 flips the sign and changes full by four
     entries; the subdiagonal that leaves out row r sums to full - picked[r],
-    so every subdiagonal is reached from its one parent.
+    so every subdiagonal is reached from its one parent.  The walk yields
+    the sums alone: each diagonal's comes with its sign and its n
+    subdiagonals' with the opposite one, so the signs repeat with period
+    2(n + 1).
     """
     ring = matrix.ring
-    add, sub, power = ring.add, ring.sub, ring.power
+    add, sub = ring.add, ring.sub
     rows = matrix.entries
     n = matrix.n
 
-    def terms():
+    def sums():
         image = list(range(n))
         picked = [row[i] for i, row in enumerate(rows)]
         full = add(shift, ring.sum(picked))
-        sign = EVEN
         swaps = enumerate_transpositions(n)
         while True:
-            yield sign, power(full, t)
+            yield full
             for entry in picked:
-                yield -sign, power(sub(full, entry), t)
+                yield sub(full, entry)
             i = next(swaps, None)
             if i is None:
                 return
@@ -163,9 +175,9 @@ def _diagonal_residual(matrix: SquareMatrix, t: int, shift: Any) -> Any:
             left, right = rows[i][image[i]], rows[i + 1][image[i + 1]]
             full = add(add(sub(sub(full, picked[i]), picked[i + 1]), left), right)
             picked[i], picked[i + 1] = left, right
-            sign = -sign
 
-    return ring.signed_sum(terms())
+    signs = itertools.cycle((EVEN, *[ODD] * n, ODD, *[EVEN] * n))
+    return ring.power_sum(signs, sums(), t)
 
 
 def _all_integral(values) -> bool:
@@ -249,22 +261,23 @@ def _signed_submatrix_power_sum(matrix: SquareMatrix, exponent: int, delta: Any)
     over the rows, which keeps the column sums of the chosen rows, n adds
     per step.  For each row subset the column walk moves the shifted sum,
     which starts at delta, by one column sum per step.  The sign flips at
-    every step of either walk.
+    every step of either walk, and each row subset takes an odd number,
+    2**n - 1, of column steps, so the signs alternate from +1 across the
+    whole walk.
     """
     ring = matrix.ring
-    add, sub, power = ring.add, ring.sub, ring.power
+    add, sub = ring.add, ring.sub
     column_steps = list(enumerate_gray_steps(matrix.n))
     row_walk = _gray_sums([ring.zero()] * matrix.n, matrix.entries, add, sub)
 
-    def terms():
-        for row_sign, sums in itertools.islice(row_walk, 1, None):
-            shifted, sign = delta, row_sign
+    def shifted_sums():
+        for _, sums in itertools.islice(row_walk, 1, None):
+            shifted = delta
             for j, column_entering in column_steps:
                 shifted = add(shifted, sums[j]) if column_entering else sub(shifted, sums[j])
-                sign = -sign
-                yield sign, power(shifted, exponent)
+                yield shifted
 
-    return ring.signed_sum(terms())
+    return ring.power_sum(_alternating(EVEN), shifted_sums(), exponent)
 
 
 def symmetrized_permanent_identity(matrix: SquareMatrix, delta: Any = None) -> Any:
@@ -335,13 +348,14 @@ def space_determinant_identity(cube: CubeMatrix) -> Any:
     ring = cube.ring
     n = cube.n
 
-    def terms():
-        for image, sign in enumerate_permutations(n):
+    def factors():
+        for image, _ in enumerate_permutations(n):
             rows = _assembled_rows(cube, image)
             row_sums = [ring.sum(row) for row in rows]
-            yield sign, ring.product(row_sums)
-            # The depleted-product bracket enters with the opposite sign.
+            yield row_sums
             for r in range(n):
-                yield -sign, ring.product(ring.sub(row_sums[t], rows[t][r]) for t in range(n))
+                yield [ring.sub(row_sums[t], rows[t][r]) for t in range(n)]
 
-    return ring.signed_sum(terms())
+    # The depleted-product bracket enters with the opposite sign.
+    signs = (term for _, sign in enumerate_permutations(n) for term in (sign, *[-sign] * n))
+    return ring.product_sum(signs, factors())

@@ -108,7 +108,9 @@ class MethodSpec:
 # compute made two runs, a plain and a counted one; it now makes one, and
 # the limits are kept as they were.  The definitional per, det and detp times
 # are one-run computes, re-measured with the diagonal tables, apart from the
-# symbolic ones above the limit.
+# symbolic ones above the limit.  The symbolic identity times are one-run
+# computes too, re-measured with the fused product and power folds (in
+# process, imports included), apart from detp_identity's above the limit.
 METHODS: dict[str, MethodSpec] = {
     spec.name: spec
     for spec in (
@@ -123,8 +125,8 @@ METHODS: dict[str, MethodSpec] = {
             symbolic_max_n=8,
         ),
         # per_identity and per_ryser: 2^n products of row sums, which on
-        # symbolic documents hold up to n^n terms each: 0.3-0.4 s at n = 6,
-        # 6.3-10 s at n = 7.
+        # symbolic documents hold up to n^n terms each: 0.11-0.17 s at n = 6,
+        # 2.2-3.0 s at n = 7.
         MethodSpec(
             "per_identity",
             SquareMatrix,
@@ -161,7 +163,7 @@ METHODS: dict[str, MethodSpec] = {
             symbolic_max_n=8,
         ),
         # n! diagonals of n + 1 powers each: 1.6 s at n = 8, 14 s at n = 9;
-        # symbolic 0.2-0.3 s at n = 5, 4.0-6.6 s at n = 6.
+        # symbolic 0.11-0.13 s at n = 5, 2.0-2.5 s at n = 6.
         MethodSpec(
             "det_identity",
             SquareMatrix,
@@ -188,7 +190,7 @@ METHODS: dict[str, MethodSpec] = {
             symbolic_max_n=5,
         ),
         # 4^n submatrix sums, each to the n-th power: 3.8 s at n = 9, 13 s at
-        # n = 10; symbolic 0.1-0.4 s at n = 4, 5.1-8.9 s at n = 5.
+        # n = 10; symbolic 0.08-0.09 s at n = 4, 2.2-2.6 s at n = 5.
         MethodSpec(
             "eper_identity",
             SquareMatrix,
@@ -214,7 +216,7 @@ METHODS: dict[str, MethodSpec] = {
             symbolic_max_n=5,
         ),
         # n! permutations of n + 1 row-sum products each: 4.1 s at n = 8, 49 s
-        # at n = 9; symbolic 1.5-2.4 s at n = 5, over 90 s at n = 6.
+        # at n = 9; symbolic 0.7-1.1 s at n = 5, over 90 s at n = 6 (two runs).
         MethodSpec(
             "detp_identity",
             CubeMatrix,

@@ -12,14 +12,21 @@ packed-monomial int polynomials, integer 2x2 matrices), and LIFTERS maps an
 element type to the function that scales a request's values onto its twin
 and the result back (see methods.lift).  A 2x2 element and its twin share
 one cell layout and one set of formulas, so lifting scales each cell.
+The integer twin runs the folds (sum, signed_sum, product, product_sum,
+power_sum) on builtins, and the packed-polynomial twin runs signed_sum,
+product_sum and power_sum into one accumulating dict; diagonal_sum is
+product_sum in every ring.  The 2x2 twin, which is noncommutative, keeps
+Ring's folds.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 from operator import methodcaller, mul, or_
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -42,9 +49,11 @@ class Ring:
     recognises its own elements, and every operation is the element type's
     operator.  Wrapper rings (the counting ring) subclass it and override the
     operation methods, so operations stay methods, never instance attributes,
-    and the folds (sum, signed_sum, product, diagonal_sum) go through the
-    overrides.  diagonal_sum is signed_sum over the products of the diagonals
-    that the pickers of combinatorics.diagonals take from a flat entry tuple.
+    and the folds (sum, signed_sum, product, product_sum, power_sum,
+    diagonal_sum) go through the overrides.  product_sum and power_sum are
+    signed_sum over products and powers, and diagonal_sum is product_sum over
+    the diagonals that the pickers of combinatorics.diagonals take from a flat
+    entry tuple.
     """
 
     def __init__(
@@ -145,15 +154,23 @@ class Ring:
             total = item if total is None else self.mul(total, item)
         return self.one() if total is None else total
 
+    def product_sum(self, signs: Iterable[int], factors: Iterable[Iterable[Any]]) -> Any:
+        """Sum of signs[k] times the product of factors[k]: one product and
+        one add or sub per term."""
+        return self.signed_sum(zip(signs, map(self.product, factors)))
+
+    def power_sum(self, signs: Iterable[int], bases: Iterable[Any], exponent: int) -> Any:
+        """Sum of signs[k] times bases[k]**exponent: one power and one add or
+        sub per term."""
+        return self.signed_sum(zip(signs, map(self.power, bases, repeat(exponent))))
+
     def diagonal_sum(
         self, flat: Sequence[Any], signs: Iterable[int], pickers: Iterable[Callable]
     ) -> Any:
         """Signed sum over the diagonals of a matrix whose row-major entries
         are flat: pickers[k](flat) gives diagonal k's entries in row order
-        (see combinatorics.diagonals) and signs[k] its sign.  One product of
-        the picked entries and one add or sub per diagonal."""
-        picked = map(methodcaller("__call__", flat), pickers)
-        return self.signed_sum(zip(signs, map(self.product, picked)))
+        (see combinatorics.diagonals) and signs[k] its sign."""
+        return self.product_sum(signs, map(methodcaller("__call__", flat), pickers))
 
 
 def _accumulate(terms: dict, pairs: Iterable[tuple[int, Mapping]]) -> dict:
@@ -169,6 +186,17 @@ def _accumulate(terms: dict, pairs: Iterable[tuple[int, Mapping]]) -> dict:
             else:
                 del terms[key]
     return terms
+
+
+def _add_product(terms: dict, sign: int, x: dict, y: dict) -> None:
+    """Add sign * x * y for packed x and y into terms term by term, keeping
+    any coefficient that cancels to 0 for the caller to drop."""
+    get = terms.get
+    for key_y, coeff_y in y.items():
+        coeff_y *= sign
+        for key_x, coeff_x in x.items():
+            key = key_x + key_y
+            terms[key] = get(key, 0) + coeff_x * coeff_y
 
 
 def _merge_monomials(a: tuple, b: tuple) -> tuple:
@@ -432,13 +460,20 @@ MATRIX2 = Ring(
 class _IntegerRing(Ring):
     """Python ints, whose exact division refuses to leave a remainder.
 
-    The folds and powers run on the builtins (sum, math.prod, int powers),
-    which give the same exact values as Ring's one-call-per-operation folds
-    and square-and-multiply.  diagonal_sum maps the pickers, math.prod and
-    the signs over the diagonals, so no Python frame runs per diagonal.  A
-    counting ring over this one runs only its powers; its folds are Ring's
-    loops.
+    The element operations are operator's builtins, and the folds and powers
+    run on the builtins (sum, math.prod, int powers), which give the same
+    exact values as Ring's one-call-per-operation folds and
+    square-and-multiply.  product_sum and power_sum map math.prod or pow and
+    the signs over their terms (diagonal_sum maps the pickers first), so no
+    Python frame runs per term.  A counting ring over this one runs only its
+    operations and powers; its folds are Ring's loops.
     """
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    eq = staticmethod(operator.eq)
 
     def sum(self, items: Iterable[int]) -> int:
         return sum(items)
@@ -449,12 +484,14 @@ class _IntegerRing(Ring):
     def product(self, items: Iterable[int]) -> int:
         return math.prod(items)
 
-    def diagonal_sum(
-        self, flat: Sequence[int], signs: Iterable[int], pickers: Iterable[Callable]
-    ) -> int:
-        # Every loop runs in C: pick, multiply out, apply the sign, add up.
-        picked = map(methodcaller("__call__", flat), pickers)
-        return sum(map(mul, signs, map(math.prod, picked)))
+    def product_sum(self, signs: Iterable[int], factors: Iterable[Iterable[int]]) -> int:
+        # Every loop runs in C: multiply out, apply the sign, add up.
+        return sum(map(mul, signs, map(math.prod, factors)))
+
+    def power_sum(self, signs: Iterable[int], bases: Iterable[int], exponent: int) -> int:
+        if exponent < 0:
+            raise ValueError("ring exponent must be nonnegative")
+        return sum(map(mul, signs, map(pow, bases, repeat(exponent))))
 
     def power(self, x: int, exponent: int) -> int:
         if exponent < 0:
@@ -473,8 +510,11 @@ class _PackedPolyRing(Ring):
 
     A monomial packs its exponents into one int, a fixed number of bits per
     variable (see _lift_polys), so the product of two monomials is one
-    integer addition.  Elements are never mutated; a fold (signed_sum, and
-    diagonal_sum through it) accumulates into one fresh dict.
+    integer addition.  Elements are never mutated; a fold accumulates into
+    one fresh dict.  signed_sum adds whole elements into it.  product_sum
+    (and diagonal_sum through it) and power_sum multiply out each term but
+    its last multiplication, which adds its products straight into the
+    fold, so a term's full product is never built as a dict of its own.
     """
 
     def add(self, x: dict, y: dict) -> dict:
@@ -507,14 +547,32 @@ class _PackedPolyRing(Ring):
                 for key_x, coeff_x in x.items()
             }
         terms: dict[int, int] = {}
-        get = terms.get
-        for key_y, coeff_y in y.items():
-            for key_x, coeff_x in x.items():
-                key = key_x + key_y
-                terms[key] = get(key, 0) + coeff_x * coeff_y
+        _add_product(terms, 1, x, y)
         if 0 in terms.values():
             return {key: coeff for key, coeff in terms.items() if coeff}
         return terms
+
+    def product_sum(self, signs: Iterable[int], factors: Iterable[Iterable[dict]]) -> dict:
+        terms: dict[int, int] = {}
+        for sign, factor in zip(signs, factors):
+            *head, last = tuple(factor) or (self._one,)
+            _add_product(terms, sign, self.product(head), last)
+        return {key: coeff for key, coeff in terms.items() if coeff}
+
+    def power_sum(self, signs: Iterable[int], bases: Iterable[dict], exponent: int) -> dict:
+        # x**e is h*h for h = x**(e // 2), times x when e is odd; the last of
+        # these products goes straight into the sum.
+        if exponent < 0:
+            raise ValueError("ring exponent must be nonnegative")
+        terms: dict[int, int] = {}
+        power, half = self.power, exponent >> 1
+        for sign, base in zip(signs, bases):
+            root = power(base, half)
+            if exponent & 1:
+                _add_product(terms, sign, self.mul(root, root), base)
+            else:
+                _add_product(terms, sign, root, root)
+        return {key: coeff for key, coeff in terms.items() if coeff}
 
     def _div_exact(self, x: dict, k: int) -> dict:
         quotients = {}

@@ -444,7 +444,7 @@ def test_counted_runs_fold_through_ring_loops_not_the_integer_folds(monkeypatch)
     def refuse(*args):
         raise AssertionError("a counted run called a native integer fold")
 
-    for fold in ("sum", "signed_sum", "product", "diagonal_sum"):
+    for fold in ("sum", "signed_sum", "product", "product_sum", "power_sum", "diagonal_sum"):
         monkeypatch.setattr(rings._INTEGER, fold, refuse)
     for method, matrix, value in requests:
         report = run_counted(method, matrix)

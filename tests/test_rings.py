@@ -1,7 +1,9 @@
 """Ring axioms and canonical forms for the three concrete rings, and exact
 division in their lifted integer twins."""
 
+import copy
 import itertools
+import operator
 import re
 from fractions import Fraction
 from operator import getitem, itemgetter
@@ -214,10 +216,27 @@ def test_native_integer_folds_keep_the_empty_cases_and_the_negative_exponent_err
     assert ring.product([]) == 1
     assert ring.sum([]) == 0
     assert ring.signed_sum([]) == 0
+    assert ring.product_sum([], []) == ring.power_sum([], [], 2) == 0
     assert ring.power(7, 0) == 1
     assert ring.power(0, 0) == 1
     with pytest.raises(ValueError, match="^ring exponent must be nonnegative$"):
         ring.power(3, -1)
+    for ring, x in ((rings._INTEGER, 3), (rings._PACKED, {1: 2})):
+        with pytest.raises(ValueError, match="^ring exponent must be nonnegative$"):
+            ring.power_sum([1], [x], -1)
+
+
+def test_integer_element_operations_are_the_operator_builtins():
+    ring = rings._INTEGER
+    assert (ring.add, ring.sub, ring.neg, ring.mul, ring.eq) == (
+        operator.add,
+        operator.sub,
+        operator.neg,
+        operator.mul,
+        operator.eq,
+    )
+    assert (ring.add(2, 3), ring.sub(2, 3), ring.neg(2), ring.mul(2, 3)) == (5, -1, -2, 6)
+    assert ring.is_zero(0) and not ring.eq(2, 3)
 
 
 def test_counting_over_the_integer_ring_keeps_square_and_multiply():
@@ -429,6 +448,64 @@ def test_packed_products_worked_by_hand():
     assert rings._PACKED.mul({1: 2}, {8: -3, 0: 1}) == {9: -6, 1: 2}
 
 
+NATIVE_FUSED_RINGS = {
+    "integer": (rings._INTEGER, st.integers(-50, 50)),
+    "packed": (rings._PACKED, packed_polys),
+}
+
+
+@given(st.sampled_from(sorted(NATIVE_FUSED_RINGS)), st.sampled_from((0, 1, 2, 3, 4, 5)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_native_product_and_power_sums_match_the_ring_folds(name, exponent, data):
+    # Ring's product_sum and power_sum build each product or power whole and
+    # fold it with signed_sum; the native folds must give the same values.
+    ring, elements = NATIVE_FUSED_RINGS[name]
+    pool = data.draw(st.lists(elements, min_size=1, max_size=4))
+    picks = st.sampled_from(pool)  # one element object can recur
+    factors = data.draw(st.lists(st.lists(picks, max_size=3).map(tuple), max_size=5))
+    factors.append(())  # the empty product, one
+    factor_signs = data.draw(st.lists(signs, min_size=len(factors), max_size=len(factors)))
+    bases = data.draw(st.lists(picks, max_size=5))
+    base_signs = data.draw(st.lists(signs, min_size=len(bases), max_size=len(bases)))
+    before = copy.deepcopy(pool)
+    expected_products = rings.Ring.product_sum(ring, factor_signs, factors)
+    expected_powers = rings.Ring.power_sum(ring, base_signs, bases, exponent)
+    results = [
+        (ring.product_sum(factor_signs, factors), expected_products),
+        (ring.product_sum(iter(factor_signs), map(iter, factors)), expected_products),
+        (ring.power_sum(base_signs, bases, exponent), expected_powers),
+        (ring.power_sum(iter(base_signs), iter(bases), exponent), expected_powers),
+        # Every term again with the opposite sign: the totals cancel to zero.
+        (
+            ring.product_sum([*factor_signs, *map(operator.neg, factor_signs)], factors * 2),
+            ring.zero(),
+        ),
+        (
+            ring.power_sum([*base_signs, *map(operator.neg, base_signs)], bases * 2, exponent),
+            ring.zero(),
+        ),
+        (ring.product_sum([], []), ring.zero()),
+        (ring.power_sum([], [], exponent), ring.zero()),
+    ]
+    for result, expected in results:
+        assert result == expected
+        if name == "packed":
+            assert 0 not in result.values()
+    assert pool == before
+
+
+def test_fused_packed_folds_worked_by_hand():
+    # a packed as 1 and b as 8.  (a + b)(a - b) - (a - b)(a - b) = 2ab - 2b^2,
+    # where a^2 cancels across the two products; then (a + b)^3 - (a + b)^3
+    # cancels to nothing, and (a - b)^2 + (a + b)^2 = 2a^2 + 2b^2.
+    ring = rings._PACKED
+    plus, minus = {1: 1, 8: 1}, {1: 1, 8: -1}
+    assert ring.product_sum([1, -1], [(plus, minus), (minus, minus)]) == {9: 2, 16: -2}
+    assert ring.power_sum([1, -1], [plus, plus], 3) == {}
+    assert ring.power_sum([1, 1], [minus, plus], 2) == {2: 2, 16: 2}
+    assert ring.product_sum([1, -1, 1], [(), (plus,), ()]) == {0: 2, 1: -1, 8: -1}
+
+
 def test_packed_folds_call_neither_add_nor_sub(monkeypatch):
     # A fold through add and sub copies the growing sum once per item, which
     # is quadratic in its terms; the packed folds accumulate in one pass.
@@ -443,10 +520,21 @@ def test_packed_folds_call_neither_add_nor_sub(monkeypatch):
     def refuse(x, y):
         raise AssertionError("a packed fold called add or sub")
 
+    fused_signs = [1, -1, -1]
+    expected += (
+        rings.Ring.product_sum(ring, fused_signs, rows),
+        rings.Ring.power_sum(ring, fused_signs, [x, y, x], 3),
+    )
+
     monkeypatch.setattr(ring, "add", refuse)
     monkeypatch.setattr(ring, "sub", refuse)
     flat_diagonals = _flat_diagonals(rows, diagonals)
-    assert (ring.signed_sum(pairs), ring.diagonal_sum(*flat_diagonals)) == expected
+    assert (
+        ring.signed_sum(pairs),
+        ring.diagonal_sum(*flat_diagonals),
+        ring.product_sum(fused_signs, rows),
+        ring.power_sum(fused_signs, [x, y, x], 3),
+    ) == expected
 
 
 class _CallCountingRing(rings.Ring):
@@ -508,6 +596,10 @@ def test_counted_folds_tally_what_one_call_per_operation_counts(request):
         ("muls", lambda r: r.signed_sum(zip(sign_list, items))),
         ("muls", lambda r: r.diagonal_sum(flat, diagonal_signs, pickers)),
         ("muls", lambda r: r.diagonal_sum(flat, iter(diagonal_signs), iter(pickers))),
+        # Each row is one product's factors, and the last one is empty.
+        ("muls", lambda r: r.product_sum(sign_list, [*rows, []])),
+        ("muls", lambda r: r.product_sum(iter(sign_list), map(iter, rows))),
+        ("power_muls", lambda r: r.power_sum(sign_list, items, exponent % 8)),
         ("power_muls", lambda r: r.power(x, exponent)),
     )
     for field, fold in folds:
@@ -525,6 +617,7 @@ def test_counted_empty_folds_count_nothing():
         assert counting.product([]) == ring.one()
         assert counting.sum([]) == counting.signed_sum([]) == ring.zero()
         assert counting.diagonal_sum((ring.one(),), [], []) == ring.zero()
+        assert counting.product_sum([], []) == counting.power_sum([], [], 3) == ring.zero()
         assert counting.power(ring.from_int(2), 0) == ring.one()
         assert counting.product([ring.from_int(3)]) == ring.from_int(3)
         assert counting.counts == OpCounts(powers=1)
