@@ -356,6 +356,9 @@ def space_determinant_identity(cube: CubeMatrix) -> Any:
             for r in range(n):
                 yield [ring.sub(row_sums[t], rows[t][r]) for t in range(n)]
 
-    # The depleted-product bracket enters with the opposite sign.
-    signs = (term for _, sign in enumerate_permutations(n) for term in (sign, *[-sign] * n))
+    # diagonals(n) has enumerate_permutations(n)'s signs in its order.  Each
+    # permutation's product enters with its sign and the depleted-product
+    # bracket with the opposite one.
+    blocks = {EVEN: (EVEN,) + (ODD,) * n, ODD: (ODD,) + (EVEN,) * n}
+    signs = itertools.chain.from_iterable(map(blocks.get, diagonals(n)[0]))
     return ring.product_sum(signs, factors())
