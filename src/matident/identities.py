@@ -98,12 +98,6 @@ def _gray_sums(
         yield sign, current
 
 
-def _alternating(first: int) -> Iterator[int]:
-    """first, -first, first, ...: the signs of a walk whose sign flips at
-    every step, as _gray_sums' does."""
-    return itertools.cycle((first, -first))
-
-
 def permanent_identity(matrix: SquareMatrix, gammas: Sequence[Any] | None = None) -> Any:
     """Division-free permanent from signed products of shifted column sums.
 
@@ -117,7 +111,8 @@ def permanent_identity(matrix: SquareMatrix, gammas: Sequence[Any] | None = None
     _require_commutative(ring, "permanent")
     params = _checked_gammas(matrix, gammas)
     walk = _gray_sums(params, matrix.columns(), ring.sub, ring.add)
-    return ring.product_sum(_alternating(EVEN), map(itemgetter(1), walk))
+    # The walk's sign flips at every step, from +1 at the empty subset.
+    return ring.product_sum(itertools.cycle((EVEN, ODD)), map(itemgetter(1), walk))
 
 
 def permanent_ryser(matrix: SquareMatrix) -> Any:
@@ -130,7 +125,7 @@ def permanent_ryser(matrix: SquareMatrix) -> Any:
     _require_commutative(ring, "permanent")
     walk = _gray_sums([ring.zero()] * matrix.n, matrix.columns(), ring.add, ring.sub)
     nonempty = itertools.islice(walk, 1, None)
-    total = ring.product_sum(_alternating(ODD), map(itemgetter(1), nonempty))
+    total = ring.product_sum(itertools.cycle((ODD, EVEN)), map(itemgetter(1), nonempty))
     return ring.neg(total) if matrix.n % 2 else total
 
 
@@ -277,7 +272,7 @@ def _signed_submatrix_power_sum(matrix: SquareMatrix, exponent: int, delta: Any)
                 shifted = add(shifted, sums[j]) if column_entering else sub(shifted, sums[j])
                 yield shifted
 
-    return ring.power_sum(_alternating(EVEN), shifted_sums(), exponent)
+    return ring.power_sum(itertools.cycle((EVEN, ODD)), shifted_sums(), exponent)
 
 
 def symmetrized_permanent_identity(matrix: SquareMatrix, delta: Any = None) -> Any:
