@@ -612,6 +612,13 @@ RECORDED_COMPUTE = {
     "rational-per-polarization.txt": ["per", "polarization", "rational.json"],
     "matrix2-eper-definitional.txt": ["eper", "definitional", "matrix2.json"],
     "cube-detp-identity.txt": ["detp", "identity", "cube.json"],
+    # p/q entries at n = 5: the cube is lifted by a scale above 1 before its
+    # sections' columns are picked.
+    "frac_cube-detp-definitional.txt": ["detp", "definitional", "frac_cube.json"],
+    "frac_cube-detp-identity.txt": ["detp", "identity", "frac_cube.json"],
+    # symmetrize folds every ordering with the integer ring's product.
+    "rational-eper-definitional.txt": ["eper", "definitional", "rational.json"],
+    "rational-eper-identity.txt": ["eper", "identity", "rational.json"],
 }
 
 
