@@ -5,11 +5,11 @@ each enumerate_* function is a generator, so it is restartable:
 
 - enumerate_permutations(n) yields (image, sign): image[i] is the column
   picked in row i, and sign is EVEN (1) or ODD (-1).
-- diagonals(n) returns (signs, pickers), the same permutations in the same
-  order as C-level getters: pickers[k](flat) is the tuple of entries that
-  diagonal k picks from a matrix's row-major entries flat.  For n up to
-  TABLE_MAX_N both are tuples built once per process; above it they are
-  one-shot iterators.
+- diagonals(n) returns (even, odd), the same permutations as C-level
+  getters, split by sign and each half in that order: pick(flat) is the
+  tuple of entries that a diagonal picks from a matrix's row-major entries
+  flat.  For n up to TABLE_MAX_N both halves are tuples built once per
+  process; above it they are one-shot iterators.
 - enumerate_subdiagonals(n, k, sign) yields a tuple of k (row, col)
   positions.
 - enumerate_submatrices(n) yields (rows, cols), two sorted nonempty tuples.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import add, itemgetter, methodcaller, neg
+from operator import add, itemgetter, methodcaller
 from typing import Callable, Iterable, Iterator
 
 EVEN = 1
@@ -37,8 +37,11 @@ ODD = -1
 MAX_ENUMERATION_N = 10
 
 # diagonals(n) keeps a table for n up to this size: the tables for n = 1..7
-# take 1.03 MB together (tracemalloc), where one at n = 8 would take 7.4 MB.
+# take 0.99 MB together (tracemalloc), where one at n = 8 would take 7.4 MB.
 TABLE_MAX_N = 7
+
+# A diagonal's getter: the tuple of its entries from a row-major entry tuple.
+Picker = Callable[[tuple], tuple]
 
 
 def _check_n(n: int) -> None:
@@ -64,49 +67,52 @@ def enumerate_permutations(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
         yield image, ODD if sum(code) % 2 else EVEN
 
 
-def _blocks(n: int, m: int) -> tuple[Iterator[int], Iterator[tuple[int, ...]]]:
-    """The signs and the flat positions i*n + image[i] of the permutations of
-    0..n-1 in lexicographic order, from the table of size m < n.
+def _blocks(n: int, m: int) -> tuple[Iterator[Picker], Iterator[Picker]]:
+    """The pickers of the even and of the odd permutations of 0..n-1, each in
+    lexicographic order, from the table of size m < n.
 
     The order comes in blocks, one per choice of the columns that the first
     n - m rows pick, in lexicographic order (itertools.permutations with
     r = n - m).  A block lists the permutations of the m columns left, which
     are those of 0..m-1 relabelled in order, so the last m rows take the
     table's positions read through the minor of those rows and columns.
-    The first rows' picks are the first Lehmer digits, so the table's signs
-    flip when those digits have an odd sum.  Every loop per permutation runs
-    in C.
+    The first rows' picks are the first Lehmer digits, so the table's halves
+    change sides when those digits have an odd sum.  Every loop per
+    permutation runs in C.
     """
-    table_signs, pickers = _table(m)
-    flipped = tuple(map(neg, table_signs))
-    signs, positions = [], []
+    halves = _table(m)
+    sides: tuple[list, list] = ([], [])
     for prefix in itertools.permutations(range(n), n - m):
         others = [col for col in range(n) if col not in prefix]
         minor = tuple(i * n + col for i in range(n - m, n) for col in others)
-        head = tuple(i * n + col for i, col in enumerate(prefix))
+        head = itertools.repeat(tuple(i * n + col for i, col in enumerate(prefix)))
         digits = sum(col - sum(map(col.__gt__, prefix[:i])) for i, col in enumerate(prefix))
-        signs.append(flipped if digits % 2 else table_signs)
-        picked = map(methodcaller("__call__", minor), pickers)
-        positions.append(map(add, itertools.repeat(head), picked))
-    return itertools.chain.from_iterable(signs), itertools.chain.from_iterable(positions)
+        # Bound now: a generator expression would read minor late, when the
+        # block is walked and the loop has moved on.
+        read = methodcaller("__call__", minor)
+        for side, pickers in zip(sides, halves[::-1] if digits % 2 else halves):
+            side.append(map(add, head, map(read, pickers)))
+    chain = itertools.chain.from_iterable
+    return tuple(itertools.starmap(itemgetter, chain(side)) for side in sides)
 
 
 @functools.cache
-def _table(n: int) -> tuple[tuple[int, ...], tuple[Callable[[tuple], tuple], ...]]:
+def _table(n: int) -> tuple[tuple[Picker, ...], tuple[Picker, ...]]:
     """diagonals(n) for n up to TABLE_MAX_N, each built from the table below."""
     if n == 1:
-        return (EVEN,), (itemgetter(slice(0, 1)),)
-    signs, positions = _blocks(n, n - 1)
-    return tuple(signs), tuple(itertools.starmap(itemgetter, positions))
+        return (itemgetter(slice(0, 1)),), ()
+    return tuple(map(tuple, _blocks(n, n - 1)))
 
 
-def diagonals(n: int) -> tuple[Iterable[int], Iterable[Callable[[tuple], tuple]]]:
-    """The signs and the diagonal pickers of enumerate_permutations(n), in its order.
+def diagonals(n: int) -> tuple[Iterable[Picker], Iterable[Picker]]:
+    """The diagonal pickers of the even and of the odd permutations of
+    enumerate_permutations(n), each half in its order.
 
-    pickers[k](flat) is the tuple of the entries that permutation k picks from
-    a matrix's row-major entries flat, row i giving flat[i*n + image[i]] (a
-    slice at n = 1, so the pick is a tuple there too).  Up to TABLE_MAX_N
-    both are tuples, built on the first call and returned by every later one.
+    pick(flat) is the tuple of the entries that a permutation picks from a
+    matrix's row-major entries flat, row i giving flat[i*n + image[i]] (a
+    slice at n = 1, so the pick is a tuple there too).  The even half holds
+    ceil(n!/2) pickers and the odd one floor(n!/2).  Up to TABLE_MAX_N both
+    are tuples, built on the first call and returned by every later one.
     Above it they are fresh one-shot iterators, built block by block from
     the table at TABLE_MAX_N (see _blocks), so a consumer that walks the
     diagonals twice calls diagonals twice.
@@ -114,8 +120,7 @@ def diagonals(n: int) -> tuple[Iterable[int], Iterable[Callable[[tuple], tuple]]
     _check_n(n)
     if n <= TABLE_MAX_N:
         return _table(n)
-    signs, positions = _blocks(n, TABLE_MAX_N)
-    return signs, itertools.starmap(itemgetter, positions)
+    return _blocks(n, TABLE_MAX_N)
 
 
 def enumerate_subdiagonals(n: int, k: int, sign: int) -> Iterator[tuple[tuple[int, int], ...]]:

@@ -4,10 +4,12 @@ Each function family pairs a brute-force definitional evaluator (the oracle)
 with an algebraic identity that rebuilds the same value from sums of entries
 raised to the n-th power.  Every evaluator is one signed sum over a stream
 from `combinatorics`, folded by `Ring.signed_sum`, by `Ring.power_sum` when
-each term is a power, or by `Ring.product_sum` when each term is a product:
-of row sums, or, through `Ring.diagonal_sum`, of one diagonal's entries,
-picked from the matrix's row-major entries by the table of
-`combinatorics.diagonals`.  The determinant and symmetrized-permanent
+each term is a power, by `Ring.product_sum` when each term is a product of
+row sums, or by `Ring.diagonal_sum` when each term is one diagonal's
+product, picked from the matrix's row-major entries by the even and the odd
+halves of `combinatorics.diagonals`.  The space determinants pick from the
+sections' columns with the same tables, which gives each assembled matrix's
+columns in one C-level call.  The determinant and symmetrized-permanent
 identities use only addition, subtraction, n-th powers and one exact
 division by n!; the permanent and space-determinant identities multiply row
 sums instead.  Their agreement with the definitional forms over every
@@ -28,7 +30,6 @@ from .combinatorics import (
     ODD,
     diagonals,
     enumerate_gray_steps,
-    enumerate_permutations,
     enumerate_transpositions,
 )
 from .matrices import CubeMatrix, SquareMatrix
@@ -67,9 +68,9 @@ def _flat(rows: Iterable[Iterable[Any]]) -> tuple:
 
 
 def _flat_permanent(ring: Ring, flat: tuple, n: int) -> Any:
-    """The permanent of the n x n matrix whose row-major entries are flat."""
-    _, pickers = diagonals(n)
-    return ring.diagonal_sum(flat, itertools.repeat(EVEN), pickers)
+    """The permanent of the n x n matrix whose row-major entries are flat:
+    every diagonal is added, the odd ones too."""
+    return ring.diagonal_sum(flat, itertools.chain(*diagonals(n)), ())
 
 
 def permanent(matrix: SquareMatrix) -> Any:
@@ -244,7 +245,7 @@ def symmetrized_permanent(matrix: SquareMatrix) -> Any:
     """
     ring = matrix.ring
     flat = _flat(matrix.entries)
-    _, pickers = diagonals(matrix.n)
+    pickers = itertools.chain(*diagonals(matrix.n))
     return ring.signed_sum((EVEN, symmetrize(ring, pick(flat))) for pick in pickers)
 
 
@@ -310,10 +311,15 @@ def symmetrized_permanent_zero_criterion(matrix: SquareMatrix) -> bool:
     return matrix.ring.is_zero(submatrix_power_residual(matrix, matrix.n))
 
 
-def _assembled_rows(cube: CubeMatrix, image: tuple[int, ...]) -> list[list]:
-    """Rows of the matrix whose column i is column image[i] of section i."""
-    sections = cube.sections
-    return [[sections[i][t][col] for i, col in enumerate(image)] for t in range(cube.n)]
+def _section_columns(cube: CubeMatrix) -> tuple[tuple, ...]:
+    """The sections' columns, columns[i*n + j] being column j of section i.
+
+    Laid out as the row-major entries of an n x n matrix, they are what the
+    pickers of diagonals(n) read: the picker of a permutation s takes column
+    s(i) of section i for each i, the columns of the matrix assembled for s,
+    so its pick is that matrix's transpose, row by row.
+    """
+    return tuple(column for section in cube.sections for column in zip(*section))
 
 
 def space_determinant(cube: CubeMatrix) -> Any:
@@ -321,14 +327,19 @@ def space_determinant(cube: CubeMatrix) -> Any:
 
     For each permutation s the matrix whose i-th column is column s(i) of
     section i is assembled and its permanent weighted by the sign of s.  The
-    outer walk is enumerate_permutations; each inner permanent picks its
-    diagonals from the assembled matrix's flat entries with diagonals(n).
+    pickers of diagonals(n) assemble each one's transpose from the section
+    columns, which has the same permanent from the same products; each inner
+    permanent picks its diagonals from that transpose's flat entries with
+    diagonals(n) again.
     """
     ring = cube.ring
     n = cube.n
+    columns = _section_columns(cube)
+    even, odd = diagonals(n)
     return ring.signed_sum(
-        (sign, _flat_permanent(ring, _flat(_assembled_rows(cube, image)), n))
-        for image, sign in enumerate_permutations(n)
+        (sign, _flat_permanent(ring, _flat(pick(columns)), n))
+        for sign, half in ((EVEN, even), (ODD, odd))
+        for pick in half
     )
 
 
@@ -339,21 +350,29 @@ def space_determinant_identity(cube: CubeMatrix) -> Any:
     S_t = sum over i of the (t, s(i)) entry of section i.  The identity takes
     the alternating sum over s of prod_t S_t, minus the alternating sum over
     s of sum_r prod_t (S_t - the r-th summand), with no trailing division.
+    The pickers of diagonals(n) give each selection's columns, the r-th of
+    which holds the r-th summand of every row (see _section_columns).
     """
     ring = cube.ring
     n = cube.n
+    columns = _section_columns(cube)
+    even, odd = diagonals(n)
+    sub = ring.sub
 
     def factors():
-        for image, _ in enumerate_permutations(n):
-            rows = _assembled_rows(cube, image)
-            row_sums = [ring.sum(row) for row in rows]
+        for pick in itertools.chain(even, odd):
+            picked = pick(columns)
+            row_sums = list(map(ring.sum, zip(*picked)))
             yield row_sums
-            for r in range(n):
-                yield [ring.sub(row_sums[t], rows[t][r]) for t in range(n)]
+            for column in picked:
+                yield map(sub, row_sums, column)
 
-    # diagonals(n) has enumerate_permutations(n)'s signs in its order.  Each
-    # permutation's product enters with its sign and the depleted-product
-    # bracket with the opposite one.
-    blocks = {EVEN: (EVEN,) + (ODD,) * n, ODD: (ODD,) + (EVEN,) * n}
-    signs = itertools.chain.from_iterable(map(blocks.get, diagonals(n)[0]))
-    return ring.product_sum(signs, factors())
+    # Each permutation's product enters with its sign and the depleted-product
+    # bracket with the opposite one.  diagonals(n) lists ceil(n!/2) even
+    # permutations, then floor(n!/2) odd ones.
+    odds = math.factorial(n) // 2
+    blocks = itertools.chain(
+        itertools.repeat((EVEN,) + (ODD,) * n, math.factorial(n) - odds),
+        itertools.repeat((ODD,) + (EVEN,) * n, odds),
+    )
+    return ring.product_sum(itertools.chain.from_iterable(blocks), factors())

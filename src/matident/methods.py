@@ -107,15 +107,17 @@ class MethodSpec:
 # times below show (README.md, size limits).  The times were measured when a
 # compute made two runs, a plain and a counted one; it now makes one, and
 # the limits are kept as they were.  The definitional per, det and detp times
-# are one-run computes, re-measured with the diagonal tables, apart from the
-# symbolic ones above the limit.  The symbolic identity times are one-run
-# computes too, re-measured with the fused product and power folds (in
-# process, imports included), apart from detp_identity's above the limit.
+# are one-run computes on p/q entries, re-measured with the diagonal tables
+# split by sign (whole processes, imports included; above a limit with the
+# size check skipped), apart from the symbolic ones above the limit.  The
+# symbolic identity times are one-run computes too, re-measured with the
+# fused product and power folds (in process, imports included), apart from
+# detp_identity's above the limit.
 METHODS: dict[str, MethodSpec] = {
     spec.name: spec
     for spec in (
-        # n! diagonals: 0.47-0.50 s at n = 9, 5.1 s at n = 10; symbolic
-        # 0.78-0.82 s at n = 8, 15.7 s at n = 9 (two runs).
+        # n! diagonals: 0.36-0.41 s at n = 9, 3.0 s at n = 10; symbolic
+        # 0.73 s at n = 8, 15.7 s at n = 9 (two runs).
         MethodSpec(
             "per_definitional",
             SquareMatrix,
@@ -152,8 +154,8 @@ METHODS: dict[str, MethodSpec] = {
             max_n=7,
             symbolic_max_n=5,
         ),
-        # n! diagonals: 0.47 s at n = 9, 4.4 s at n = 10; symbolic 0.80-0.82 s
-        # at n = 8, 14.5-18.8 s at n = 9 (two runs).
+        # n! diagonals: 0.36-0.38 s at n = 9, 3.0-3.1 s at n = 10; symbolic
+        # 0.74-0.75 s at n = 8, 14.5-18.8 s at n = 9 (two runs).
         MethodSpec(
             "det_definitional",
             SquareMatrix,
@@ -205,8 +207,8 @@ METHODS: dict[str, MethodSpec] = {
             max_n=9,
             symbolic_max_n=4,
         ),
-        # n! permanents of n! diagonals each: 0.35-0.38 s at n = 6, 13.6 s at
-        # n = 7; symbolic 0.40-0.51 s at n = 5, 37 s at n = 6 (two runs).
+        # n! permanents of n! diagonals each: 0.25 s at n = 6, 9.0 s at n = 7;
+        # symbolic 0.34 s at n = 5, 37 s at n = 6 (two runs).
         MethodSpec(
             "detp_definitional",
             CubeMatrix,

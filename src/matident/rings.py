@@ -13,10 +13,9 @@ element type to the function that scales a request's values onto its twin
 and the result back (see methods.lift).  A 2x2 element and its twin share
 one cell layout and one set of formulas, so lifting scales each cell.
 The integer twin runs the folds (sum, signed_sum, product, product_sum,
-power_sum) on builtins, and the packed-polynomial twin runs signed_sum,
-product_sum and power_sum into one accumulating dict; diagonal_sum is
-product_sum in every ring.  The 2x2 twin, which is noncommutative, keeps
-Ring's folds.
+power_sum, diagonal_sum) on builtins, and the packed-polynomial twin runs
+signed_sum, product_sum, diagonal_sum and power_sum into one accumulating
+dict.  The 2x2 twin, which is noncommutative, keeps Ring's folds.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from operator import methodcaller, mul, or_
+from operator import mul, or_
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 VARIABLE_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -51,9 +50,9 @@ class Ring:
     operation methods, so operations stay methods, never instance attributes,
     and the folds (sum, signed_sum, product, product_sum, power_sum,
     diagonal_sum) go through the overrides.  product_sum and power_sum are
-    signed_sum over products and powers, and diagonal_sum is product_sum over
-    the diagonals that the pickers of combinatorics.diagonals take from a flat
-    entry tuple.
+    signed_sum over products and powers, and diagonal_sum is the same over
+    the products of the diagonals that the even and the odd pickers of
+    combinatorics.diagonals take from a flat entry tuple.
     """
 
     def __init__(
@@ -154,10 +153,16 @@ class Ring:
             total = item if total is None else self.mul(total, item)
         return self.one() if total is None else total
 
+    def _signed_products(self, pairs: Iterable[tuple[int, Iterable[Any]]]) -> Any:
+        """Sum of sign times the product of factors over (sign, factors) pairs:
+        one product and one add or sub per pair."""
+        product = self.product
+        return self.signed_sum((sign, product(factors)) for sign, factors in pairs)
+
     def product_sum(self, signs: Iterable[int], factors: Iterable[Iterable[Any]]) -> Any:
         """Sum of signs[k] times the product of factors[k]: one product and
         one add or sub per term."""
-        return self.signed_sum(zip(signs, map(self.product, factors)))
+        return self._signed_products(zip(signs, factors))
 
     def power_sum(self, signs: Iterable[int], bases: Iterable[Any], exponent: int) -> Any:
         """Sum of signs[k] times bases[k]**exponent: one power and one add or
@@ -165,12 +170,15 @@ class Ring:
         return self.signed_sum(zip(signs, map(self.power, bases, repeat(exponent))))
 
     def diagonal_sum(
-        self, flat: Sequence[Any], signs: Iterable[int], pickers: Iterable[Callable]
+        self, flat: Sequence[Any], even: Iterable[Callable], odd: Iterable[Callable]
     ) -> Any:
-        """Signed sum over the diagonals of a matrix whose row-major entries
-        are flat: pickers[k](flat) gives diagonal k's entries in row order
-        (see combinatorics.diagonals) and signs[k] its sign."""
-        return self.product_sum(signs, map(methodcaller("__call__", flat), pickers))
+        """Sum over the diagonals of a matrix whose row-major entries are
+        flat of their products, added for the pickers in even and subtracted
+        for those in odd: pick(flat) gives a diagonal's entries in row order
+        (see combinatorics.diagonals).  One product and one add or sub per
+        diagonal."""
+        halves = ((1, even), (-1, odd))
+        return self._signed_products((sign, pick(flat)) for sign, half in halves for pick in half)
 
 
 def _accumulate(terms: dict, pairs: Iterable[tuple[int, Mapping]]) -> dict:
@@ -464,9 +472,10 @@ class _IntegerRing(Ring):
     run on the builtins (sum, math.prod, int powers), which give the same
     exact values as Ring's one-call-per-operation folds and
     square-and-multiply.  product_sum and power_sum map math.prod or pow and
-    the signs over their terms (diagonal_sum maps the pickers first), so no
-    Python frame runs per term.  A counting ring over this one runs only its
-    operations and powers; its folds are Ring's loops.
+    the signs over their terms, so no Python frame runs per term.
+    diagonal_sum sums the even diagonals' products and subtracts the odd
+    ones' sum, so no diagonal pays a sign.  A counting ring over this one
+    runs only its operations and powers; its folds are Ring's loops.
     """
 
     add = staticmethod(operator.add)
@@ -487,6 +496,12 @@ class _IntegerRing(Ring):
     def product_sum(self, signs: Iterable[int], factors: Iterable[Iterable[int]]) -> int:
         # Every loop runs in C: multiply out, apply the sign, add up.
         return sum(map(mul, signs, map(math.prod, factors)))
+
+    def diagonal_sum(
+        self, flat: Sequence[int], even: Iterable[Callable], odd: Iterable[Callable]
+    ) -> int:
+        prod = math.prod
+        return sum(prod(pick(flat)) for pick in even) - sum(prod(pick(flat)) for pick in odd)
 
     def power_sum(self, signs: Iterable[int], bases: Iterable[int], exponent: int) -> int:
         if exponent < 0:
@@ -512,9 +527,10 @@ class _PackedPolyRing(Ring):
     variable (see _lift_polys), so the product of two monomials is one
     integer addition.  Elements are never mutated; a fold accumulates into
     one fresh dict.  signed_sum adds whole elements into it.  product_sum
-    (and diagonal_sum through it) and power_sum multiply out each term but
-    its last multiplication, which adds its products straight into the
-    fold, so a term's full product is never built as a dict of its own.
+    and diagonal_sum (through _signed_products) and power_sum multiply out
+    each term but its last multiplication, which adds its products straight
+    into the fold, so a term's full product is never built as a dict of its
+    own.
     """
 
     def add(self, x: dict, y: dict) -> dict:
@@ -552,9 +568,9 @@ class _PackedPolyRing(Ring):
             return {key: coeff for key, coeff in terms.items() if coeff}
         return terms
 
-    def product_sum(self, signs: Iterable[int], factors: Iterable[Iterable[dict]]) -> dict:
+    def _signed_products(self, pairs: Iterable[tuple[int, Iterable[dict]]]) -> dict:
         terms: dict[int, int] = {}
-        for sign, factor in zip(signs, factors):
+        for sign, factor in pairs:
             *head, last = tuple(factor) or (self._one,)
             _add_product(terms, sign, self.product(head), last)
         return {key: coeff for key, coeff in terms.items() if coeff}

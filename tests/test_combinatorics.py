@@ -79,34 +79,48 @@ def _picked_positions(n, pickers):
     return [pick(flat) for pick in pickers]
 
 
-def _expected_diagonals(n):
-    """The signs of enumerate_permutations(n) and the flat positions
-    i*n + image[i] of each of its images."""
-    perms = list(enumerate_permutations(n))
-    positions = [tuple(i * n + col for i, col in enumerate(image)) for image, _ in perms]
-    return [sign for _, sign in perms], positions
+def _expected_halves(n):
+    """The flat positions i*n + image[i] of the even and of the odd images of
+    0..n-1, each half in lexicographic order, signed by the cycle oracle."""
+    halves = {1: [], -1: []}
+    for image in itertools.permutations(range(n)):
+        halves[cycle_sign(image)].append(tuple(i * n + col for i, col in enumerate(image)))
+    return [halves[1], halves[-1]]
 
 
 @pytest.mark.parametrize("n", range(1, TABLE_MAX_N + 1))
 def test_diagonal_tables_pick_the_permutation_stream_in_order(n):
-    signs, pickers = diagonals(n)
-    assert isinstance(signs, tuple) and isinstance(pickers, tuple)
-    assert (list(signs), _picked_positions(n, pickers)) == _expected_diagonals(n)
+    even, odd = diagonals(n)
+    assert isinstance(even, tuple) and isinstance(odd, tuple)
+    assert [_picked_positions(n, even), _picked_positions(n, odd)] == _expected_halves(n)
+    # The halves partition enumerate_permutations(n) by sign, each in its order.
+    perms = list(enumerate_permutations(n))
+    for half, sign in ((even, EVEN), (odd, ODD)):
+        images = [tuple(p % n for p in picked) for picked in _picked_positions(n, half)]
+        assert images == [image for image, image_sign in perms if image_sign == sign]
+    odds = math.factorial(n) // 2
+    assert (len(even), len(odd)) == (math.factorial(n) - odds, odds)
     # Built once: every later call returns the same table.
     assert diagonals(n) is diagonals(n)
 
 
 def test_the_one_diagonal_of_a_1x1_matrix_is_picked_as_a_1_tuple():
-    signs, (pick,) = diagonals(1)
-    assert signs == (EVEN,)
+    (pick,), odd = diagonals(1)
+    assert odd == ()
     assert pick(("x",)) == ("x",)
 
 
 @pytest.mark.parametrize("n", [TABLE_MAX_N + 1, TABLE_MAX_N + 2])
 def test_diagonals_above_the_table_cap_stream_the_same_order(n):
-    signs, pickers = diagonals(n)
-    assert iter(signs) is signs and iter(pickers) is pickers
-    assert (list(signs), _picked_positions(n, pickers)) == _expected_diagonals(n)
+    even, odd = diagonals(n)
+    assert iter(even) is even and iter(odd) is odd
+    assert [_picked_positions(n, even), _picked_positions(n, odd)] == _expected_halves(n)
+    # One-shot, and each half is its own stream: the odd one read first gives
+    # the same picks.
+    assert list(even) == list(odd) == []
+    even, odd = diagonals(n)
+    assert _picked_positions(n, odd) == _expected_halves(n)[1]
+    assert _picked_positions(n, even) == _expected_halves(n)[0]
     with pytest.raises(ValueError):
         diagonals(MAX_ENUMERATION_N + 1)
     with pytest.raises(ValueError):
@@ -161,10 +175,10 @@ def test_no_registry_method_changes_the_cached_tables():
         evaluate_method(method, random_integer_matrix(derive_rng(28, method), TABLE_MAX_N))
     for n, table in tables.items():
         assert diagonals(n) is table
-        fresh_signs, fresh_pickers = combinatorics._table.__wrapped__(n)
-        signs, pickers = table
-        assert signs == fresh_signs
-        assert _picked_positions(n, pickers) == _picked_positions(n, fresh_pickers)
+        fresh = combinatorics._table.__wrapped__(n)
+        assert [_picked_positions(n, half) for half in table] == [
+            _picked_positions(n, half) for half in fresh
+        ]
 
 
 def test_diagonals_split_by_parity():

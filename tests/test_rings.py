@@ -3,7 +3,9 @@ division in their lifted integer twins."""
 
 import copy
 import itertools
+import math
 import operator
+import random
 import re
 from fractions import Fraction
 from operator import getitem, itemgetter
@@ -14,7 +16,9 @@ from hypothesis import strategies as st
 
 from matident import rings
 from matident.bench import CountingRing
-from matident.methods import OpCounts
+from matident.combinatorics import TABLE_MAX_N, diagonals
+from matident.matrices import CubeMatrix, SquareMatrix
+from matident.methods import OpCounts, evaluate_method
 from matident.rings import (
     MATRIX2,
     RATIONAL,
@@ -25,7 +29,9 @@ from matident.rings import (
 from oracles import (
     brute_determinant,
     brute_permanent,
+    brute_space_determinant,
     cycle_sign,
+    gauss_determinant,
     matrix2_add,
     matrix2_mul,
     matrix2_neg,
@@ -146,17 +152,16 @@ def _generic_diagonal_sum(ring, rows, pairs):
 
 def _flat_diagonals(rows, pairs):
     """diagonal_sum's arguments for (image, sign) pairs over rows: the
-    row-major entries, the signs, and per image a getter of the positions
-    i*n + image[i] that returns a tuple (a slice when n = 1)."""
+    row-major entries, then per image a getter of the positions
+    i*n + image[i] that returns a tuple (a slice when n = 1), in the even
+    list for sign 1 and in the odd one for sign -1."""
     n = len(rows)
     flat = tuple(entry for row in rows for entry in row)
-    pickers = [
-        itemgetter(*(i * n + col for i, col in enumerate(image)))
-        if n > 1
-        else itemgetter(slice(0, 1))
-        for image, _ in pairs
-    ]
-    return flat, [sign for _, sign in pairs], pickers
+    halves = {1: [], -1: []}
+    for image, sign in pairs:
+        positions = (i * n + col for i, col in enumerate(image))
+        halves[sign].append(itemgetter(*positions) if n > 1 else itemgetter(slice(0, 1)))
+    return flat, halves[1], halves[-1]
 
 
 @given(
@@ -589,13 +594,14 @@ def fold_requests(draw):
 @settings(max_examples=60, deadline=None)
 def test_counted_folds_tally_what_one_call_per_operation_counts(request):
     ring, items, sign_list, rows, pairs, x, exponent = request
-    flat, diagonal_signs, pickers = _flat_diagonals(rows, pairs)
+    flat, even, odd = _flat_diagonals(rows, pairs)
     folds = (
         ("muls", lambda r: r.product(items)),
         ("muls", lambda r: r.sum(items)),
         ("muls", lambda r: r.signed_sum(zip(sign_list, items))),
-        ("muls", lambda r: r.diagonal_sum(flat, diagonal_signs, pickers)),
-        ("muls", lambda r: r.diagonal_sum(flat, iter(diagonal_signs), iter(pickers))),
+        ("muls", lambda r: r.diagonal_sum(flat, even, odd)),
+        ("muls", lambda r: r.diagonal_sum(flat, iter(even), iter(odd))),
+        ("muls", lambda r: r.diagonal_sum(flat, itertools.chain(even, odd), ())),
         # Each row is one product's factors, and the last one is empty.
         ("muls", lambda r: r.product_sum(sign_list, [*rows, []])),
         ("muls", lambda r: r.product_sum(iter(sign_list), map(iter, rows))),
@@ -637,11 +643,97 @@ def test_diagonal_sums_match_the_brute_permanent_and_determinant(name, n, data):
     ring, elements = FOLD_RINGS[name]
     rows = data.draw(st.lists(st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n))
     images = list(itertools.permutations(range(n)))
-    flat, _, pickers = _flat_diagonals(rows, [(image, 1) for image in images])
-    signs = [cycle_sign(image) for image in images]
+    flat, even, odd = _flat_diagonals(rows, [(image, cycle_sign(image)) for image in images])
     polys_rows = [[_as_poly(x) for x in row] for row in rows]
     for evaluator in (ring, CountingRing(ring)):
-        permanent = evaluator.diagonal_sum(flat, itertools.repeat(1), pickers)
-        determinant = evaluator.diagonal_sum(flat, signs, pickers)
+        permanent = evaluator.diagonal_sum(flat, even + odd, ())
+        determinant = evaluator.diagonal_sum(flat, even, odd)
         assert _as_poly(permanent) == brute_permanent(polys_rows)
         assert _as_poly(determinant) == brute_determinant(polys_rows)
+
+
+@given(st.sampled_from(sorted(NATIVE_FUSED_RINGS)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_native_diagonal_sums_match_the_ring_fold(name, data):
+    # Ring.diagonal_sum folds one product and one add or sub per diagonal;
+    # the integer ring's two sums and the packed ring's fused fold must give
+    # the same values, on tuples and on one-shot iterators, with either half
+    # empty.
+    ring, elements = NATIVE_FUSED_RINGS[name]
+    n = data.draw(st.integers(1, 3))
+    pool = data.draw(st.lists(elements, min_size=1, max_size=4))
+    rows = [[data.draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(n)]
+    images = st.permutations(range(n)).map(tuple)
+    pairs = data.draw(st.lists(st.tuples(images, signs), max_size=8))
+    flat, even, odd = _flat_diagonals(rows, pairs)
+    before = copy.deepcopy(pool)
+    for halves in ((even, odd), (even, ()), ((), odd), (even + odd, ()), ((), ())):
+        expected = rings.Ring.diagonal_sum(ring, flat, *halves)
+        assert ring.diagonal_sum(flat, *map(tuple, halves)) == expected
+        assert ring.diagonal_sum(flat, *map(iter, halves)) == expected
+        if name == "packed":
+            assert 0 not in expected.values()
+    assert ring.diagonal_sum(flat, even, odd) == _generic_diagonal_sum(ring, rows, pairs)
+    assert pool == before
+
+
+@pytest.mark.parametrize("name", sorted(NATIVE_FUSED_RINGS))
+def test_native_diagonal_sums_match_the_ring_fold_above_the_table_cap(name):
+    n = TABLE_MAX_N + 1
+    ring = NATIVE_FUSED_RINGS[name][0]
+    rng = random.Random(f"31:{name}")
+    values = [rng.randint(-9, 9) or 1 for _ in range(n * n)]
+    # Packed entries of one term each, so that the sums stay small.
+    flat = tuple(values if name == "integer" else ({v % 3: v} for v in values))
+    expected = rings.Ring.diagonal_sum(ring, flat, *diagonals(n))
+    assert ring.diagonal_sum(flat, *diagonals(n)) == expected
+    expected = rings.Ring.diagonal_sum(ring, flat, itertools.chain(*diagonals(n)), ())
+    assert ring.diagonal_sum(flat, itertools.chain(*diagonals(n)), ()) == expected
+    if name == "integer":
+        rows = [values[i * n : (i + 1) * n] for i in range(n)]
+        assert ring.diagonal_sum(flat, *diagonals(n)) == gauss_determinant(rows)
+
+
+@pytest.mark.parametrize("n", range(1, TABLE_MAX_N + 2))
+def test_counted_diagonal_sums_tally_one_add_per_diagonal(n):
+    # n! adds and n!(n - 1) muls, from the tables and from the blocks above
+    # them, for the determinant's halves and for the permanent's chain.
+    rng = random.Random(f"31:counted {n}")
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    flat = tuple(itertools.chain.from_iterable(rows))
+    size = math.factorial(n)
+    for halves, expected in (
+        (diagonals(n), gauss_determinant(rows)),
+        ((itertools.chain(*diagonals(n)), ()), brute_permanent(rows)),
+    ):
+        counting = CountingRing(rings._INTEGER)
+        assert counting.diagonal_sum(flat, *halves) == expected
+        assert counting.counts == OpCounts(adds=size, muls=size * (n - 1))
+
+
+def test_integer_definitional_sums_call_no_ring_operation(monkeypatch):
+    # Lifted rational requests fold their diagonals in the integer ring's
+    # builtin sums: no add, sub, mul or product call per diagonal, nor per
+    # assembled cube section.
+    rng = random.Random("31:no ring operation")
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    matrix = SquareMatrix(RATIONAL, [[entry() for _ in range(5)] for _ in range(5)])
+    cells = [[[entry() for _ in range(4)] for _ in range(4)] for _ in range(4)]
+    cube = CubeMatrix(RATIONAL, cells)
+    expected = {
+        "det_definitional": gauss_determinant(matrix.entries),
+        "per_definitional": brute_permanent(matrix.entries),
+        "detp_definitional": brute_space_determinant(cells),
+    }
+
+    def refuse(*args):
+        raise AssertionError("a definitional sum called an integer ring operation")
+
+    for name in ("add", "sub", "mul", "product"):
+        monkeypatch.setattr(rings._INTEGER, name, refuse)
+    for method, value in expected.items():
+        obj = cube if method.startswith("detp") else matrix
+        assert evaluate_method(method, obj) == value
