@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .combinatorics import (
@@ -82,21 +81,20 @@ def permanent(matrix: SquareMatrix) -> Any:
 
 def _gray_sums(
     start: Sequence[Any], vectors: Sequence[Sequence[Any]], enter: Callable, leave: Callable
-) -> Iterator[tuple[int, tuple]]:
-    """Yield (sign, the tuple start +- the vectors in S) for every vector subset S.
+) -> Iterator[tuple]:
+    """Yield the tuple start +- the vectors in S for every vector subset S.
 
     The subsets come in Gray-code order from the empty one, so each step
     moves one vector in or out of S and changes every entry once: enter(value,
     entry) when the vector joins S, leave(value, entry) when it goes.  The
-    sign is (-1)**|S|.
+    walk yields the tuples alone: |S| changes parity at every step, so the
+    sign (-1)**|S| alternates from +1 and each caller takes it from a cycle.
     """
     current = tuple(start)
-    sign = EVEN
-    yield sign, current
+    yield current
     for j, entering in enumerate_gray_steps(len(vectors)):
         current = tuple(map(enter if entering else leave, current, vectors[j]))
-        sign = -sign
-        yield sign, current
+        yield current
 
 
 def permanent_identity(matrix: SquareMatrix, gammas: Sequence[Any] | None = None) -> Any:
@@ -112,8 +110,8 @@ def permanent_identity(matrix: SquareMatrix, gammas: Sequence[Any] | None = None
     _require_commutative(ring, "permanent")
     params = _checked_gammas(matrix, gammas)
     walk = _gray_sums(params, matrix.columns(), ring.sub, ring.add)
-    # The walk's sign flips at every step, from +1 at the empty subset.
-    return ring.product_sum(itertools.cycle((EVEN, ODD)), map(itemgetter(1), walk))
+    # The sign (-1)**|S| flips at every step, from +1 at the empty subset.
+    return ring.product_sum(itertools.cycle((EVEN, ODD)), walk)
 
 
 def permanent_ryser(matrix: SquareMatrix) -> Any:
@@ -126,7 +124,7 @@ def permanent_ryser(matrix: SquareMatrix) -> Any:
     _require_commutative(ring, "permanent")
     walk = _gray_sums([ring.zero()] * matrix.n, matrix.columns(), ring.add, ring.sub)
     nonempty = itertools.islice(walk, 1, None)
-    total = ring.product_sum(itertools.cycle((ODD, EVEN)), map(itemgetter(1), nonempty))
+    total = ring.product_sum(itertools.cycle((ODD, EVEN)), nonempty)
     return ring.neg(total) if matrix.n % 2 else total
 
 
@@ -267,7 +265,7 @@ def _signed_submatrix_power_sum(matrix: SquareMatrix, exponent: int, delta: Any)
     row_walk = _gray_sums([ring.zero()] * matrix.n, matrix.entries, add, sub)
 
     def shifted_sums():
-        for _, sums in itertools.islice(row_walk, 1, None):
+        for sums in itertools.islice(row_walk, 1, None):
             shifted = delta
             for j, column_entering in column_steps:
                 shifted = add(shifted, sums[j]) if column_entering else sub(shifted, sums[j])

@@ -101,23 +101,15 @@ class MethodSpec:
     max_n: int = MAX_ENUMERATION_N
 
 
-# Each max_n kept one compute on a rational document (matrix2 for eper) within
-# about 5 s on a 2-vCPU machine, and each symbolic_max_n did the same on a
-# symbolic document of distinct variables (a cube for detp), as the whole-run
-# times below show (README.md, size limits).  The times were measured when a
-# compute made two runs, a plain and a counted one; it now makes one, and
-# the limits are kept as they were.  The definitional per, det and detp times
-# are one-run computes on p/q entries, re-measured with the diagonal tables
-# split by sign (whole processes, imports included; above a limit with the
-# size check skipped), apart from the symbolic ones above the limit.  The
-# symbolic identity times are one-run computes too, re-measured with the
-# fused product and power folds (in process, imports included), apart from
-# detp_identity's above the limit.
+# Each max_n keeps one compute on a rational document (matrix2 for eper)
+# within about 5 s on a 2-vCPU machine, and each symbolic_max_n does the same
+# on a symbolic document of distinct variables (a cube for detp), as the
+# one-run times below show (README.md, size limits).
 METHODS: dict[str, MethodSpec] = {
     spec.name: spec
     for spec in (
         # n! diagonals: 0.36-0.41 s at n = 9, 3.0 s at n = 10; symbolic
-        # 0.73 s at n = 8, 15.7 s at n = 9 (two runs).
+        # 0.73 s at n = 8, 14.6 s at n = 9.
         MethodSpec(
             "per_definitional",
             SquareMatrix,
@@ -126,9 +118,9 @@ METHODS: dict[str, MethodSpec] = {
             max_n=9,
             symbolic_max_n=8,
         ),
-        # per_identity and per_ryser: 2^n products of row sums, which on
-        # symbolic documents hold up to n^n terms each: 0.11-0.17 s at n = 6,
-        # 2.2-3.0 s at n = 7.
+        # per_identity and per_ryser: 2^n products of row sums, 0.04-0.06 s at
+        # n = 10; on symbolic documents each holds up to n^n terms: 0.11-0.17 s
+        # at n = 6, 2.2-3.0 s at n = 7.
         MethodSpec(
             "per_identity",
             SquareMatrix,
@@ -144,8 +136,8 @@ METHODS: dict[str, MethodSpec] = {
             lambda n: OpCounts(adds=(n + 1) * (2**n - 1), negs=n % 2, muls=(2**n - 1) * (n - 1)),
             symbolic_max_n=6,
         ),
-        # 2^n permanents of n x n matrices: n = 7 takes seconds, n = 8 minutes;
-        # symbolic 0.9-1.2 s at n = 5, over 60 s at n = 6.
+        # 2^n permanents of n x n matrices: 0.58 s at n = 7, 9.9 s at n = 8;
+        # symbolic 0.37 s at n = 5, 44 s at n = 6.
         MethodSpec(
             "per_polarization",
             SquareMatrix,
@@ -155,7 +147,7 @@ METHODS: dict[str, MethodSpec] = {
             symbolic_max_n=5,
         ),
         # n! diagonals: 0.36-0.38 s at n = 9, 3.0-3.1 s at n = 10; symbolic
-        # 0.74-0.75 s at n = 8, 14.5-18.8 s at n = 9 (two runs).
+        # 0.74-0.75 s at n = 8, 12.1 s at n = 9.
         MethodSpec(
             "det_definitional",
             SquareMatrix,
@@ -164,7 +156,7 @@ METHODS: dict[str, MethodSpec] = {
             max_n=9,
             symbolic_max_n=8,
         ),
-        # n! diagonals of n + 1 powers each: 1.6 s at n = 8, 14 s at n = 9;
+        # n! diagonals of n + 1 powers each: 0.16 s at n = 8, 2.2 s at n = 9;
         # symbolic 0.11-0.13 s at n = 5, 2.0-2.5 s at n = 6.
         MethodSpec(
             "det_identity",
@@ -180,9 +172,8 @@ METHODS: dict[str, MethodSpec] = {
             max_n=8,
             symbolic_max_n=5,
         ),
-        # n! diagonals of n! orderings each: on matrix2 a plain and a counted run
-        # take about 0.15 s together at n = 5 and about 7 s at n = 6; symbolic
-        # 0.2-0.44 s at n = 5.
+        # n! diagonals of n! orderings each: 0.10 s at n = 5, 1.9 s at n = 6;
+        # symbolic 0.15 s at n = 5.
         MethodSpec(
             "eper_definitional",
             SquareMatrix,
@@ -191,7 +182,7 @@ METHODS: dict[str, MethodSpec] = {
             max_n=5,
             symbolic_max_n=5,
         ),
-        # 4^n submatrix sums, each to the n-th power: 3.8 s at n = 9, 13 s at
+        # 4^n submatrix sums, each to the n-th power: 1.7 s at n = 9, 5.6 s at
         # n = 10; symbolic 0.08-0.09 s at n = 4, 2.2-2.6 s at n = 5.
         MethodSpec(
             "eper_identity",
@@ -208,7 +199,7 @@ METHODS: dict[str, MethodSpec] = {
             symbolic_max_n=4,
         ),
         # n! permanents of n! diagonals each: 0.25 s at n = 6, 9.0 s at n = 7;
-        # symbolic 0.34 s at n = 5, 37 s at n = 6 (two runs).
+        # symbolic 0.34 s at n = 5, 21.8 s at n = 6.
         MethodSpec(
             "detp_definitional",
             CubeMatrix,
@@ -217,8 +208,8 @@ METHODS: dict[str, MethodSpec] = {
             max_n=6,
             symbolic_max_n=5,
         ),
-        # n! permutations of n + 1 row-sum products each: 4.1 s at n = 8, 49 s
-        # at n = 9; symbolic 0.7-1.1 s at n = 5, over 90 s at n = 6 (two runs).
+        # n! permutations of n + 1 row-sum products each: 0.55 s at n = 8,
+        # 5.7 s at n = 9; symbolic 0.7-1.1 s at n = 5, 150 s at n = 6.
         MethodSpec(
             "detp_identity",
             CubeMatrix,

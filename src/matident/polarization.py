@@ -8,6 +8,7 @@ treats F as opaque: it only ever calls it, exactly 2**n times.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -45,13 +46,11 @@ def polarize(func: DiagonalFunction, xs: Sequence[tuple], gamma: tuple, ring: Ri
         raise ValueError(f"every input point must have the length of gamma, {len(gamma)}")
     # Not Ring.signed_sum: the first term is negated, not subtracted from
     # zero, and the printed adds and negs count exactly that.  Subset S
-    # enters with sign (-1)**(n - |S|), the walk's sign times parity.
-    parity = -1 if n % 2 else 1
+    # enters with sign (-1)**(n - |S|), and |S| changes parity at every step.
     walk = _gray_sums(gamma, points, ring.add, ring.sub)
-    _, shifted = next(walk)
-    value = func.evaluate(shifted)
-    total = value if parity > 0 else ring.neg(value)
-    for sign, shifted in walk:
-        value = func.evaluate(shifted)
-        total = ring.add(total, value) if sign == parity else ring.sub(total, value)
+    value = func.evaluate(next(walk))
+    total = ring.neg(value) if n % 2 else value
+    folds = itertools.cycle((ring.add, ring.sub) if n % 2 else (ring.sub, ring.add))
+    for fold, shifted in zip(folds, walk):
+        total = fold(total, func.evaluate(shifted))
     return ring.div_int(total, math.factorial(n))

@@ -43,6 +43,7 @@ from matident.sampling import (
     random_rational,
     random_rational_matrix,
 )
+from oracles import brute_permanent
 
 M3 = SquareMatrix(RATIONAL, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
 
@@ -260,6 +261,26 @@ def test_single_type_requests_reach_the_evaluator_on_exact_integers(monkeypatch)
         [type(None), tuple],
         [Fraction, MatrixElement],
     ]
+
+
+def test_gammas_that_are_not_a_sequence_run_unlifted_with_the_same_value(monkeypatch):
+    # lift reads gammas only from a tuple or a list; a generator reaches the
+    # evaluator as it is, on the document's own ring, and gives the same value.
+    spec = METHODS["per_identity"]
+    rings_seen = []
+
+    def run_spy(matrix, params, counts):
+        rings_seen.append(matrix.ring)
+        return spec.run(matrix, params, counts)
+
+    monkeypatch.setitem(METHODS, "per_identity", dataclasses.replace(spec, run=run_spy))
+    rng = derive_rng(47, "unlifted gammas")
+    matrix = random_rational_matrix(rng, 4)
+    gammas = tuple(random_rational(rng) for _ in range(4))
+    value = evaluate_method("per_identity", matrix, {"gammas": gammas})
+    generated = evaluate_method("per_identity", matrix, {"gammas": (g for g in gammas)})
+    assert type(generated) is Fraction and generated == value == brute_permanent(matrix.entries)
+    assert rings_seen[0] is not RATIONAL and rings_seen[1] is RATIONAL
 
 
 def _assert_lift_matches_the_original_ring(method, obj, params):

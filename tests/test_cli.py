@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from matident import bench, identities, verify
 from matident.bench import CountingRing
 from matident.cli import main
 from matident.matrices import CubeMatrix
+from matident.methods import METHODS
 
 
 # Deeper than the JSON reader's recursion limit.
@@ -403,7 +405,7 @@ def no_trials(monkeypatch):
     monkeypatch.setattr(verify, "_run_job", never)
 
 
-def test_verify_refuses_a_size_below_1_before_starting_a_pool(capsys, no_trials):
+def test_verify_refuses_a_size_below_1_before_running_a_trial(capsys, no_trials):
     assert run(capsys, "verify", "--n", "0") == (2, "", "error: n must be at least 1, got 0\n")
     with pytest.raises(ValueError, match=r"^n must be at least 1, got -1$"):
         verify.run_suites(("thm3",), 1, 1, ns=(-1,))
@@ -481,7 +483,7 @@ def test_verify_prints_a_nonzero_corollary_residual_as_a_failure(
     )
 
 
-def test_verify_refuses_too_many_trials_before_starting_a_pool(capsys, no_trials):
+def test_verify_refuses_too_many_trials_before_running_a_trial(capsys, no_trials):
     code, out, err = run(capsys, "verify", "--suite", "thm3", "--n", "2", "--trials", "1001")
     assert code == 2
     assert out == ""
@@ -627,6 +629,33 @@ def test_compute_prints_the_recorded_bytes(name, capsys):
     fn, method, *flags, document = RECORDED_COMPUTE[name]
     argv = ["compute", "--fn", fn, "--method", method, *flags, str(COMPUTE_DIR / document)]
     assert run(capsys, *argv) == (0, (COMPUTE_DIR / name).read_text(), "")
+
+
+def test_compute_help_prints_the_recorded_method_surface(capsys, monkeypatch):
+    # compute_help.txt holds `compute --help` as Python 3.11 prints it at 80
+    # columns.  Other versions may wrap the usage line elsewhere, so the text
+    # is compared word by word; the two choice lists are pinned exactly.
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, "compute", "--help")
+    assert (code, err) == (0, "")
+    assert out.split() == (COMPUTE_DIR.parent / "compute_help.txt").read_text().split()
+    assert "\n  --fn {per,det,eper,detp}\n" in out
+    assert "\n  --method {definitional,identity,ryser,polarization}\n" in out
+
+
+def test_the_readme_size_limit_table_matches_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    header = "| method | limit | at the limit | above the limit | symbolic limit, at it, above it |"
+    table = readme.split(header + "\n", 1)[1].split("\n\n", 1)[0]
+    listed = []
+    for row in table.splitlines()[1:]:
+        methods, limit, _, _, symbolic = (cell.strip() for cell in row.strip("|").split("|"))
+        for fn, method in re.findall(r"`(\w+) (\w+)`", methods):
+            spec = METHODS[f"{fn}_{method}"]
+            assert int(limit.split()[0]) == spec.max_n, spec.name
+            assert int(symbolic.split(":")[0]) == spec.symbolic_max_n, spec.name
+            listed.append(spec.name)
+    assert sorted(listed) == sorted(METHODS)
 
 
 def test_compute_names_a_document_that_is_not_utf8(tmp_path, capsys):

@@ -10,13 +10,16 @@ import pytest
 from matident import methods, verify
 from matident.cli import main
 from matident.identities import (
+    determinant,
     determinant_zero_criterion,
     diagonal_power_residual,
+    permanent,
     submatrix_power_residual,
     symmetrized_permanent_zero_criterion,
 )
 from matident.matrices import SquareMatrix
 from matident.methods import METHODS, lift
+from matident.polarization import DiagonalFunction
 from matident.rings import MATRIX2, RATIONAL, MatrixElement
 from matident.sampling import (
     derive_rng,
@@ -103,6 +106,109 @@ def test_a_failing_cor1_note_prints_the_residual_of_the_matrix_as_drawn(monkeypa
     assert capsys.readouterr().out == (
         "verify: suite=cor1 trials=1 seed=1\n"
         f"cor1 n=3: 0/1 ok: FAIL [trial 1: power sum residual {residual} at exponent 1]\n"
+        "result: FAIL (0/1 checks)\n"
+    )
+
+
+def _corner_power_when_singular(matrix, t):
+    """The real residual, but on a singular matrix the t-th power of its
+    corner entry; singularity survives the lift, so both see the same."""
+    ring = matrix.ring
+    if ring.is_zero(determinant(matrix)):
+        return ring.power(matrix.entries[0][0], t)
+    return diagonal_power_residual(matrix, t)
+
+
+def _singular_corner_note(n):
+    rng = derive_rng(1, "cor1", n, 1)
+    random_rational_matrix(rng, n)
+    residual = _corner_power_when_singular(singular_matrix(rng, n), 1)
+    assert residual
+    return f"power sum residual {residual} at exponent 1 on a singular matrix"
+
+
+def _reconstruction_note(n):
+    # The diagonal is doubled, so polarize rebuilds twice the permanent.
+    value = permanent(random_rational_matrix(derive_rng(1, "polarization", n, 1), n))
+    assert value and value.denominator > 1
+    return f"reconstruction gave {2 * value} at shift 0, expected {value}"
+
+
+def _evaluated_twice(arity, evaluate):
+    """A DiagonalFunction that calls evaluate twice per point, same value."""
+    return DiagonalFunction(arity, lambda point: (evaluate(point), evaluate(point))[1])
+
+
+# (suite, n, the name patched in verify, its stand-in, the note or the
+# function of n that gives it)
+FAILURE_NOTES = [
+    (
+        "cor1",
+        3,
+        "determinant_zero_criterion",
+        lambda matrix: True,
+        "zero criterion disagrees with the determinant",
+    ),
+    ("cor1", 3, "diagonal_power_residual", _corner_power_when_singular, _singular_corner_note),
+    (
+        "cor1",
+        3,
+        "determinant_zero_criterion",
+        lambda matrix: False,
+        "zero criterion missed a singular matrix",
+    ),
+    (
+        "cor2",
+        2,
+        "symmetrized_permanent_zero_criterion",
+        lambda matrix: True,
+        "zero criterion disagrees with the definitional value",
+    ),
+    (
+        "cor2",
+        2,
+        "_vanishing_symmetrized_instance",
+        random_matrix2_matrix,
+        "constructed instance was not actually zero",
+    ),
+    (
+        "cor2",
+        2,
+        "symmetrized_permanent_zero_criterion",
+        lambda matrix: False,
+        "zero criterion missed a vanishing instance",
+    ),
+    (
+        "polarization",
+        3,
+        "permanent",
+        lambda matrix: matrix.ring.add(permanent(matrix), permanent(matrix)),
+        _reconstruction_note,
+    ),
+    (
+        "polarization",
+        3,
+        "DiagonalFunction",
+        _evaluated_twice,
+        "made 16 diagonal evaluations, expected 8",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, n, name, stand_in, note",
+    FAILURE_NOTES,
+    ids=[f"{case[0]}-{case[2]}-{i}" for i, case in enumerate(FAILURE_NOTES)],
+)
+def test_each_invariant_failure_prints_its_note(
+    monkeypatch, capsys, suite, n, name, stand_in, note
+):
+    monkeypatch.setattr(verify, name, stand_in)
+    assert main(["verify", "--suite", suite, "--n", str(n), "--trials", "1"]) == 1
+    note = note(n) if callable(note) else note
+    assert capsys.readouterr().out == (
+        f"verify: suite={suite} trials=1 seed=1\n"
+        f"{suite} n={n}: 0/1 ok: FAIL [trial 1: {note}]\n"
         "result: FAIL (0/1 checks)\n"
     )
 
