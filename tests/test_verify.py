@@ -2,6 +2,8 @@
 and notes, and prints the recorded bytes."""
 
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,12 +25,20 @@ from matident.polarization import DiagonalFunction
 from matident.rings import MATRIX2, RATIONAL, MatrixElement
 from matident.sampling import (
     derive_rng,
+    random_integer_cube,
+    random_integer_matrix,
+    random_matrix2_element,
     random_matrix2_matrix,
     random_rational,
     random_rational_matrix,
     singular_matrix,
 )
-from oracles import gauss_determinant
+from oracles import (
+    brute_permanent,
+    brute_space_determinant,
+    brute_symmetrized_permanent,
+    gauss_determinant,
+)
 
 STDOUT_DIR = Path(__file__).resolve().parent / "data" / "verify_stdout"
 
@@ -44,6 +54,7 @@ RECORDED = {
     "thm2-n6-trials2.txt": ["--suite", "thm2", "--n", "6", "--trials", "2"],
     "thm3-n5-trials2.txt": ["--suite", "thm3", "--n", "5", "--trials", "2"],
     "thm5-n4-trials2.txt": ["--suite", "thm5", "--n", "4", "--trials", "2"],
+    "thm4-n3-trials2.txt": ["--suite", "thm4", "--n", "3", "--trials", "2"],
 }
 
 
@@ -306,3 +317,135 @@ def test_the_lift_keeps_every_submatrix_residual_and_criterion_zero_or_not():
             assert symmetrized_permanent_zero_criterion(lifted) == criterion
             criteria.add(criterion)
     assert criteria == {True, False}
+
+
+def _doubled_when(method, shifted):
+    """METHODS[method] with a run that doubles its value when shifted(params)
+    holds; twice a value is homogeneous of degree n like the value."""
+    spec = METHODS[method]
+
+    def doubled(matrix, params, counts):
+        value = spec.run(matrix, params, counts)
+        return matrix.ring.add(value, value) if shifted(params) else value
+
+    return dataclasses.replace(spec, run=doubled)
+
+
+def _failing_report(monkeypatch, capsys, suite, n, method, shifted):
+    monkeypatch.setitem(METHODS, method, _doubled_when(method, shifted))
+    assert main(["verify", "--suite", suite, "--n", str(n), "--trials", "1"]) == 1
+    return capsys.readouterr().out
+
+
+def test_a_failing_thm2_note_prints_the_shift_vector_as_drawn(monkeypatch, capsys):
+    # The zero shift runs first and passes, so the note shows the first
+    # random vector of Fractions, not its lifted ints.
+    out = _failing_report(monkeypatch, capsys, "thm2", 3, "per_identity", lambda p: any(p["gammas"]))
+    rng = derive_rng(1, "thm2", 3, 1)
+    drawn = random_integer_matrix(rng, 3)
+    gammas = tuple(random_rational(rng) for _ in range(3))
+    assert any(gamma.denominator > 1 for gamma in gammas)
+    assert all(type(value) is Fraction for row in drawn.entries for value in row)
+    value = brute_permanent(drawn.entries)
+    note = f"per_identity({ {'gammas': gammas} }) gave {2 * value}, per_definitional gave {value}"
+    assert out == (
+        "verify: suite=thm2 trials=1 seed=1\n"
+        f"thm2 n=3: 0/1 ok: FAIL [trial 1: {note}]\n"
+        "result: FAIL (0/1 checks)\n"
+    )
+
+
+def test_a_failing_thm4_note_prints_the_shift_element_as_drawn(monkeypatch, capsys):
+    # The lifted delta is a tuple of cells; the zero one runs first and passes.
+    out = _failing_report(monkeypatch, capsys, "thm4", 2, "eper_identity", lambda p: any(p["delta"]))
+    rng = derive_rng(1, "thm4", 2, 1)
+    drawn = random_matrix2_matrix(rng, 2)
+    delta = random_matrix2_element(rng)
+    assert delta != MATRIX2.zero()
+    value = brute_symmetrized_permanent(drawn.entries)
+    note = f"eper_identity({ {'delta': delta} }) gave {value + value}, eper_definitional gave {value}"
+    assert out == (
+        "verify: suite=thm4 trials=1 seed=1\n"
+        f"thm4 n=2: 0/1 ok: FAIL [trial 1: {note}]\n"
+        "result: FAIL (0/1 checks)\n"
+    )
+
+
+def test_a_failing_thm5_note_prints_the_value_of_the_cube_as_drawn(monkeypatch, capsys):
+    out = _failing_report(monkeypatch, capsys, "thm5", 3, "detp_identity", lambda p: True)
+    cube = random_integer_cube(derive_rng(1, "thm5", 3, 1), 3)
+    value = brute_space_determinant(cube.sections)
+    assert value and type(value) is Fraction
+    note = f"detp_identity({ {} }) gave {2 * value}, detp_definitional gave {value}"
+    assert out == (
+        "verify: suite=thm5 trials=1 seed=1\n"
+        f"thm5 n=3: 0/1 ok: FAIL [trial 1: {note}]\n"
+        "result: FAIL (0/1 checks)\n"
+    )
+
+
+INSTANCES_PATH = Path(__file__).resolve().parent / "data" / "verify_instances.json"
+# Where a trial hands an instance on: the identities functions and polarize
+# as verify's namespace binds them (the registry is spied through METHODS).
+_HANDOFFS = (
+    "diagonal_power_residual",
+    "submatrix_power_residual",
+    "determinant_zero_criterion",
+    "symmetrized_permanent_zero_criterion",
+    "permanent",
+    "polarize",
+)
+
+
+def _container(obj):
+    rows = obj.entries if isinstance(obj, SquareMatrix) else obj.sections
+    return (type(obj).__name__, type(obj.ring).__name__, rows)
+
+
+def _instance_digests(monkeypatch) -> dict:
+    """Per suite and n (its default sizes and its max_n), the sha256 of every
+    instance and every set of lifted params that the trials of seeds 1-3
+    and trials 1-3 hand to the registry, to polarize or to an identities
+    function, in the order they hand them on."""
+    records = []
+    for method, spec in METHODS.items():
+
+        def run(obj, params, counts, _method=method, _run=spec.run):
+            records.append((_method, _container(obj), sorted(params.items())))
+            return _run(obj, params, counts)
+
+        monkeypatch.setitem(METHODS, method, dataclasses.replace(spec, run=run))
+    for name in _HANDOFFS:
+
+        def handoff(obj, *args, _name=name, _real=getattr(verify, name)):
+            if _name == "polarize":
+                func, columns, gammas, ring = obj, *args
+                records.append((_name, type(ring).__name__, columns, gammas))
+            else:
+                records.append((_name, _container(obj), args))
+            return _real(obj, *args)
+
+        monkeypatch.setattr(verify, name, handoff)
+    digests = {}
+    for suite, spec in verify.SUITES.items():
+        for n in sorted({*spec.default_ns, spec.max_n}):
+            records.clear()
+            for seed in (1, 2, 3):
+                for trial in (1, 2, 3):
+                    assert verify._run_job((suite, n, seed, trial)) == (True, ""), (suite, n)
+            digests[f"{suite} n={n}"] = hashlib.sha256(repr(records).encode()).hexdigest()
+    return digests
+
+
+def test_every_trial_hands_on_the_recorded_instances(monkeypatch):
+    assert _instance_digests(monkeypatch) == json.loads(INSTANCES_PATH.read_text())
+
+
+@pytest.mark.parametrize("bound", [3, 9])
+def test_randrange_draws_the_integers_randint_draws(bound):
+    # The trials draw with randrange; every recorded seed was drawn with randint.
+    for seed in range(200):
+        drawn, expected = derive_rng(seed, "draw", bound), derive_rng(seed, "draw", bound)
+        for _ in range(50):
+            assert drawn.randrange(2 * bound + 1) - bound == expected.randint(-bound, bound)
+            assert drawn.randrange(9) + 1 == expected.randint(1, 9)
