@@ -3,25 +3,32 @@
 Each suite draws seeded random instances and compares identity-based
 evaluators against the definitional one, all run through the method registry
 in methods, or checks that a claimed invariant (vanishing power sums, zero
-criteria, reconstruction counts) holds exactly.  Every trial lifts each
-instance it draws once, with the shifts of every run on it, onto exact
-integers by methods.lift.  Every function compared is homogeneous of degree
-n and the lift's down map is injective, so values agree on the lifted
-instance exactly when they agree as drawn; they are compared there and
-moved down only for a failure note.  Scaling a matrix by c multiplies a
-degree-t power sum residual by c**t, so every zero-ness the invariant trials
-(cor1, cor2) check is also the same on the lifted matrix.
+criteria, reconstruction counts) holds exactly.  Every trial draws each
+instance as Python ints (sampling's int rows) and builds it once, scaled
+onto the private integer ring of its entries by the scale methods.lift
+would pick for it with the shifts of every run on it: the lcm of the
+shifts' denominators for an integer matrix, of the reduced denominators of
+the entries and the shifts for a p/q matrix, n! for 2x2 cells and 1 for an
+integer cube or singular matrix.  The shifts are drawn as Fractions and
+MatrixElements, as a failure note prints them, and scaled by the same
+factor.  Every function compared is homogeneous of degree n, so values
+agree on the lifted instance exactly when they agree as drawn; they are
+compared there and moved down only for a failure note.  Scaling a matrix by
+c multiplies a degree-t power sum residual by c**t, so every zero-ness the
+invariant trials (cor1, cor2) check is also the same on the lifted matrix.
 Trials are independent jobs keyed by (suite, n, seed, trial): _run_job
 derives each trial's random stream from that key alone, so the report is
-deterministic.  Every trial runs in the calling process: a trial takes about
-a millisecond, less than handing it to a worker process would cost.
+deterministic.  Every trial runs in the calling process: a trial takes well
+under a millisecond, less than handing it to a worker process would cost.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 from typing import Callable
 
 from .identities import (
@@ -31,44 +38,81 @@ from .identities import (
     submatrix_power_residual,
     symmetrized_permanent_zero_criterion,
 )
-from .matrices import SquareMatrix
-from .methods import OpCounts, checked_spec, lift
+from .matrices import CubeMatrix, SquareMatrix
+from .methods import OpCounts, checked_spec
 from .polarization import DiagonalFunction, polarize
-from .rings import MATRIX2
+from .rings import _INTEGER, _INTEGER_MATRIX, MATRIX2, RATIONAL, MatrixElement
 from .sampling import (
     derive_rng,
-    random_integer_cube,
-    random_integer_matrix,
+    integer_rows,
+    integer_sections,
+    matrix2_rows,
     random_matrix2_element,
-    random_matrix2_matrix,
     random_rational,
-    random_rational_matrix,
-    singular_matrix,
+    rational_rows,
+    singular_rows,
 )
 
 TrialFunction = Callable[[random.Random, int], "tuple[bool, str]"]
 MAX_TRIALS = 1000
 
 
-def _run(method: str, obj, lifted, params: dict):
-    """method's registry run on lifted, the lifted twin of obj; obj as drawn
-    picks the spec and its size limit, as for an unlifted request."""
-    return checked_spec(method, obj).run(lifted, params, OpCounts())
+def _run(method: str, lifted, params: dict):
+    """method's registry run on a lifted instance, checked as a request would be."""
+    return checked_spec(method, lifted).run(lifted, params, OpCounts())
 
 
-def _agree(obj, reference: str, runs) -> tuple[bool, str]:
-    """Whether every (method, params) run on obj equals the reference method's value.
+def _up(shift, scale: int):
+    """A shift as drawn (a Fraction, a MatrixElement or a tuple of Fractions)
+    times scale, as ints; scale is a multiple of every denominator in it."""
+    if isinstance(shift, tuple):
+        return tuple(_up(value, scale) for value in shift)
+    if isinstance(shift, MatrixElement):
+        return _up(shift.cells, scale)
+    return shift.numerator * (scale // shift.denominator)
 
-    obj is lifted once, with every run's params, and the values are compared
-    on the lifted ring; a failure note moves both down to print them as drawn.
+
+def _down(value, scale: int, n: int):
+    """A lifted value of degree n moved back to the scale it was drawn at."""
+    if isinstance(value, tuple):
+        return MatrixElement((value[:2], value[2:])) / scale**n
+    return Fraction(value, scale**n)
+
+
+def _integer_matrix(rows: tuple, scale: int) -> SquareMatrix:
+    return SquareMatrix._of(_INTEGER, tuple(tuple(a * scale for a in row) for row in rows))
+
+
+def _rational_matrix(rows: tuple, shifts) -> tuple[SquareMatrix, int]:
+    """The p/q matrix of rational_rows lifted with the Fraction shifts by the
+    lcm of every reduced denominator, as methods.lift would, and that scale."""
+    gcd = math.gcd
+    scale = math.lcm(
+        *(q // gcd(p, q) for row in rows for p, q in row), *(s.denominator for s in shifts)
+    )
+    entries = tuple(tuple(p * scale // q for p, q in row) for row in rows)
+    return SquareMatrix._of(_INTEGER, entries), scale
+
+
+def _matrix2_matrix(rows: tuple, scale: int) -> SquareMatrix:
+    """The 2x2 cells of matrix2_rows times scale, over the integer 2x2 ring."""
+    cells = tuple(tuple(tuple(c * scale for c in cell) for cell in row) for row in rows)
+    return SquareMatrix._of(_INTEGER_MATRIX, cells)
+
+
+def _agree(lifted, scale: int, reference: str, runs) -> tuple[bool, str]:
+    """Whether every (method, params) run equals the reference method's value.
+
+    lifted is the instance as drawn times scale, and each run's params (as
+    drawn) are lifted by the same scale; the values are compared on the
+    lifted ring, and a failure note moves both down to print them as drawn.
     """
-    lifted, lifted_params, down = lift(obj, *(params for _, params in runs))
-    expected = _run(reference, obj, lifted, {})
-    for (method, params), run_params in zip(runs, lifted_params):
-        value = _run(method, obj, lifted, run_params)
+    expected = _run(reference, lifted, {})
+    for method, params in runs:
+        value = _run(method, lifted, {key: _up(shift, scale) for key, shift in params.items()})
         if not lifted.ring.eq(value, expected):
-            note = f"{method}({params}) gave {down(value)}, {reference} gave {down(expected)}"
-            return False, note
+            gave, wanted = (_down(v, scale, lifted.n) for v in (value, expected))
+            return False, f"{method}({params}) gave {gave}, {reference} gave {wanted}"
     return True, ""
 
 
@@ -79,28 +123,33 @@ def _shift_vectors(rng, n: int) -> list[tuple]:
 
 
 def _trial_permanent(rng, n: int) -> tuple[bool, str]:
-    matrix = random_integer_matrix(rng, n)
+    rows = integer_rows(rng, n)
     shifts = _shift_vectors(rng, n)
+    scale = math.lcm(*(gamma.denominator for gammas in shifts for gamma in gammas))
     runs = [("per_ryser", {})] + [("per_identity", {"gammas": gammas}) for gammas in shifts]
-    return _agree(matrix, "per_definitional", runs)
+    return _agree(_integer_matrix(rows, scale), scale, "per_definitional", runs)
 
 
 def _trial_determinant(rng, n: int) -> tuple[bool, str]:
-    matrix = random_rational_matrix(rng, n)
+    rows = rational_rows(rng, n)
     gammas = (Fraction(0), Fraction(1), Fraction(-3, 2), random_rational(rng))
+    lifted, scale = _rational_matrix(rows, gammas)
     runs = [("det_identity", {"gamma": gamma}) for gamma in gammas]
-    return _agree(matrix, "det_definitional", runs)
+    return _agree(lifted, scale, "det_definitional", runs)
 
 
 def _trial_symmetrized(rng, n: int) -> tuple[bool, str]:
-    matrix = random_matrix2_matrix(rng, n)
-    deltas = [matrix.ring.zero(), random_matrix2_element(rng), random_matrix2_element(rng)]
+    # Integer cells need only the factor n! of methods.lift's scale.
+    rows = matrix2_rows(rng, n)
+    deltas = [MATRIX2.zero(), random_matrix2_element(rng), random_matrix2_element(rng)]
+    scale = math.factorial(n)
     runs = [("eper_identity", {"delta": delta}) for delta in deltas]
-    return _agree(matrix, "eper_definitional", runs)
+    return _agree(_matrix2_matrix(rows, scale), scale, "eper_definitional", runs)
 
 
 def _trial_space_determinant(rng, n: int) -> tuple[bool, str]:
-    return _agree(random_integer_cube(rng, n), "detp_definitional", [("detp_identity", {})])
+    cube = CubeMatrix._of(_INTEGER, integer_sections(rng, n))
+    return _agree(cube, 1, "detp_definitional", [("detp_identity", {})])
 
 
 def _nonzero_residual_exponent(lifted: SquareMatrix) -> int:
@@ -115,22 +164,23 @@ def _nonzero_residual_exponent(lifted: SquareMatrix) -> int:
 def _trial_diagonal_power_sums(rng, n: int) -> tuple[bool, str]:
     # A failure note recomputes its residual on the matrix as drawn, so it
     # prints in the drawn matrix's scale.
-    matrix = random_rational_matrix(rng, n)
-    lifted = lift(matrix)[0]
+    rows = rational_rows(rng, n)
+    lifted = _rational_matrix(rows, ())[0]
     t = _nonzero_residual_exponent(lifted)
     if t:
-        return False, f"power sum residual {diagonal_power_residual(matrix, t)} at exponent {t}"
+        drawn = SquareMatrix._of(RATIONAL, tuple(tuple(starmap(Fraction, row)) for row in rows))
+        return False, f"power sum residual {diagonal_power_residual(drawn, t)} at exponent {t}"
     claims_zero = determinant_zero_criterion(lifted)
-    is_zero = lifted.ring.is_zero(_run("det_definitional", matrix, lifted, {}))
+    is_zero = lifted.ring.is_zero(_run("det_definitional", lifted, {}))
     if claims_zero != is_zero:
         return False, "zero criterion disagrees with the determinant"
-    singular = singular_matrix(rng, n)
-    lifted = lift(singular)[0]
-    t = _nonzero_residual_exponent(lifted)
+    # The singular matrix is drawn as integers: its scale is 1, so it runs as drawn.
+    singular = SquareMatrix._of(_INTEGER, singular_rows(rng, n))
+    t = _nonzero_residual_exponent(singular)
     if t:
         residual = diagonal_power_residual(singular, t)
         return False, f"power sum residual {residual} at exponent {t} on a singular matrix"
-    if not determinant_zero_criterion(lifted):
+    if not determinant_zero_criterion(singular):
         return False, "zero criterion missed a singular matrix"
     return True, ""
 
@@ -158,18 +208,21 @@ def _vanishing_symmetrized_instance(rng, n: int) -> SquareMatrix:
 
 
 def _trial_submatrix_power_sums(rng, n: int) -> tuple[bool, str]:
-    matrix = random_matrix2_matrix(rng, n)
-    lifted = lift(matrix)[0]
+    scale = math.factorial(n)
+    lifted = _matrix2_matrix(matrix2_rows(rng, n), scale)
     for m in range(1, n):
         if not lifted.ring.is_zero(submatrix_power_residual(lifted, m)):
             return False, f"submatrix power sum residual nonzero at exponent {m}"
     claims_zero = symmetrized_permanent_zero_criterion(lifted)
-    is_zero = lifted.ring.is_zero(_run("eper_definitional", matrix, lifted, {}))
+    is_zero = lifted.ring.is_zero(_run("eper_definitional", lifted, {}))
     if claims_zero != is_zero:
         return False, "zero criterion disagrees with the definitional value"
+    # The constructed instance is built of MatrixElements with integer cells,
+    # and scaled by the same n!.
     vanishing = _vanishing_symmetrized_instance(rng, n)
-    lifted = lift(vanishing)[0]
-    if not lifted.ring.is_zero(_run("eper_definitional", vanishing, lifted, {})):
+    rows = tuple(tuple(_up(element, scale) for element in row) for row in vanishing.entries)
+    lifted = SquareMatrix._of(_INTEGER_MATRIX, rows)
+    if not lifted.ring.is_zero(_run("eper_definitional", lifted, {})):
         return False, "constructed instance was not actually zero"
     if not symmetrized_permanent_zero_criterion(lifted):
         return False, "zero criterion missed a vanishing instance"
@@ -177,13 +230,13 @@ def _trial_submatrix_power_sums(rng, n: int) -> tuple[bool, str]:
 
 
 def _trial_polarization(rng, n: int) -> tuple[bool, str]:
-    matrix = random_rational_matrix(rng, n)
+    rows = rational_rows(rng, n)
+    shifts = _shift_vectors(rng, n)
     # The columns and the three shifts are lifted by one scale.
-    shifts = [{"gammas": gammas} for gammas in _shift_vectors(rng, n)]
-    lifted, lifted_shifts, down = lift(matrix, *shifts)
+    lifted, scale = _rational_matrix(rows, [gamma for gammas in shifts for gamma in gammas])
     ring = lifted.ring
-    reference = _run("per_definitional", matrix, lifted, {})
-    for which, params in enumerate(lifted_shifts):
+    reference = _run("per_definitional", lifted, {})
+    for which, gammas in enumerate(shifts):
         calls = 0
 
         def evaluate(point):
@@ -192,10 +245,10 @@ def _trial_polarization(rng, n: int) -> tuple[bool, str]:
             return permanent(SquareMatrix._of(ring, tuple((x,) * n for x in point)))
 
         func = DiagonalFunction(arity=n, evaluate=evaluate)
-        value = polarize(func, lifted.columns(), params["gammas"], ring)
+        value = polarize(func, lifted.columns(), _up(gammas, scale), ring)
         if not ring.eq(value, reference):
-            note = f"reconstruction gave {down(value)} at shift {which}, expected {down(reference)}"
-            return False, note
+            gave, expected = (_down(v, scale, n) for v in (value, reference))
+            return False, f"reconstruction gave {gave} at shift {which}, expected {expected}"
         if calls != 2**n:
             return False, f"made {calls} diagonal evaluations, expected {2**n}"
     return True, ""

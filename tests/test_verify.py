@@ -1,5 +1,6 @@
-"""Every verify trial lifts each instance it draws once, keeps its verdicts
-and notes, and prints the recorded bytes."""
+"""Every verify trial builds each instance it draws once on exact integers,
+hands on the recorded instances, keeps its verdicts and notes, and prints the
+recorded bytes."""
 
 import dataclasses
 import hashlib
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from matident import methods, verify
+from matident import methods, rings, verify
 from matident.cli import main
 from matident.identities import (
     determinant,
@@ -44,8 +45,9 @@ STDOUT_DIR = Path(__file__).resolve().parent / "data" / "verify_stdout"
 
 # Each file holds the stdout the command printed before each trial shared one
 # lift per drawn instance (the first four also before the invariant trials
-# were lifted); the CI workflow diffs the installed command against the same
-# files.
+# were lifted), except thm4-n3, recorded before the trials drew their
+# instances as ints; the CI workflow diffs the installed command against the
+# same files.
 RECORDED = {
     "all-trials2-seed7.txt": ["--suite", "all", "--trials", "2", "--seed", "7"],
     "cor1-n5-trials2.txt": ["--suite", "cor1", "--n", "5", "--trials", "2"],
@@ -224,24 +226,63 @@ def test_each_invariant_failure_prints_its_note(
     )
 
 
+# Where a trial hands an instance on besides the registry: the identities
+# functions and polarize, as verify's namespace binds them.
+_HANDOFFS = (
+    "diagonal_power_residual",
+    "submatrix_power_residual",
+    "determinant_zero_criterion",
+    "symmetrized_permanent_zero_criterion",
+    "permanent",
+    "polarize",
+)
+
+
+def _spy_handoffs(monkeypatch, record):
+    """Call record(name, first argument, the rest) before every registry run
+    (the rest is its params) and every call of a _HANDOFFS name in verify."""
+    for method, spec in METHODS.items():
+
+        def run(obj, params, counts, _method=method, _run=spec.run):
+            record(_method, obj, params)
+            return _run(obj, params, counts)
+
+        monkeypatch.setitem(METHODS, method, dataclasses.replace(spec, run=run))
+    for name in _HANDOFFS:
+
+        def handoff(obj, *args, _name=name, _real=getattr(verify, name)):
+            record(_name, obj, args)
+            return _real(obj, *args)
+
+        monkeypatch.setattr(verify, name, handoff)
+
+
 def test_each_trial_lifts_each_instance_it_draws_once(monkeypatch):
-    lifted = []
-    real = lift
+    # Each trial builds each instance it draws once, on the private integer
+    # ring of its entries, and hands that one object to every run; it never
+    # goes through methods.lift.
+    handed = []
 
-    def recording(obj, *param_sets):
-        lifted.append(obj)
-        return real(obj, *param_sets)
+    def record(name, obj, rest):
+        # polarize takes columns, and permanent polarization's diagonal points.
+        if name not in ("permanent", "polarize"):
+            handed.append(obj)
 
-    # verify calls lift itself; evaluate_method reaches it through methods.
-    monkeypatch.setattr(methods, "lift", recording)
-    monkeypatch.setattr(verify, "lift", recording)
+    def forbidden(*args):
+        raise AssertionError("methods.lift called")
+
+    _spy_handoffs(monkeypatch, record)
+    monkeypatch.setattr(methods, "lift", forbidden)
+    assert not hasattr(verify, "lift")
     per_trial = {"cor1": 2, "cor2": 2}
     for suite in verify.SUITES:
+        ring = rings._INTEGER_MATRIX if suite in ("thm4", "cor2") else rings._INTEGER
         for n in (2, 3):
-            lifted.clear()
+            handed.clear()
             assert verify._run_job((suite, n, 1, 1)) == (True, "")
-            assert len(lifted) == per_trial.get(suite, 1), (suite, n)
-            assert len({id(obj) for obj in lifted}) == len(lifted), (suite, n)
+            instances = {id(obj): obj for obj in handed}.values()
+            assert len(instances) == per_trial.get(suite, 1), (suite, n)
+            assert all(obj.ring is ring for obj in instances), (suite, n)
 
 
 def test_a_failing_agreement_note_prints_the_values_as_drawn(monkeypatch, capsys):
@@ -385,18 +426,6 @@ def test_a_failing_thm5_note_prints_the_value_of_the_cube_as_drawn(monkeypatch, 
 
 
 INSTANCES_PATH = Path(__file__).resolve().parent / "data" / "verify_instances.json"
-# Where a trial hands an instance on: the identities functions and polarize
-# as verify's namespace binds them (the registry is spied through METHODS).
-_HANDOFFS = (
-    "diagonal_power_residual",
-    "submatrix_power_residual",
-    "determinant_zero_criterion",
-    "symmetrized_permanent_zero_criterion",
-    "permanent",
-    "polarize",
-)
-
-
 def _container(obj):
     rows = obj.entries if isinstance(obj, SquareMatrix) else obj.sections
     return (type(obj).__name__, type(obj.ring).__name__, rows)
@@ -408,24 +437,17 @@ def _instance_digests(monkeypatch) -> dict:
     and trials 1-3 hand to the registry, to polarize or to an identities
     function, in the order they hand them on."""
     records = []
-    for method, spec in METHODS.items():
 
-        def run(obj, params, counts, _method=method, _run=spec.run):
-            records.append((_method, _container(obj), sorted(params.items())))
-            return _run(obj, params, counts)
+    def record(name, obj, rest):
+        if name == "polarize":
+            columns, gammas, ring = rest
+            records.append((name, type(ring).__name__, columns, gammas))
+        elif name in METHODS:
+            records.append((name, _container(obj), sorted(rest.items())))
+        else:
+            records.append((name, _container(obj), rest))
 
-        monkeypatch.setitem(METHODS, method, dataclasses.replace(spec, run=run))
-    for name in _HANDOFFS:
-
-        def handoff(obj, *args, _name=name, _real=getattr(verify, name)):
-            if _name == "polarize":
-                func, columns, gammas, ring = obj, *args
-                records.append((_name, type(ring).__name__, columns, gammas))
-            else:
-                records.append((_name, _container(obj), args))
-            return _real(obj, *args)
-
-        monkeypatch.setattr(verify, name, handoff)
+    _spy_handoffs(monkeypatch, record)
     digests = {}
     for suite, spec in verify.SUITES.items():
         for n in sorted({*spec.default_ns, spec.max_n}):
