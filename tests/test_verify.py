@@ -381,7 +381,8 @@ def _failing_report(monkeypatch, capsys, suite, n, method, shifted):
 def test_a_failing_thm2_note_prints_the_shift_vector_as_drawn(monkeypatch, capsys):
     # The zero shift runs first and passes, so the note shows the first
     # random vector of Fractions, not its lifted ints.
-    out = _failing_report(monkeypatch, capsys, "thm2", 3, "per_identity", lambda p: any(p["gammas"]))
+    shifted = lambda params: any(params["gammas"])
+    out = _failing_report(monkeypatch, capsys, "thm2", 3, "per_identity", shifted)
     rng = derive_rng(1, "thm2", 3, 1)
     drawn = random_integer_matrix(rng, 3)
     gammas = tuple(random_rational(rng) for _ in range(3))
@@ -398,13 +399,15 @@ def test_a_failing_thm2_note_prints_the_shift_vector_as_drawn(monkeypatch, capsy
 
 def test_a_failing_thm4_note_prints_the_shift_element_as_drawn(monkeypatch, capsys):
     # The lifted delta is a tuple of cells; the zero one runs first and passes.
-    out = _failing_report(monkeypatch, capsys, "thm4", 2, "eper_identity", lambda p: any(p["delta"]))
+    shifted = lambda params: any(params["delta"])
+    out = _failing_report(monkeypatch, capsys, "thm4", 2, "eper_identity", shifted)
     rng = derive_rng(1, "thm4", 2, 1)
     drawn = random_matrix2_matrix(rng, 2)
     delta = random_matrix2_element(rng)
     assert delta != MATRIX2.zero()
     value = brute_symmetrized_permanent(drawn.entries)
-    note = f"eper_identity({ {'delta': delta} }) gave {value + value}, eper_definitional gave {value}"
+    params = {"delta": delta}
+    note = f"eper_identity({params}) gave {value + value}, eper_definitional gave {value}"
     assert out == (
         "verify: suite=thm4 trials=1 seed=1\n"
         f"thm4 n=2: 0/1 ok: FAIL [trial 1: {note}]\n"
@@ -426,6 +429,8 @@ def test_a_failing_thm5_note_prints_the_value_of_the_cube_as_drawn(monkeypatch, 
 
 
 INSTANCES_PATH = Path(__file__).resolve().parent / "data" / "verify_instances.json"
+
+
 def _container(obj):
     rows = obj.entries if isinstance(obj, SquareMatrix) else obj.sections
     return (type(obj).__name__, type(obj.ring).__name__, rows)
