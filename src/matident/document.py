@@ -21,6 +21,7 @@ from typing import Any, Callable
 from .combinatorics import MAX_ENUMERATION_N
 from .matrices import CubeMatrix, SquareMatrix
 from .rings import (
+    _ONE,
     MATRIX2,
     RATIONAL,
     SYMBOLIC,
@@ -28,6 +29,8 @@ from .rings import (
     MatrixElement,
     Poly,
     Ring,
+    _matrix,
+    _poly,
 )
 
 RINGS: dict[str, Ring] = {
@@ -63,46 +66,56 @@ def _long_integer_message(where: str) -> str:
     return f"{where}: integer has more than {sys.get_int_max_str_digits()} digits"
 
 
-def _rational_scalar(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise DocumentError(f"{where}: expected an integer or 'p/q' string, got a boolean")
-    if isinstance(value, int):
+# A scalar parser takes the value alone.  Its refusal is a DocumentError whose
+# text is what follows the value's position: ": <reason>", or ", cell (i,j):
+# <reason>" for a cell of a 2x2 element.  The caller that knows the position
+# (_parse_entries, MatrixDocument.scalar) puts it in front, so no position
+# text is built for a value that parses.
+
+
+def _rational_scalar(value: Any) -> Fraction:
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         if not _RATIONAL_TOKEN_RE.match(value):
-            raise DocumentError(f"{where}: cannot parse {value!r} as a rational")
+            raise DocumentError(f": cannot parse {value!r} as a rational")
+        numerator, _, denominator = value.partition("/")
         try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise DocumentError(f"{where}: zero denominator in {value!r}") from None
+            numerator, denominator = int(numerator), int(denominator or 1)
         except ValueError:
-            raise DocumentError(_long_integer_message(where)) from None
-    raise DocumentError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
+            raise DocumentError(_long_integer_message("")) from None
+        if not denominator:
+            raise DocumentError(f": zero denominator in {value!r}")
+        return Fraction(numerator, denominator)
+    got = "a boolean" if isinstance(value, bool) else repr(value)
+    raise DocumentError(f": expected an integer or 'p/q' string, got {got}")
 
 
-def _symbolic_scalar(value: Any, where: str) -> Poly:
+def _symbolic_scalar(value: Any) -> Poly:
     if isinstance(value, str) and VARIABLE_NAME_RE.match(value):
-        return Poly.variable(value)
-    if isinstance(value, str) or isinstance(value, int):
-        return Poly.constant(_rational_scalar(value, where))
-    raise DocumentError(
-        f"{where}: expected an integer, 'p/q' string, or variable name, got {value!r}"
-    )
+        return _poly({((value, 1),): _ONE})
+    if isinstance(value, str) or type(value) is int:
+        return _poly({(): _rational_scalar(value)})
+    got = "a boolean" if isinstance(value, bool) else repr(value)
+    raise DocumentError(f": expected an integer, 'p/q' string, or variable name, got {got}")
 
 
-def _matrix2_scalar(value: Any, where: str) -> MatrixElement:
+def _matrix2_scalar(value: Any) -> MatrixElement:
     if (
         not isinstance(value, list)
         or len(value) != 2
         or any(not isinstance(row, list) or len(row) != 2 for row in value)
     ):
-        raise DocumentError(f"{where}: expected a 2x2 array of rationals")
-    return MatrixElement(
-        [
-            [_rational_scalar(value[i][j], f"{where}, cell ({i + 1},{j + 1})") for j in range(2)]
-            for i in range(2)
-        ]
-    )
+        raise DocumentError(": expected a 2x2 array of rationals")
+    cells = []
+    try:
+        for row in value:
+            for cell in row:
+                cells.append(_rational_scalar(cell))
+    except DocumentError as exc:
+        i, j = divmod(len(cells), 2)
+        raise DocumentError(f", cell ({i + 1},{j + 1}){exc}") from None
+    return _matrix(tuple(cells))
 
 
 _SCALAR_PARSERS = {
@@ -135,7 +148,10 @@ class MatrixDocument:
             raise DocumentError(f"{where}: nested too deeply") from None
         except ValueError:
             raise DocumentError(_long_integer_message(where)) from None
-        return _SCALAR_PARSERS[self.ring_name](data, where)
+        try:
+            return _SCALAR_PARSERS[self.ring_name](data)
+        except DocumentError as exc:
+            raise DocumentError(f"{where}{exc}") from None
 
 
 # A matrix walks the last two levels, a cube all three.
@@ -144,11 +160,13 @@ _LEVELS = ("section", "row", "column")
 
 def _parse_entries(
     data: Any, parse: Callable, n: int, levels: tuple, position: str = "entries", where: str = ""
-) -> list:
-    """Check nested arrays of n items per level and parse the innermost cells.
+) -> tuple:
+    """Check nested arrays of n items per level and parse the innermost cells
+    into nested tuples.
 
     `position` names the array in shape errors ("entries section 1 row 2");
-    `where` is the comma-joined prefix of each cell's context ("section 1, ").
+    `where` is the comma-joined prefix of a refused cell's position
+    ("section 1, "), which is completed only when a cell is refused.
     """
     item = levels[0]
     if not isinstance(data, list):
@@ -156,14 +174,20 @@ def _parse_entries(
         raise DocumentError(f"{position} must be an array{of_items}")
     if len(data) != n:
         raise DocumentError(f"{position} has {len(data)} {item}s, expected {n}")
-    if len(levels) == 1:
-        return [parse(value, f"{where}{item} {j}") for j, value in enumerate(data, start=1)]
-    return [
-        _parse_entries(
-            value, parse, n, levels[1:], f"{position} {item} {k}", f"{where}{item} {k}, "
+    if len(levels) > 1:
+        return tuple(
+            _parse_entries(
+                value, parse, n, levels[1:], f"{position} {item} {k}", f"{where}{item} {k}, "
+            )
+            for k, value in enumerate(data, start=1)
         )
-        for k, value in enumerate(data, start=1)
-    ]
+    cells = []
+    try:
+        for value in data:
+            cells.append(parse(value))
+    except DocumentError as exc:
+        raise DocumentError(f"{where}{item} {len(cells) + 1}{exc}") from None
+    return tuple(cells)
 
 
 def parse_document(text: str) -> MatrixDocument:
@@ -205,5 +229,5 @@ def parse_document(text: str) -> MatrixDocument:
         raise DocumentError("cube documents require a commutative ring")
     levels = _LEVELS[1:] if kind == "matrix" else _LEVELS
     entries = _parse_entries(data["entries"], _SCALAR_PARSERS[ring_name], n, levels)
-    content = (SquareMatrix if kind == "matrix" else CubeMatrix)(RINGS[ring_name], entries)
+    content = (SquareMatrix if kind == "matrix" else CubeMatrix)._of(RINGS[ring_name], entries)
     return MatrixDocument(ring_name=ring_name, content=content)

@@ -345,28 +345,20 @@ class Poly:
         return total
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
+        """Terms in canonical order joined by " + " and " - ", each as its
+        coefficient times its monomial, with a coefficient of 1 or -1 shown
+        as the bare monomial or its negation; "0" for no terms."""
+        pieces = []
         for monomial, coeff in self.terms():
-            body = "*".join(
-                name if exp == 1 else f"{name}^{exp}" for name, exp in monomial
-            )
-            if not body:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff}*{body}")
-        text = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                text += f" - {part[1:]}"
-            else:
-                text += f" + {part}"
-        return text
+            text = str(coeff)
+            if monomial:
+                body = "*".join([name if exp == 1 else f"{name}^{exp}" for name, exp in monomial])
+                text = body if text == "1" else f"-{body}" if text == "-1" else f"{text}*{body}"
+            pieces.append(f" - {text[1:]}" if text[0] == "-" else f" + {text}")
+        if not pieces:
+            return "0"
+        text = "".join(pieces)
+        return text[3:] if text[1] == "+" else f"-{text[3:]}"
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -667,34 +659,43 @@ def _lift_polys(values: list[Poly], n: int) -> _Lifted:
     exceeds n*D for the largest total degree D of an input, and w =
     (n*D).bit_length() bits keep every field from carrying into the next.
     """
-    terms = [term for value in values for term in value.terms()]
+    terms = [term for value in values for term in value._terms.items()]
     scale = math.lcm(*(coeff.denominator for _, coeff in terms))
     degree = max((sum(exponent for _, exponent in monomial) for monomial, _ in terms), default=0)
     width = (n * degree).bit_length()
     names = sorted({name for monomial, _ in terms for name, _ in monomial})
     offsets = {name: width * index for index, name in enumerate(names)}
     mask = (1 << width) - 1
+    # Every bit of a variable's field maps to its name and offset, so the
+    # lowest set bit of a packed monomial names its first variable.
+    fields = {
+        1 << bit: (name, offset)
+        for name, offset in offsets.items()
+        for bit in range(offset, offset + width)
+    }
 
     def up(value: Poly) -> dict:
         return {
             sum(exponent << offsets[name] for name, exponent in monomial): (
                 coeff.numerator * (scale // coeff.denominator)
             )
-            for monomial, coeff in value.terms()
+            for monomial, coeff in value._terms.items()
         }
+
+    def unpack(key: int) -> tuple:
+        """The monomial of a packed key, from its set fields alone, lowest
+        first, which is name order."""
+        monomial = []
+        while key:
+            name, offset = fields[key & -key]
+            exponent = key >> offset & mask
+            monomial.append((name, exponent))
+            key ^= exponent << offset
+        return tuple(monomial)
 
     def down(value: dict) -> Poly:
         denominator = scale**n
-        return _poly(
-            {
-                tuple(
-                    (name, key >> offset & mask)
-                    for name, offset in offsets.items()
-                    if key >> offset & mask
-                ): Fraction(coeff, denominator)
-                for key, coeff in value.items()
-            }
-        )
+        return _poly({unpack(key): Fraction(coeff, denominator) for key, coeff in value.items()})
 
     return _PACKED, up, down
 

@@ -181,3 +181,40 @@ def matrix2_neg(x):
 def matrix2_mul(x, y):
     """Row-by-column product: entry (i, j) sums x[i][k] * y[k][j] over k."""
     return [[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+
+def poly_text(terms):
+    """The printed form of a polynomial given as {monomial: coefficient},
+    where a monomial is a name-sorted tuple of (name, exponent) pairs: its
+    nonzero terms in sorted monomial order, the first with a leading "-" when
+    negative and the rest joined by " + " or " - ", each as |coefficient|
+    (left out when it is 1 and the monomial is not empty) and name or
+    name^exponent factors joined by "*"; "0" when no term is left."""
+    pieces = []
+    for monomial in sorted(m for m, c in terms.items() if c):
+        coefficient = Fraction(terms[monomial])
+        factors = [name if exponent == 1 else f"{name}^{exponent}" for name, exponent in monomial]
+        if abs(coefficient) != 1 or not factors:
+            factors.insert(0, str(abs(coefficient)))
+        pieces.append(("-" if coefficient < 0 else "+", "*".join(factors)))
+    if not pieces:
+        return "0"
+    sign, text = pieces[0]
+    text = text if sign == "+" else "-" + text
+    for sign, piece in pieces[1:]:
+        text += f" {sign} {piece}"
+    return text
+
+
+def poly_product(x, y):
+    """The product of two polynomials given as {monomial: coefficient} (see
+    poly_text): every pair of terms, exponents of a shared name added."""
+    terms = {}
+    for monomial_x, coefficient_x in x.items():
+        for monomial_y, coefficient_y in y.items():
+            exponents = dict(monomial_x)
+            for name, exponent in monomial_y:
+                exponents[name] = exponents.get(name, 0) + exponent
+            monomial = tuple(sorted(exponents.items()))
+            terms[monomial] = terms.get(monomial, 0) + coefficient_x * coefficient_y
+    return terms

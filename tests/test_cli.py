@@ -338,6 +338,22 @@ def test_usage_errors_exit_2(docs, capsys):
             "--gamma value 1: expected an integer or 'p/q' string, got a boolean",
         ),
         ("mm", ("eper", "--delta=[[1,0],[0]]"), "--delta: expected a 2x2 array of rationals"),
+        (
+            "symbolic",
+            ("det", "--gamma=true"),
+            "--gamma value 1: expected an integer, 'p/q' string, or variable name, got a boolean",
+        ),
+        (
+            "symbolic",
+            ("det", "--gamma=null"),
+            "--gamma value 1: expected an integer, 'p/q' string, or variable name, got None",
+        ),
+        ("mm", ("eper", "--delta=true"), "--delta: expected a 2x2 array of rationals"),
+        (
+            "mm",
+            ("eper", '--delta=[[1,0],[0,"1/0"]]'),
+            "--delta, cell (2,2): zero denominator in '1/0'",
+        ),
     ],
     ids=[
         "empty",
@@ -348,6 +364,10 @@ def test_usage_errors_exit_2(docs, capsys):
         "name-on-rational",
         "boolean",
         "ragged",
+        "boolean-symbolic",
+        "null-symbolic",
+        "boolean-matrix2",
+        "zero-denominator-cell",
     ],
 )
 def test_a_malformed_shift_exits_2_with_the_exact_refusal(docs, capsys, document, flags, message):
@@ -601,6 +621,10 @@ RECORDED_COMPUTE = {
     "repeated-per-definitional.txt": ["per", "definitional", "repeated.json"],
     "repeated-per-identity.txt": ["per", "identity", "repeated.json"],
     "repeated-per-ryser.txt": ["per", "ryser", "repeated.json"],
+    # Exponents above 1 are printed from their packed bit fields: 2, and 3,
+    # which fills its 2-bit field exactly (n = 3, degree 1).
+    "squared-det-definitional.txt": ["det", "definitional", "squared.json"],
+    "cubed-det-definitional.txt": ["det", "definitional", "cubed.json"],
     "matrix2-eper-identity-delta.txt": [
         "eper",
         "identity",

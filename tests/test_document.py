@@ -105,10 +105,14 @@ def test_the_public_constructors_refuse_what_is_no_matrix():
             build()
 
 
-def _rejects(text, fragment):
+def _refusal(text):
     with pytest.raises(DocumentError) as excinfo:
         parse_document(text)
-    assert fragment in str(excinfo.value)
+    return str(excinfo.value)
+
+
+def _rejects(text, fragment):
+    assert fragment in _refusal(text)
 
 
 def test_shape_errors_name_the_offending_row():
@@ -184,30 +188,106 @@ def test_malformed_json_reports_position():
 
 
 def test_bad_scalars_carry_cell_context():
-    _rejects(
-        '{"kind":"matrix","ring":"rational","n":2,"entries":[[1,2],[3,"x"]]}',
-        "row 2, column 2",
-    )
-    _rejects(
-        '{"kind":"matrix","ring":"rational","n":1,"entries":[["1/0"]]}',
-        "zero denominator",
-    )
-    _rejects(
-        '{"kind":"matrix","ring":"rational","n":1,"entries":[[1.5]]}',
-        "row 1, column 1",
-    )
-    _rejects(
-        '{"kind":"matrix","ring":"symbolic","n":1,"entries":[["2x"]]}',
-        "cannot parse",
-    )
-    _rejects(
-        '{"kind":"matrix","ring":"matrix2","n":1,"entries":[[[[1,0],[0]]]]}',
-        "expected a 2x2 array",
-    )
-    _rejects(
-        '{"kind":"matrix","ring":"rational","n":1,"entries":[[true]]}',
-        "boolean",
-    )
+    cases = [
+        ('"rational","n":2,"entries":[[1,2],[3,"x"]]',
+         "row 2, column 2: cannot parse 'x' as a rational"),
+        ('"rational","n":1,"entries":[["1/0"]]', "row 1, column 1: zero denominator in '1/0'"),
+        ('"rational","n":1,"entries":[[1.5]]',
+         "row 1, column 1: expected an integer or 'p/q' string, got 1.5"),
+        ('"symbolic","n":1,"entries":[["2x"]]', "row 1, column 1: cannot parse '2x' as a rational"),
+        ('"matrix2","n":1,"entries":[[[[1,0],[0]]]]',
+         "row 1, column 1: expected a 2x2 array of rationals"),
+        ('"rational","n":1,"entries":[[true]]',
+         "row 1, column 1: expected an integer or 'p/q' string, got a boolean"),
+    ]
+    for text, message in cases:
+        assert _refusal('{"kind":"matrix","ring":%s}' % text) == message
+
+
+_RATIONAL_REFUSAL = "expected an integer or 'p/q' string, got"
+_SYMBOLIC_REFUSAL = "expected an integer, 'p/q' string, or variable name, got"
+_MATRIX2_REFUSAL = "expected a 2x2 array of rationals"
+
+
+@pytest.mark.parametrize(
+    "kind, ring, entries, message",
+    [
+        ("matrix", "rational", [[None]], f"row 1, column 1: {_RATIONAL_REFUSAL} None"),
+        ("matrix", "rational", [[1.5]], f"row 1, column 1: {_RATIONAL_REFUSAL} 1.5"),
+        ("matrix", "rational", [[False]], f"row 1, column 1: {_RATIONAL_REFUSAL} a boolean"),
+        ("matrix", "rational", [[[1]]], f"row 1, column 1: {_RATIONAL_REFUSAL} [1]"),
+        ("matrix", "rational", [["1/-2"]], "row 1, column 1: cannot parse '1/-2' as a rational"),
+        ("matrix", "rational", [[" 1"]], "row 1, column 1: cannot parse ' 1' as a rational"),
+        ("matrix", "symbolic", [[None]], f"row 1, column 1: {_SYMBOLIC_REFUSAL} None"),
+        ("matrix", "symbolic", [[1.5]], f"row 1, column 1: {_SYMBOLIC_REFUSAL} 1.5"),
+        ("matrix", "symbolic", [[True]], f"row 1, column 1: {_SYMBOLIC_REFUSAL} a boolean"),
+        ("matrix", "symbolic", [["+x"]], "row 1, column 1: cannot parse '+x' as a rational"),
+        ("matrix", "symbolic", [["2/0"]], "row 1, column 1: zero denominator in '2/0'"),
+        ("matrix", "matrix2", [[None]], f"row 1, column 1: {_MATRIX2_REFUSAL}"),
+        ("matrix", "matrix2", [[1.5]], f"row 1, column 1: {_MATRIX2_REFUSAL}"),
+        ("matrix", "matrix2", [[True]], f"row 1, column 1: {_MATRIX2_REFUSAL}"),
+        ("matrix", "matrix2", [["x"]], f"row 1, column 1: {_MATRIX2_REFUSAL}"),
+        ("matrix", "matrix2", [[{"a": 1}]], f"row 1, column 1: {_MATRIX2_REFUSAL}"),
+        ("matrix", "matrix2", [[[1, 2, 3, 4]]], f"row 1, column 1: {_MATRIX2_REFUSAL}"),
+        ("matrix", "matrix2", [[[[1, 2], [3, 4], [5, 6]]]], f"row 1, column 1: {_MATRIX2_REFUSAL}"),
+        ("matrix", "matrix2", [[[[1, 2], 3]]], f"row 1, column 1: {_MATRIX2_REFUSAL}"),
+        ("matrix", "matrix2", [[[[1, None], [0, 1]]]],
+         f"row 1, column 1, cell (1,2): {_RATIONAL_REFUSAL} None"),
+        ("matrix", "matrix2", [[[[1, 0], [2.5, 1]]]],
+         f"row 1, column 1, cell (2,1): {_RATIONAL_REFUSAL} 2.5"),
+        ("matrix", "matrix2", [[[[True, 0], [0, 1]]]],
+         f"row 1, column 1, cell (1,1): {_RATIONAL_REFUSAL} a boolean"),
+        ("cube", "symbolic", [[["a", "b"], ["c", "d"]], [["e", "f"], [None, "h"]]],
+         f"section 2, row 2, column 1: {_SYMBOLIC_REFUSAL} None"),
+        ("cube", "symbolic", [[["a", "b"], ["c", "d"]], [["e", "f"], ["g", True]]],
+         f"section 2, row 2, column 2: {_SYMBOLIC_REFUSAL} a boolean"),
+        ("cube", "symbolic", [[["a", "b"], ["c", "d"]], [["e", "1/0"], ["g", "h"]]],
+         "section 2, row 1, column 2: zero denominator in '1/0'"),
+    ],
+)
+def test_each_refused_cell_has_its_exact_text(kind, ring, entries, message):
+    # A symbolic cell's refusal names all it accepts, a boolean's too.
+    payload = {"kind": kind, "ring": ring, "n": len(entries), "entries": entries}
+    assert _refusal(json.dumps(payload)) == message
+
+
+def _cells(obj):
+    rows = obj.entries if isinstance(obj, SquareMatrix) else [
+        row for section in obj.sections for row in section
+    ]
+    return [cell for row in rows for cell in row]
+
+
+@pytest.mark.parametrize(
+    "ring, kind, entries, expected",
+    [
+        ("rational", "matrix", [["+2/4", "007"], ["-3/1", "0/5"]],
+         [Fraction(1, 2), Fraction(7), Fraction(-3), Fraction(0)]),
+        ("rational", "cube", [[[1, "-0"], [2, 3]], [[4, "5/1"], ["6/2", "-7"]]],
+         [Fraction(v) for v in (1, 0, 2, 3, 4, 5, 3, -7)]),
+        ("symbolic", "matrix", [["+2/4", "007"], ["-3/1", "0/5"]],
+         [Poly.constant(Fraction(1, 2)), Poly.constant(7), Poly.constant(-3), Poly()]),
+        ("symbolic", "cube", [[["a"]]], [Poly.variable("a")]),
+        ("matrix2", "matrix", [[[["+2/4", "007"], ["-3/1", "0/5"]]]],
+         [MatrixElement([[Fraction(1, 2), 7], [-3, 0]])]),
+    ],
+)
+def test_canonical_values_parse_to_fractions_in_tuples(ring, kind, entries, expected):
+    payload = {"kind": kind, "ring": ring, "n": len(entries), "entries": entries}
+    obj = parse_document(json.dumps(payload)).content
+    nested = obj.entries if isinstance(obj, SquareMatrix) else obj.sections
+    assert type(nested) is tuple and all(type(row) is tuple for row in nested)
+    if isinstance(obj, CubeMatrix):
+        assert all(type(row) is tuple for section in nested for row in section)
+    cells = _cells(obj)
+    assert cells == expected
+    for cell in cells:
+        if isinstance(cell, Poly):
+            assert all(type(c) is Fraction for _, c in cell.terms())
+        elif isinstance(cell, MatrixElement):
+            assert type(cell.cells) is tuple and all(type(c) is Fraction for c in cell.cells)
+        else:
+            assert type(cell) is Fraction
 
 
 def test_kind_ring_and_n_validation():

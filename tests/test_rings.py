@@ -11,14 +11,14 @@ from fractions import Fraction
 from operator import getitem, itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matident import rings
 from matident.bench import CountingRing
 from matident.combinatorics import TABLE_MAX_N, diagonals
 from matident.matrices import CubeMatrix, SquareMatrix
-from matident.methods import OpCounts, evaluate_method
+from matident.methods import OpCounts, evaluate_method, lift
 from matident.rings import (
     MATRIX2,
     RATIONAL,
@@ -36,6 +36,8 @@ from oracles import (
     matrix2_mul,
     matrix2_neg,
     matrix2_sub,
+    poly_product,
+    poly_text,
 )
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -368,6 +370,71 @@ def test_poly_string_forms():
     assert str(2 * x * x - y) == "2*x^2 - y"
     assert str((x + y) * (x - y)) == "x^2 - y^2"
     assert str(x * y + 1) == "1 + x*y"
+
+
+# A term is (numerator, denominator, factors), each factor a (name, exponent)
+# pair; a name may recur in one term.  An entry is a list of terms, zero when
+# empty or when its terms cancel.
+_terms = st.lists(
+    st.tuples(
+        st.integers(-6, 6),
+        st.integers(1, 4),
+        st.lists(st.tuples(st.sampled_from("abc"), st.integers(1, 3)), max_size=3),
+    ),
+    max_size=3,
+)
+_symbolic_requests = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(_terms, min_size=n * n, max_size=n * n))
+)
+
+
+def _entry(terms, suffix):
+    """The entry as a Poly built by public arithmetic, and as the oracle's
+    {monomial: coefficient} dict; suffix renames every variable."""
+    poly, oracle = Poly(), {}
+    for numerator, denominator, factors in terms:
+        coefficient = Fraction(numerator, denominator)
+        term, exponents = Poly.constant(coefficient), {}
+        for name, exponent in factors:
+            term = term * SYMBOLIC.power(Poly.variable(name + suffix), exponent)
+            exponents[name + suffix] = exponents.get(name + suffix, 0) + exponent
+        poly = poly + term
+        monomial = tuple(sorted(exponents.items()))
+        oracle[monomial] = oracle.get(monomial, 0) + coefficient
+    return poly, oracle
+
+
+@given(_symbolic_requests, st.booleans())
+# a^3 from a at n = 3, and a^7 at n = 1: exponents that fill their 2- and
+# 3-bit packed fields; a^2 and b^2 at n = 2, where a field one bit narrower
+# would carry a's exponent into b's.
+@example((3, [[(1, 1, [("a", 1)])]] + [[]] * 8), True)
+@example((2, [[(1, 1, [("a", 1)])], [(3, 2, [("b", 1)])], [], [(-1, 1, [])]]), True)
+@example((1, [[(-2, 3, [("a", 3), ("a", 3), ("a", 1)])]]), True)
+@settings(max_examples=60, deadline=None)
+def test_lifted_polys_move_down_to_the_same_poly_and_text(request, shared):
+    # Shared names recur across entries; distinct ones get a suffix per cell.
+    # down moves values of degree n, as evaluators return: the n-th power of
+    # each entry, which reaches the largest exponent the packed fields hold
+    # for this request, and the product of each row.
+    n, cells = request
+    built = [_entry(terms, "" if shared else f"_{k}") for k, terms in enumerate(cells)]
+    rows = [built[i * n : (i + 1) * n] for i in range(n)]
+    lifted, _, down = lift(SquareMatrix(SYMBOLIC, [[poly for poly, _ in row] for row in rows]))
+    ring = lifted.ring
+    assert ring is rings._PACKED
+    cases = []
+    for row, lifted_row in zip(rows, lifted.entries):
+        for (poly, oracle), entry in zip(row, lifted_row):
+            cases.append((ring.power(entry, n), SYMBOLIC.power(poly, n), [oracle] * n))
+        polys, oracles = zip(*row)
+        cases.append((ring.product(lifted_row), SYMBOLIC.product(polys), oracles))
+    for packed, expected, factors in cases:
+        oracle = {(): 1}
+        for factor in factors:
+            oracle = poly_product(oracle, factor)
+        assert down(packed) == expected
+        assert str(down(packed)) == str(expected) == poly_text(oracle)
 
 
 def test_poly_evaluate_substitutes_rationals():
