@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from operator import mul, or_
+from operator import itemgetter, mul, or_
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 VARIABLE_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -260,7 +260,9 @@ class Poly:
 
     def terms(self) -> list[tuple[tuple, Fraction]]:
         """Terms in canonical (sorted monomial) order."""
-        return sorted(self._terms.items())
+        # Monomials are distinct, so sorting by them alone is the same order
+        # without comparing whole (monomial, coefficient) pairs.
+        return sorted(self._terms.items(), key=itemgetter(0))
 
     def coefficient(self, monomial: tuple) -> Fraction:
         return self._terms.get(monomial, _ZERO)
