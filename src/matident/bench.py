@@ -26,7 +26,7 @@ from .methods import (
     OpCounts,
     checked_spec,
     evaluate_method,
-    lifted_request,
+    lift,
 )
 # The registry's own dict, not a copy: perfbench/tracing.py rebinds its
 # entries through bench.METHODS, and every run must see them.
@@ -98,7 +98,8 @@ def run_counted(
     request (see methods.lift) counts the same operations on exact integers;
     moving its value back is not counted.
     """
-    spec, lifted, params, down = lifted_request(method, obj, params)
+    spec = checked_spec(method, obj)
+    lifted, params, down = lift(obj, params)
     counting = CountingRing(lifted.ring)
     value = spec.run(lifted.with_ring(counting), params, counting.counts)
     return replace(counting.counts, value=down(value))

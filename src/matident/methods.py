@@ -225,51 +225,42 @@ METHODS: dict[str, MethodSpec] = {
 
 
 def lift(
-    obj: SquareMatrix | CubeMatrix, *param_sets: Mapping
-) -> tuple[SquareMatrix | CubeMatrix, tuple[dict, ...], Callable[[Any], Any]]:
-    """The instance and each set of params moved onto exact integers by one
-    scale, and the map that moves a value back.
+    obj: SquareMatrix | CubeMatrix, params: Mapping | None = None
+) -> tuple[SquareMatrix | CubeMatrix, dict, Callable[[Any], Any]]:
+    """The request moved onto exact integers by one scale, and the map that
+    moves a value back.
 
     Every function in the registry is homogeneous of degree n in the entries
     and shifts together, so f(A, gamma) = f(c*A, c*gamma) / c**n for any
-    scale c.  An instance whose entries and every set's shifts (gammas,
-    gamma, delta) are all Fractions, all Polys or all MatrixElements is
-    scaled until every coefficient is an integer and runs over a ring of
-    Python ints (see rings.LIFTERS).  One scale covers every set, so one
-    lift serves every run on the instance; down is injective, so lifted
-    values are equal exactly when their values are, and verify compares
-    them on the lifted ring and moves them down only for a note.  Anything
-    else is returned unchanged, so its errors stay the evaluators' own.  A
-    degree-t residual of the lifted matrix is c**t times the one of obj, so
-    it is zero exactly when obj's is; verify's corollary trials decide
-    zero-ness on the lifted matrix alone.
+    scale c.  A request whose entries and shifts (gammas, gamma, delta) are
+    all Fractions, all Polys or all MatrixElements is scaled until every
+    coefficient is an integer and runs over a ring of Python ints (see
+    rings.LIFTERS; Fractions and MatrixElements scale through rings.scale_up
+    and come back through rings.scale_down).  One scale covers the entries
+    and every shift.  Anything else, gammas that are not a tuple or a list
+    included, is returned as given, so its errors stay the evaluators' own.
     """
-    unchanged = obj, param_sets, lambda value: value
+    params = dict(params or {})
+    unchanged = obj, params, lambda value: value
     square = isinstance(obj, SquareMatrix)
     rows = obj.entries if square else [row for section in obj.sections for row in section]
     values = [entry for row in rows for entry in row]
-    for params in param_sets:
-        gammas = params.get("gammas")
-        if gammas is not None:
-            if not isinstance(gammas, (tuple, list)):
-                return unchanged
-            values += gammas
-        values += (params[key] for key in ("gamma", "delta") if params.get(key) is not None)
+    gammas = params.get("gammas")
+    if gammas is not None:
+        if not isinstance(gammas, (tuple, list)):
+            return unchanged
+        values += gammas
+    shifts = [key for key in ("gamma", "delta") if params.get(key) is not None]
+    values += (params[key] for key in shifts)
     lifter = next(
         (fn for cls, fn in LIFTERS if all(isinstance(value, cls) for value in values)), None
     )
     if lifter is None:
         return unchanged
     ring, up, down = lifter(values, obj.n)
-
-    def lift_params(params: Mapping) -> dict:
-        lifted = {**params}
-        for key in ("gamma", "delta"):
-            if params.get(key) is not None:
-                lifted[key] = up(params[key])
-        if params.get("gammas") is not None:
-            lifted["gammas"] = tuple(map(up, params["gammas"]))
-        return lifted
+    lifted_params = {**params, **{key: up(params[key]) for key in shifts}}
+    if gammas is not None:
+        lifted_params["gammas"] = tuple(map(up, gammas))
 
     def lift_rows(rows: tuple) -> tuple:
         return tuple(tuple(map(up, row)) for row in rows)
@@ -278,7 +269,7 @@ def lift(
         lifted = SquareMatrix._of(ring, lift_rows(obj.entries))
     else:
         lifted = CubeMatrix._of(ring, tuple(map(lift_rows, obj.sections)))
-    return lifted, tuple(map(lift_params, param_sets)), down
+    return lifted, lifted_params, down
 
 
 def checked_spec(method: str, obj: SquareMatrix | CubeMatrix) -> MethodSpec:
@@ -300,16 +291,6 @@ def checked_spec(method: str, obj: SquareMatrix | CubeMatrix) -> MethodSpec:
     return spec
 
 
-def lifted_request(
-    method: str, obj: SquareMatrix | CubeMatrix, params: Mapping | None
-) -> tuple[MethodSpec, SquareMatrix | CubeMatrix, dict, Callable[[Any], Any]]:
-    """The checked spec of method, and the request lifted onto exact integers
-    with the map that moves its value back (see lift)."""
-    spec = checked_spec(method, obj)
-    lifted, (lifted_params,), down = lift(obj, dict(params or {}))
-    return spec, lifted, lifted_params, down
-
-
 def evaluate_method(
     method: str, obj: SquareMatrix | CubeMatrix, params: Mapping | None = None
 ) -> Any:
@@ -318,5 +299,6 @@ def evaluate_method(
     A request made entirely of Fractions, of Polys or of MatrixElements runs
     on exact integers (see lift); its value comes back as the same element.
     """
-    spec, lifted, params, down = lifted_request(method, obj, params)
+    spec = checked_spec(method, obj)
+    lifted, params, down = lift(obj, params)
     return down(spec.run(lifted, params, OpCounts()))

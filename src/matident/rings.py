@@ -10,8 +10,10 @@ counting wrapper without touching evaluator code.
 Each of the three has a private lifted twin over Python ints (integers,
 packed-monomial int polynomials, integer 2x2 matrices), and LIFTERS maps an
 element type to the function that scales a request's values onto its twin
-and the result back (see methods.lift).  A 2x2 element and its twin share
-one cell layout and one set of formulas, so lifting scales each cell.
+and the result back (see methods.lift).  scale_up and scale_down are the
+one definition of that scaling for Fractions and MatrixElements, which
+methods.lift and verify both use.  A 2x2 element and its twin share one
+cell layout and one set of formulas, so lifting scales each cell.
 The integer twin runs the folds (sum, signed_sum, product, product_sum,
 power_sum, diagonal_sum) on builtins, and the packed-polynomial twin runs
 signed_sum, product_sum, diagonal_sum and power_sum into one accumulating
@@ -642,14 +644,34 @@ _INTEGER_MATRIX = _IntegerMatrixRing(
 _Lifted = tuple[Ring, Callable[[Any], Any], Callable[[Any], Any]]
 
 
+def scale_up(value: Any, scale: int) -> Any:
+    """value times scale, as ints: a Fraction as an int, a MatrixElement as its
+    (a, b, c, d) cells, and a tuple (gammas, a row, rows) item by item.  scale
+    is a multiple of every denominator in value."""
+    if isinstance(value, Fraction):
+        return value.numerator * (scale // value.denominator)
+    if isinstance(value, MatrixElement):
+        value = value.cells
+    return tuple(scale_up(item, scale) for item in value)
+
+
+def scale_down(value: Any, scale: int, n: int) -> Any:
+    """A lifted value of degree n moved back over scale**n: an int as a
+    Fraction, the (a, b, c, d) cells of a 2x2 twin as a MatrixElement."""
+    denominator = scale**n
+    if isinstance(value, tuple):
+        return _matrix(tuple(Fraction(cell, denominator) for cell in value))
+    return Fraction(value, denominator)
+
+
+def _scaled(ring: Ring, scale: int, n: int) -> _Lifted:
+    """ring, with scale_up and scale_down bound to scale and to degree n."""
+    return ring, lambda value: scale_up(value, scale), lambda value: scale_down(value, scale, n)
+
+
 def _lift_rationals(values: list[Fraction], n: int) -> _Lifted:
     """Scale by the least common denominator L; the value comes back over L**n."""
-    scale = math.lcm(*(value.denominator for value in values))
-
-    def up(value: Fraction) -> int:
-        return value.numerator * (scale // value.denominator)
-
-    return _INTEGER, up, lambda value: Fraction(value, scale**n)
+    return _scaled(_INTEGER, math.lcm(*(value.denominator for value in values)), n)
 
 
 def _lift_polys(values: list[Poly], n: int) -> _Lifted:
@@ -711,16 +733,7 @@ def _lift_matrices(values: list[MatrixElement], n: int) -> _Lifted:
     The value comes back over c**n.
     """
     scale = math.lcm(*(cell.denominator for value in values for cell in value.cells))
-    scale *= math.factorial(n)
-
-    def up(value: MatrixElement) -> tuple:
-        return tuple(cell.numerator * (scale // cell.denominator) for cell in value.cells)
-
-    def down(value: tuple) -> MatrixElement:
-        denominator = scale**n
-        return _matrix(tuple(Fraction(cell, denominator) for cell in value))
-
-    return _INTEGER_MATRIX, up, down
+    return _scaled(_INTEGER_MATRIX, scale * math.factorial(n), n)
 
 
 # The lifter for a request whose values are all of one element type.

@@ -43,9 +43,9 @@ def _groups(values, size: int) -> tuple[tuple, ...]:
     return tuple(zip(*[iter(values)] * size))
 
 
-def integer_rows(rng: random.Random, n: int, bound: int = 9) -> tuple[tuple[int, ...], ...]:
-    """n rows of n integers in -bound..bound."""
-    return _groups(_ints(rng, n * n, bound), n)
+def integer_rows(rng: random.Random, n: int) -> tuple[tuple[int, ...], ...]:
+    """n rows of n integers in -9..9."""
+    return _groups(_ints(rng, n * n), n)
 
 
 def rational_rows(rng: random.Random, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -82,8 +82,8 @@ def _element(cells) -> MatrixElement:
     return _matrix(tuple(map(Fraction, cells)))
 
 
-def random_integer(rng: random.Random, bound: int = 9) -> Fraction:
-    return Fraction(*_ints(rng, 1, bound))
+def random_integer(rng: random.Random) -> Fraction:
+    return Fraction(*_ints(rng, 1))
 
 
 def random_rational(rng: random.Random) -> Fraction:

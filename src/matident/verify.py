@@ -5,15 +5,17 @@ evaluators against the definitional one, all run through the method registry
 in methods, or checks that a claimed invariant (vanishing power sums, zero
 criteria, reconstruction counts) holds exactly.  Every trial draws each
 instance as Python ints (sampling's int rows) and builds it once, scaled
-onto the private integer ring of its entries by the scale methods.lift
-would pick for it with the shifts of every run on it: the lcm of the
+onto the private integer ring of its entries by one scale that makes the
+instance and the shifts of every run on it integral: the lcm of the
 shifts' denominators for an integer matrix, of the reduced denominators of
 the entries and the shifts for a p/q matrix, n! for 2x2 cells and 1 for an
 integer cube or singular matrix.  The shifts are drawn as Fractions and
 MatrixElements, as a failure note prints them, and scaled by the same
-factor.  Every function compared is homogeneous of degree n, so values
-agree on the lifted instance exactly when they agree as drawn; they are
-compared there and moved down only for a failure note.  Scaling a matrix by
+factor through rings.scale_up, the map methods.lift scales a request's
+Fractions and MatrixElements with.  Every function compared is homogeneous
+of degree n, so values agree on the lifted instance exactly when they agree
+as drawn; they are compared there and moved down through rings.scale_down
+only for a failure note.  Scaling a matrix by
 c multiplies a degree-t power sum residual by c**t, so every zero-ness the
 invariant trials (cor1, cor2) check is also the same on the lifted matrix.
 Trials are independent jobs keyed by (suite, n, seed, trial): _run_job
@@ -41,7 +43,7 @@ from .identities import (
 from .matrices import CubeMatrix, SquareMatrix
 from .methods import OpCounts, checked_spec
 from .polarization import DiagonalFunction, polarize
-from .rings import _INTEGER, _INTEGER_MATRIX, MATRIX2, RATIONAL, MatrixElement
+from .rings import _INTEGER, _INTEGER_MATRIX, MATRIX2, RATIONAL, scale_down, scale_up
 from .sampling import (
     derive_rng,
     integer_rows,
@@ -60,23 +62,6 @@ MAX_TRIALS = 1000
 def _run(method: str, lifted, params: dict):
     """method's registry run on a lifted instance, checked as a request would be."""
     return checked_spec(method, lifted).run(lifted, params, OpCounts())
-
-
-def _up(shift, scale: int):
-    """A shift as drawn (a Fraction, a MatrixElement or a tuple of Fractions)
-    times scale, as ints; scale is a multiple of every denominator in it."""
-    if isinstance(shift, tuple):
-        return tuple(_up(value, scale) for value in shift)
-    if isinstance(shift, MatrixElement):
-        return _up(shift.cells, scale)
-    return shift.numerator * (scale // shift.denominator)
-
-
-def _down(value, scale: int, n: int):
-    """A lifted value of degree n moved back to the scale it was drawn at."""
-    if isinstance(value, tuple):
-        return MatrixElement((value[:2], value[2:])) / scale**n
-    return Fraction(value, scale**n)
 
 
 def _integer_matrix(rows: tuple, scale: int) -> SquareMatrix:
@@ -109,9 +94,10 @@ def _agree(lifted, scale: int, reference: str, runs) -> tuple[bool, str]:
     """
     expected = _run(reference, lifted, {})
     for method, params in runs:
-        value = _run(method, lifted, {key: _up(shift, scale) for key, shift in params.items()})
+        lifted_params = {key: scale_up(shift, scale) for key, shift in params.items()}
+        value = _run(method, lifted, lifted_params)
         if not lifted.ring.eq(value, expected):
-            gave, wanted = (_down(v, scale, lifted.n) for v in (value, expected))
+            gave, wanted = (scale_down(v, scale, lifted.n) for v in (value, expected))
             return False, f"{method}({params}) gave {gave}, {reference} gave {wanted}"
     return True, ""
 
@@ -220,8 +206,7 @@ def _trial_submatrix_power_sums(rng, n: int) -> tuple[bool, str]:
     # The constructed instance is built of MatrixElements with integer cells,
     # and scaled by the same n!.
     vanishing = _vanishing_symmetrized_instance(rng, n)
-    rows = tuple(tuple(_up(element, scale) for element in row) for row in vanishing.entries)
-    lifted = SquareMatrix._of(_INTEGER_MATRIX, rows)
+    lifted = SquareMatrix._of(_INTEGER_MATRIX, scale_up(vanishing.entries, scale))
     if not lifted.ring.is_zero(_run("eper_definitional", lifted, {})):
         return False, "constructed instance was not actually zero"
     if not symmetrized_permanent_zero_criterion(lifted):
@@ -245,9 +230,9 @@ def _trial_polarization(rng, n: int) -> tuple[bool, str]:
             return permanent(SquareMatrix._of(ring, tuple((x,) * n for x in point)))
 
         func = DiagonalFunction(arity=n, evaluate=evaluate)
-        value = polarize(func, lifted.columns(), _up(gammas, scale), ring)
+        value = polarize(func, lifted.columns(), scale_up(gammas, scale), ring)
         if not ring.eq(value, reference):
-            gave, expected = (_down(v, scale, n) for v in (value, reference))
+            gave, expected = (scale_down(v, scale, n) for v in (value, reference))
             return False, f"reconstruction gave {gave} at shift {which}, expected {expected}"
         if calls != 2**n:
             return False, f"made {calls} diagonal evaluations, expected {2**n}"

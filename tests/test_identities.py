@@ -306,7 +306,7 @@ def test_submatrix_walk_agrees_with_the_oracle_plain_and_lifted(n, draw):
     ring = MATRIX2 if draw is random_rational_matrix2_element else RATIONAL
     matrix = SquareMatrix(ring, [[draw(rng) for _ in range(n)] for _ in range(n)])
     delta = draw(rng)
-    lifted, (params,), _ = lift(matrix, {"delta": delta})
+    lifted, params, _ = lift(matrix, {"delta": delta})
     assert lifted.ring in (rings._INTEGER, rings._INTEGER_MATRIX)
     for obj, shift in ((matrix, delta), (lifted, params["delta"])):
         rows = [[_own_element(entry) for entry in row] for row in obj.entries]
