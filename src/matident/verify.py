@@ -14,10 +14,10 @@ MatrixElements, as a failure note prints them, and scaled by the same
 factor through rings.scale_up, the map methods.lift scales a request's
 Fractions and MatrixElements with.  Every function compared is homogeneous
 of degree n, so values agree on the lifted instance exactly when they agree
-as drawn; they are compared there and moved down through rings.scale_down
-only for a failure note.  Scaling a matrix by
-c multiplies a degree-t power sum residual by c**t, so every zero-ness the
-invariant trials (cor1, cor2) check is also the same on the lifted matrix.
+as drawn; they are compared there, and rings.scale_down moves them back only
+for a failure note.  Scaling a matrix by c multiplies a degree-t power sum
+residual by c**t, so every zero-ness the invariant trials (cor1, cor2) check
+is also the same on the lifted matrix.
 Trials are independent jobs keyed by (suite, n, seed, trial): _run_job
 derives each trial's random stream from that key alone, so the report is
 deterministic.  Every trial runs in the calling process: a trial takes well

@@ -15,6 +15,7 @@ from matident.bench import CountingRing
 from matident.cli import main
 from matident.matrices import CubeMatrix
 from matident.methods import METHODS
+from recorded import BENCH_DIR, COMPUTE_DIR, RECORDED_BENCH, RECORDED_COMPUTE, compute_argv
 
 
 # Deeper than the JSON reader's recursion limit.
@@ -580,79 +581,15 @@ def test_bench_prints_table_and_writes_records(tmp_path, capsys):
     assert all("wall" not in key for row in rows for key in row)
 
 
-BENCH_DIR = Path(__file__).resolve().parent / "data" / "bench_stdout"
-
-# The CI workflow diffs the installed command against the same files.  Together
-# they pin every counted op count of the compared methods up to MAX_BENCH_N.
-RECORDED_BENCH = {
-    "nmin1-nmax6-seed1.txt": ["--nmin", "1", "--nmax", "6", "--seed", "1"],
-    "nmin7-nmax8-seed1.txt": ["--nmin", "7", "--nmax", "8", "--seed", "1"],
-}
-
-
 @pytest.mark.parametrize("name", RECORDED_BENCH)
 def test_bench_prints_the_recorded_table(name, capsys):
     expected = (BENCH_DIR / name).read_text()
     assert run(capsys, "bench", *RECORDED_BENCH[name]) == (0, expected, "")
 
 
-COMPUTE_DIR = Path(__file__).resolve().parent / "data" / "compute_stdout"
-
-# Each expected file sits beside the document it names; the CI workflow diffs the
-# installed command against the same files.
-RECORDED_COMPUTE = {
-    "symbolic-det-identity-gamma.txt": ["det", "identity", "--gamma=g", "symbolic.json"],
-    # Products of row sums in distinct variables share no monomial.
-    "distinct-per-ryser.txt": ["per", "ryser", "distinct.json"],
-    "distinct-per-identity.txt": ["per", "identity", "distinct.json"],
-    # The definitional sums fold through the packed ring's product_sum, as
-    # do the products of row sums below.
-    "distinct-det-definitional.txt": ["det", "definitional", "distinct.json"],
-    "distinct-per-definitional.txt": ["per", "definitional", "distinct.json"],
-    "symbolic_cube-detp-definitional.txt": ["detp", "definitional", "symbolic_cube.json"],
-    "symbolic_cube-detp-identity.txt": ["detp", "identity", "symbolic_cube.json"],
-    "symbolic-per-identity-gamma.txt": ["per", "identity", "--gamma=g,h,1/2", "symbolic.json"],
-    # An odd exponent, 3: the fused power fold's last product is (x*x)*x.
-    "symbolic-eper-identity.txt": ["eper", "identity", "symbolic.json"],
-    # Row 2 repeats row 1: products share monomials and cancel inside the
-    # packed folds.
-    "repeated-det-definitional.txt": ["det", "definitional", "repeated.json"],
-    "repeated-det-identity.txt": ["det", "identity", "repeated.json"],
-    "repeated-per-definitional.txt": ["per", "definitional", "repeated.json"],
-    "repeated-per-identity.txt": ["per", "identity", "repeated.json"],
-    "repeated-per-ryser.txt": ["per", "ryser", "repeated.json"],
-    # Exponents above 1 are printed from their packed bit fields: 2, and 3,
-    # which fills its 2-bit field exactly (n = 3, degree 1).
-    "squared-det-definitional.txt": ["det", "definitional", "squared.json"],
-    "cubed-det-definitional.txt": ["det", "definitional", "cubed.json"],
-    "matrix2-eper-identity-delta.txt": [
-        "eper",
-        "identity",
-        '--delta=[[1,"-1/2"],[0,3]]',
-        "matrix2.json",
-    ],
-    "rational-det-definitional.txt": ["det", "definitional", "rational.json"],
-    "rational-per-definitional.txt": ["per", "definitional", "rational.json"],
-    "rational-det-identity-gamma.txt": ["det", "identity", "--gamma=-3/2", "rational.json"],
-    "cube-detp-definitional.txt": ["detp", "definitional", "cube.json"],
-    "rational-per-polarization.txt": ["per", "polarization", "rational.json"],
-    "matrix2-eper-definitional.txt": ["eper", "definitional", "matrix2.json"],
-    "cube-detp-identity.txt": ["detp", "identity", "cube.json"],
-    # p/q entries at n = 5: the cube is lifted by a scale above 1 before its
-    # sections' columns are picked.
-    "frac_cube-detp-definitional.txt": ["detp", "definitional", "frac_cube.json"],
-    "frac_cube-detp-identity.txt": ["detp", "identity", "frac_cube.json"],
-    # symmetrize folds every ordering with the integer ring's product.
-    "rational-eper-definitional.txt": ["eper", "definitional", "rational.json"],
-    "rational-eper-identity.txt": ["eper", "identity", "rational.json"],
-}
-
-
 @pytest.mark.parametrize("name", RECORDED_COMPUTE)
 def test_compute_prints_the_recorded_bytes(name, capsys):
-    fn, method, *flags, document = RECORDED_COMPUTE[name]
-    argv = ["compute", "--fn", fn, "--method", method, *flags, str(COMPUTE_DIR / document)]
-    assert run(capsys, *argv) == (0, (COMPUTE_DIR / name).read_text(), "")
+    assert run(capsys, *compute_argv(name)) == (0, (COMPUTE_DIR / name).read_text(), "")
 
 
 def test_compute_help_prints_the_recorded_method_surface(capsys, monkeypatch):

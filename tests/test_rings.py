@@ -18,7 +18,7 @@ from matident import rings
 from matident.bench import CountingRing
 from matident.combinatorics import TABLE_MAX_N, diagonals
 from matident.matrices import CubeMatrix, SquareMatrix
-from matident.methods import OpCounts, evaluate_method, lift
+from matident.methods import METHODS, OpCounts, evaluate_method, lift
 from matident.rings import (
     MATRIX2,
     RATIONAL,
@@ -435,6 +435,75 @@ def test_lifted_polys_move_down_to_the_same_poly_and_text(request, shared):
             oracle = poly_product(oracle, factor)
         assert down(packed) == expected
         assert str(down(packed)) == str(expected) == poly_text(oracle)
+
+
+_gammas = st.lists(rationals, min_size=1, max_size=5).map(tuple)
+
+
+@given(
+    st.one_of(rationals, _rational_rows.map(MatrixElement), _gammas),
+    st.integers(1, 6),
+    st.integers(1, 4),
+)
+def test_scale_down_inverts_scale_up_at_every_degree(value, factor, n):
+    # scale is a multiple of every denominator in value.  A gammas tuple
+    # scales item by item, so each item comes back on its own; the n-th power
+    # of a scaled item is a value of degree n, and comes back as the n-th
+    # power of the item.
+    items = value if isinstance(value, tuple) else (value,)
+    fractions = [cell for item in items for cell in getattr(item, "cells", (item,))]
+    scale = factor * math.lcm(*(cell.denominator for cell in fractions))
+    lifted = rings.scale_up(value, scale)
+    for item, up in zip(items, lifted if isinstance(value, tuple) else (lifted,)):
+        matrix = isinstance(item, MatrixElement)
+        ring, twin = (MATRIX2, rings._INTEGER_MATRIX) if matrix else (RATIONAL, rings._INTEGER)
+        assert all(type(cell) is int for cell in (up if matrix else (up,)))
+        assert rings.scale_down(up, scale, 1) == item
+        assert rings.scale_down(twin.power(up, n), scale, n) == ring.power(item, n)
+
+
+def test_lift_takes_one_request_and_scales_its_entries_and_shifts_by_one_scale():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = [
+        # The lcm of every denominator, entries and gammas alike, 12; a key
+        # that is not a shift passes through.
+        (
+            SquareMatrix(RATIONAL, [[half, 1], [-third, 2]]),
+            {"gammas": (Fraction(1, 4), Fraction(0)), "note": "kept"},
+            "per_identity",
+            12,
+            ((6, 12), (-4, 24)),
+            {"gammas": (3, 0), "note": "kept"},
+        ),
+        # The lcm of every cell, 6, times n! = 2.
+        (
+            SquareMatrix(MATRIX2, [[MatrixElement([[half, 0], [1, 2]])] * 2] * 2),
+            {"delta": MatrixElement([[1, third], [0, 3]])},
+            "eper_identity",
+            12,
+            (((6, 0, 12, 24),) * 2,) * 2,
+            {"delta": (12, 4, 0, 36)},
+        ),
+    ]
+    for matrix, params, method, scale, entries, lifted_params in cases:
+        given_params = dict(params)
+        lifted, out_params, down = lift(matrix, params)
+        assert params == given_params
+        assert lifted.entries == entries == rings.scale_up(matrix.entries, scale)
+        assert out_params == lifted_params
+        value = METHODS[method].run(lifted, lifted_params, OpCounts())
+        assert down(value) == evaluate_method(method, matrix, params)
+        assert rings.scale_up(down(value), scale**matrix.n) == value
+
+
+def test_lift_hands_back_a_request_it_cannot_move_as_given():
+    matrix = SquareMatrix(RATIONAL, [[Fraction(1, 2), 1], [0, 2]])
+    generated = (gamma for gamma in (Fraction(1), Fraction(2)))
+    for params in ({"gamma": Poly.variable("g")}, {"gammas": generated}):
+        lifted, same, down = lift(matrix, params)
+        assert lifted is matrix and same == params
+        assert down(params) is params
+    assert lift(matrix)[1] == {}
 
 
 def test_poly_evaluate_substitutes_rationals():

@@ -40,30 +40,13 @@ from oracles import (
     brute_symmetrized_permanent,
     gauss_determinant,
 )
-
-STDOUT_DIR = Path(__file__).resolve().parent / "data" / "verify_stdout"
-
-# Each file holds the stdout the command printed before each trial shared one
-# lift per drawn instance (the first four also before the invariant trials
-# were lifted), except thm4-n3, recorded before the trials drew their
-# instances as ints; the CI workflow diffs the installed command against the
-# same files.
-RECORDED = {
-    "all-trials2-seed7.txt": ["--suite", "all", "--trials", "2", "--seed", "7"],
-    "cor1-n5-trials2.txt": ["--suite", "cor1", "--n", "5", "--trials", "2"],
-    "polarization-n5-trials2.txt": ["--suite", "polarization", "--n", "5", "--trials", "2"],
-    "cor2-n3-trials2.txt": ["--suite", "cor2", "--n", "3", "--trials", "2"],
-    "thm2-n6-trials2.txt": ["--suite", "thm2", "--n", "6", "--trials", "2"],
-    "thm3-n5-trials2.txt": ["--suite", "thm3", "--n", "5", "--trials", "2"],
-    "thm5-n4-trials2.txt": ["--suite", "thm5", "--n", "4", "--trials", "2"],
-    "thm4-n3-trials2.txt": ["--suite", "thm4", "--n", "3", "--trials", "2"],
-}
+from recorded import RECORDED_VERIFY, VERIFY_DIR
 
 
-@pytest.mark.parametrize("name", RECORDED)
+@pytest.mark.parametrize("name", RECORDED_VERIFY)
 def test_verify_prints_the_recorded_bytes(name, capsys, monkeypatch):
-    assert main(["verify", *RECORDED[name]]) == 0
-    assert capsys.readouterr().out == (STDOUT_DIR / name).read_text()
+    assert main(["verify", *RECORDED_VERIFY[name]]) == 0
+    assert capsys.readouterr().out == (VERIFY_DIR / name).read_text()
 
 
 def test_invariant_trials_reach_the_evaluators_on_exact_integers(monkeypatch):

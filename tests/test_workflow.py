@@ -1,49 +1,42 @@
-"""The CI workflow diffs the installed commands against the recorded bytes that
-the tier-1 tests check, case for case."""
+"""CI diffs every recorded case through tests/recorded.py, which reads the
+same lists the tier-1 tests read."""
 
-import shlex
+import sys
 from pathlib import Path
 
 from matident.verify import SUITES
-from test_cli import BENCH_DIR, COMPUTE_DIR, RECORDED_BENCH, RECORDED_COMPUTE
-from test_verify import RECORDED, STDOUT_DIR
+from recorded import (
+    BENCH_DIR,
+    COMPUTE_DIR,
+    RECORDED_BENCH,
+    RECORDED_COMPUTE,
+    RECORDED_VERIFY,
+    VERIFY_DIR,
+    cases,
+    check,
+)
+from test_cli import _source_env
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
-def _step(name):
-    """The shell words of each line of the named workflow step."""
-    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
-    start = lines.index(f"      - name: {name}")
-    end = next(
-        (i for i in range(start + 1, len(lines)) if lines[i].startswith("      - ")), len(lines)
-    )
-    return [shlex.split(line, comments=True) for line in lines[start + 1 : end]]
+def test_every_recording_file_is_listed():
+    for directory, recorded in (
+        (COMPUTE_DIR, RECORDED_COMPUTE),
+        (BENCH_DIR, RECORDED_BENCH),
+        (VERIFY_DIR, RECORDED_VERIFY),
+    ):
+        assert {path.name for path in directory.glob("*.txt")} == set(recorded)
 
 
-def _checks(name):
-    """The (recorded file, arguments) of each check line of the named step."""
-    return sorted((words[1], words[2:]) for words in _step(name) if words[:1] == ["check"])
-
-
-def test_ci_diffs_exactly_the_recorded_compute_cases():
-    expected = [
-        (name, ["--fn", fn, "--method", method, *flags, f"$docs/{document}"])
-        for name, (fn, method, *flags, document) in RECORDED_COMPUTE.items()
-    ]
-    assert _checks("Installed compute prints the recorded bytes") == sorted(expected)
-    assert {path.name for path in COMPUTE_DIR.glob("*.txt")} == set(RECORDED_COMPUTE)
-
-
-def test_ci_diffs_exactly_the_recorded_verify_cases():
-    expected = sorted(RECORDED.items())
-    assert _checks("Installed verify prints the recorded bytes") == expected
-    assert {path.name for path in STDOUT_DIR.glob("*.txt")} == set(RECORDED)
+def test_ci_runs_every_recorded_case_through_the_installed_command():
+    steps = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    assert "        run: python tests/recorded.py" in steps
 
 
 def test_ci_diffs_every_suite_above_its_default_sizes_at_its_largest():
-    recorded = {(argv[1], int(argv[3])) for argv in RECORDED.values() if argv[2] == "--n"}
+    recorded = {(argv[1], int(argv[3])) for argv in RECORDED_VERIFY.values() if argv[2] == "--n"}
     largest = {
         (name, spec.max_n) for name, spec in SUITES.items() if spec.max_n > max(spec.default_ns)
     }
@@ -51,13 +44,29 @@ def test_ci_diffs_every_suite_above_its_default_sizes_at_its_largest():
     assert largest <= recorded
 
 
-def test_ci_diffs_the_recorded_bench_table():
-    words = _step("Installed bench prints the recorded table")
-    runs = [line[1:line.index(">")] for line in words if line[:1] == ["matident"]]
-    diffed = [line[1] for line in words if line[:1] == ["diff"]]
-    expected = [
-        (["bench", *argv], f"tests/data/bench_stdout/{name}")
-        for name, argv in RECORDED_BENCH.items()
-    ]
-    assert len(runs) == len(diffed) and list(zip(runs, diffed)) == expected
-    assert sorted(path.name for path in BENCH_DIR.iterdir()) == sorted(RECORDED_BENCH)
+def test_the_runner_passes_one_case_per_surface_in_fresh_processes(capsys):
+    command, env = [sys.executable, "-m", "matident"], _source_env()
+    every = cases()
+    surfaces = ("compute", "bench", "verify")
+    one_each = [next(case for case in every if case[1][0] == surface) for surface in surfaces]
+    assert check(command, one_each, env) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_the_runner_prints_a_diff_for_other_bytes_and_the_stderr_of_a_failed_run(
+    tmp_path, capsys
+):
+    command, env = [sys.executable, "-m", "matident"], _source_env()
+    path, argv = next(case for case in cases() if case[1][0] == "verify")
+    altered = tmp_path / path.name
+    altered.write_bytes(path.read_bytes().replace(b": PASS", b": FAIL", 1))
+    empty = tmp_path / "empty.txt"
+    empty.write_bytes(b"")
+    refused = ["verify", "--trials", "0"]
+    assert check(command, [(altered, argv), (empty, refused)], env) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"--- {altered}\n+++ stdout of {' '.join(argv)}\n")
+    changed = [line for line in out.splitlines() if line[:1] in "-+" and line[1:3] != line[:1] * 2]
+    first = next(line for line in path.read_text().splitlines() if ": PASS" in line)
+    assert changed == ["-" + first.replace(": PASS", ": FAIL"), "+" + first]
+    assert out.endswith("verify --trials 0 exited 2: error: trials must be in 1..1000, got 0\n")
