@@ -112,13 +112,13 @@ def cases() -> list[tuple[Path, list[str]]]:
     ]
 
 
-def check(command: list[str], cases, env=None) -> int:
-    """Run each (recorded file, arguments) case as command plus its arguments
-    in a fresh process, and return how many exited nonzero or printed other
-    bytes than the file holds; each of those prints its unified diff, and a
-    nonzero exit its status and stderr."""
+def check(command: list[str], selected, env=None) -> int:
+    """Run each selected (recorded file, arguments) case as command plus its
+    arguments in a fresh process, and return how many exited nonzero or
+    printed other bytes than the file holds; each of those prints its
+    unified diff, and a nonzero exit its status and stderr."""
     differing = 0
-    for path, argv in cases:
+    for path, argv in selected:
         result = subprocess.run([*command, *argv], capture_output=True, env=env)
         expected = path.read_bytes()
         if result.returncode == 0 and result.stdout == expected:
