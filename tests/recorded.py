@@ -72,6 +72,10 @@ RECORDED_COMPUTE = {
     # symmetrize folds every ordering with the integer ring's product.
     "rational-eper-definitional.txt": ["eper", "definitional", "rational.json"],
     "rational-eper-identity.txt": ["eper", "identity", "rational.json"],
+    # p/q entries at n = 9, where the lifted definitional sums expand along
+    # the last two rows (every other recorded matrix is smaller than 5x5).
+    "rational9-det-definitional.txt": ["det", "definitional", "rational9.json"],
+    "rational9-per-definitional.txt": ["per", "definitional", "rational9.json"],
 }
 
 # `bench <argv>`.  Together they pin every counted op count of the compared
