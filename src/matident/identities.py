@@ -7,14 +7,19 @@ from `combinatorics`, folded by `Ring.signed_sum`, by `Ring.power_sum` when
 each term is a power, by `Ring.product_sum` when each term is a product of
 row sums, or by `Ring.diagonal_sum` when each term is one diagonal's
 product, picked from the matrix's row-major entries by the even and the odd
-halves of `combinatorics.diagonals`.  The space determinants pick from the
-sections' columns with the same tables, which gives each assembled matrix's
-columns in one C-level call.  The determinant and symmetrized-permanent
-identities use only addition, subtraction, n-th powers and one exact
-division by n!; the permanent and space-determinant identities multiply row
-sums instead.  Their agreement with the definitional forms over every
-supported ring is the package's central claim and is what the verify suites
-check.
+halves of `combinatorics.diagonals`.  The definitional determinant and
+permanent (the space determinant's inner permanents and polarization's F
+among them) also pass `combinatorics.two_row_expansion`, the same sum as a
+Laplace expansion along the last two rows, which the integer ring folds in
+place of the n! diagonals from n = 5 on; every other ring ignores it, and
+counted runs are Ring's loops over the diagonals.  The space determinants
+pick from the sections' columns with the same tables, which gives each
+assembled matrix's columns in one C-level call.  The determinant and
+symmetrized-permanent identities use only addition, subtraction, n-th
+powers and one exact division by n!; the permanent and space-determinant
+identities multiply row sums instead.  Their agreement with the
+definitional forms over every supported ring is the package's central
+claim and is what the verify suites check.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .combinatorics import (
     diagonals,
     enumerate_gray_steps,
     enumerate_transpositions,
+    two_row_expansion,
 )
 from .matrices import CubeMatrix, SquareMatrix
 from .rings import Ring
@@ -69,7 +75,8 @@ def _flat(rows: Iterable[Iterable[Any]]) -> tuple:
 def _flat_permanent(ring: Ring, flat: tuple, n: int) -> Any:
     """The permanent of the n x n matrix whose row-major entries are flat:
     every diagonal is added, the odd ones too."""
-    return ring.diagonal_sum(flat, itertools.chain(*diagonals(n)), ())
+    expansion = two_row_expansion(n, signed=False)
+    return ring.diagonal_sum(flat, itertools.chain(*diagonals(n)), (), expansion)
 
 
 def permanent(matrix: SquareMatrix) -> Any:
@@ -132,7 +139,9 @@ def determinant(matrix: SquareMatrix) -> Any:
     """Alternating sum of products over all diagonals (the definitional determinant)."""
     ring = matrix.ring
     _require_commutative(ring, "determinant")
-    return ring.diagonal_sum(_flat(matrix.entries), *diagonals(matrix.n))
+    n = matrix.n
+    expansion = two_row_expansion(n, signed=True)
+    return ring.diagonal_sum(_flat(matrix.entries), *diagonals(n), expansion)
 
 
 def _diagonal_residual(matrix: SquareMatrix, t: int, shift: Any) -> Any:

@@ -15,9 +15,11 @@ one definition of that scaling for Fractions and MatrixElements, which
 methods.lift and verify both use.  A 2x2 element and its twin share one
 cell layout and one set of formulas, so lifting scales each cell.
 The integer twin runs the folds (sum, signed_sum, product, product_sum,
-power_sum, diagonal_sum) on builtins, and the packed-polynomial twin runs
-signed_sum, product_sum, diagonal_sum and power_sum into one accumulating
-dict.  The 2x2 twin, which is noncommutative, keeps Ring's folds.
+power_sum, diagonal_sum) on builtins, and from n = 5 its diagonal_sum
+expands along the last two rows when the caller passes the expansion
+table; the packed-polynomial twin runs signed_sum, product_sum,
+diagonal_sum and power_sum into one accumulating dict.  The 2x2 twin,
+which is noncommutative, keeps Ring's folds.
 """
 
 from __future__ import annotations
@@ -172,13 +174,19 @@ class Ring:
         return self.signed_sum(zip(signs, map(self.power, bases, repeat(exponent))))
 
     def diagonal_sum(
-        self, flat: Sequence[Any], even: Iterable[Callable], odd: Iterable[Callable]
+        self,
+        flat: Sequence[Any],
+        even: Iterable[Callable],
+        odd: Iterable[Callable],
+        expansion: Any = None,
     ) -> Any:
         """Sum over the diagonals of a matrix whose row-major entries are
         flat of their products, added for the pickers in even and subtracted
         for those in odd: pick(flat) gives a diagonal's entries in row order
         (see combinatorics.diagonals).  One product and one add or sub per
-        diagonal."""
+        diagonal.  expansion, the same sum as a two-row Laplace expansion
+        (combinatorics.two_row_expansion) or None, is the integer ring's to
+        fold; this loop picks every diagonal and ignores it."""
         halves = ((1, even), (-1, odd))
         return self._signed_products((sign, pick(flat)) for sign, half in halves for pick in half)
 
@@ -461,6 +469,13 @@ MATRIX2 = Ring(
 )
 
 
+def _picked_sum(flat: Sequence[int], even: Iterable[Callable], odd: Iterable[Callable]) -> int:
+    """The sum of the products that the pickers in even take from flat, minus
+    that of the ones in odd."""
+    prod = math.prod
+    return sum(prod(pick(flat)) for pick in even) - sum(prod(pick(flat)) for pick in odd)
+
+
 class _IntegerRing(Ring):
     """Python ints, whose exact division refuses to leave a remainder.
 
@@ -470,8 +485,15 @@ class _IntegerRing(Ring):
     square-and-multiply.  product_sum and power_sum map math.prod or pow and
     the signs over their terms, so no Python frame runs per term.
     diagonal_sum sums the even diagonals' products and subtracts the odd
-    ones' sum, so no diagonal pays a sign.  A counting ring over this one
-    runs only its operations and powers; its folds are Ring's loops.
+    ones' sum, so no diagonal pays a sign.  Given a two-row expansion
+    (combinatorics.two_row_expansion, n >= 5), it takes one Python step
+    per column pair instead: the pair's 2x2 minor, ad - bc or ad + bc with
+    the term's sign, times the diagonal sum of its complementary minor,
+    whose entries one picker takes from flat and whose diagonals the
+    cached table at n - 2 picks.  At n = 7 that is 21 steps over 120
+    diagonals of five entries each, in place of 5040 diagonals of seven.
+    A counting ring over this one runs only its operations and powers; its
+    folds are Ring's loops, which pick every diagonal.
     """
 
     add = staticmethod(operator.add)
@@ -494,10 +516,20 @@ class _IntegerRing(Ring):
         return sum(map(mul, signs, map(math.prod, factors)))
 
     def diagonal_sum(
-        self, flat: Sequence[int], even: Iterable[Callable], odd: Iterable[Callable]
+        self,
+        flat: Sequence[int],
+        even: Iterable[Callable],
+        odd: Iterable[Callable],
+        expansion: Any = None,
     ) -> int:
-        prod = math.prod
-        return sum(prod(pick(flat)) for pick in even) - sum(prod(pick(flat)) for pick in odd)
+        if expansion is None:
+            return _picked_sum(flat, even, odd)
+        terms, even, odd = expansion
+        total = 0
+        for ad, bc, corners, minor in terms:
+            a, b, c, d = corners(flat)
+            total += (ad * a * d + bc * b * c) * _picked_sum(minor(flat), even, odd)
+        return total
 
     def power_sum(self, signs: Iterable[int], bases: Iterable[int], exponent: int) -> int:
         if exponent < 0:
