@@ -108,8 +108,9 @@ class MethodSpec:
 METHODS: dict[str, MethodSpec] = {
     spec.name: spec
     for spec in (
-        # n! diagonals: 0.36-0.41 s at n = 9, 3.0 s at n = 10; symbolic
-        # 0.73 s at n = 8, 14.6 s at n = 9.
+        # n! diagonals, summed from n = 5 to 9 as C(n, 2) 2x2 minors times
+        # their (n - 2)-minors: 0.15-0.27 s at n = 9, 3.1-3.3 s at n = 10;
+        # symbolic 0.73 s at n = 8, 14.6 s at n = 9.
         MethodSpec(
             "per_definitional",
             SquareMatrix,
@@ -136,8 +137,8 @@ METHODS: dict[str, MethodSpec] = {
             lambda n: OpCounts(adds=(n + 1) * (2**n - 1), negs=n % 2, muls=(2**n - 1) * (n - 1)),
             symbolic_max_n=6,
         ),
-        # 2^n permanents of n x n matrices: 0.58 s at n = 7, 9.9 s at n = 8;
-        # symbolic 0.37 s at n = 5, 44 s at n = 6.
+        # 2^n permanents of n x n matrices: 0.18-0.28 s at n = 7, 1.7-1.8 s
+        # at n = 8; symbolic 0.37 s at n = 5, 44 s at n = 6.
         MethodSpec(
             "per_polarization",
             SquareMatrix,
@@ -146,8 +147,9 @@ METHODS: dict[str, MethodSpec] = {
             max_n=7,
             symbolic_max_n=5,
         ),
-        # n! diagonals: 0.36-0.38 s at n = 9, 3.0-3.1 s at n = 10; symbolic
-        # 0.74-0.75 s at n = 8, 12.1 s at n = 9.
+        # n! diagonals, expanded as for per_definitional: 0.15-0.20 s at
+        # n = 9, 3.1-3.9 s at n = 10; symbolic 0.74-0.75 s at n = 8, 12.1 s
+        # at n = 9.
         MethodSpec(
             "det_definitional",
             SquareMatrix,
@@ -198,8 +200,8 @@ METHODS: dict[str, MethodSpec] = {
             max_n=9,
             symbolic_max_n=4,
         ),
-        # n! permanents of n! diagonals each: 0.25 s at n = 6, 9.0 s at n = 7;
-        # symbolic 0.34 s at n = 5, 21.8 s at n = 6.
+        # n! permanents of n! diagonals each: 0.16-0.17 s at n = 6, 3.5-3.8 s
+        # at n = 7; symbolic 0.34 s at n = 5, 21.8 s at n = 6.
         MethodSpec(
             "detp_definitional",
             CubeMatrix,

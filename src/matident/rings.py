@@ -524,11 +524,11 @@ class _IntegerRing(Ring):
     ) -> int:
         if expansion is None:
             return _picked_sum(flat, even, odd)
-        terms, even, odd = expansion
+        terms, minor_even, minor_odd = expansion
         total = 0
         for ad, bc, corners, minor in terms:
             a, b, c, d = corners(flat)
-            total += (ad * a * d + bc * b * c) * _picked_sum(minor(flat), even, odd)
+            total += (ad * a * d + bc * b * c) * _picked_sum(minor(flat), minor_even, minor_odd)
         return total
 
     def power_sum(self, signs: Iterable[int], bases: Iterable[int], exponent: int) -> int:

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +11,7 @@ from matident import combinatorics
 from matident.bench import run_counted
 from matident.combinatorics import (
     EVEN,
+    EXPANSION_MIN_N,
     MAX_ENUMERATION_N,
     ODD,
     TABLE_MAX_N,
@@ -18,6 +21,7 @@ from matident.combinatorics import (
     enumerate_subdiagonals,
     enumerate_submatrices,
     enumerate_transpositions,
+    two_row_expansion,
 )
 from matident.identities import symmetrize
 from matident.matrices import CubeMatrix, symbolic_matrix
@@ -32,6 +36,7 @@ from matident.sampling import (
 )
 
 from oracles import brute_permanent, cycle_sign, even_transpositions, gauss_determinant
+from test_cli import _source_env
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -125,6 +130,47 @@ def test_diagonals_above_the_table_cap_stream_the_same_order(n):
         diagonals(MAX_ENUMERATION_N + 1)
     with pytest.raises(ValueError):
         diagonals(0)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ENUMERATION_N + 1))
+def test_two_row_expansions_pair_the_last_rows_with_the_minors_left(n):
+    flat = tuple(range(n * n))
+    for signed in (True, False):
+        expansion = two_row_expansion(n, signed)
+        if not EXPANSION_MIN_N <= n <= TABLE_MAX_N + 2:
+            assert expansion is None
+            continue
+        assert two_row_expansion(n, signed) is expansion
+        terms, even, odd = expansion
+        minor_halves = diagonals(n - 2)
+        if not signed:
+            minor_halves = minor_halves[0] + minor_halves[1], ()
+        assert (even, odd) == minor_halves
+        pairs = list(itertools.combinations(range(n), 2))
+        assert len(terms) == len(pairs)
+        for (x, y), (ad, bc, corners, minor) in zip(pairs, terms):
+            last = (n - 2) * n
+            assert corners(flat) == (last + x, last + y, last + n + x, last + n + y)
+            others = [col for col in range(n) if col not in (x, y)]
+            assert minor(flat) == tuple(i * n + col for i in range(n - 2) for col in others)
+            # (-1)**(x + y + 1) on ad and its negation on bc, or no signs.
+            sign = (-1) ** (x + y + 1) if signed else 1
+            assert (ad, bc) == (sign, -sign if signed else 1)
+
+
+def test_no_expansion_is_built_at_import():
+    script = (
+        "import matident.cli, matident.combinatorics as c;"
+        " print(c.two_row_expansion.cache_info().currsize)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_source_env(),
+        check=True,
+    )
+    assert result.stdout == "0\n"
 
 
 def test_definitional_sums_above_the_table_cap_cache_no_table(monkeypatch):

@@ -1,6 +1,8 @@
 """Definitional evaluators against their power-sum identities."""
 
+import dataclasses
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matident.bench import CountingRing
+from matident.bench import CountingRing, run_counted
+from matident.combinatorics import EXPANSION_MIN_N, TABLE_MAX_N, two_row_expansion
 from matident.identities import (
     _gray_sums,
     determinant,
@@ -34,7 +37,7 @@ from matident.matrices import (
     symbolic_matrix,
 )
 from matident import rings
-from matident.methods import lift
+from matident.methods import METHODS, evaluate_method, lift
 from matident.rings import MATRIX2, RATIONAL, MatrixElement, Poly
 from matident.sampling import (
     derive_rng,
@@ -54,6 +57,7 @@ from oracles import (
     brute_space_determinant,
     brute_submatrix_power_sum,
     brute_symmetrized_permanent,
+    cycle_sign,
     gauss_determinant,
 )
 
@@ -142,6 +146,71 @@ def test_integrality_guard_holds_under_a_wrapper_ring():
     matrix = SquareMatrix(RATIONAL, [[1, 2], [3, 4]])
     with pytest.raises(ArithmeticError):
         determinant_identity(matrix.with_ring(OffByHalf(RATIONAL)))
+
+
+def _integer_matrix(rows):
+    """rows as a matrix over the integer ring that lifted requests run on."""
+    return SquareMatrix._of(rings._INTEGER, tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("n", range(EXPANSION_MIN_N, TABLE_MAX_N + 3))
+def test_permutation_matrices_have_their_signs_through_the_two_row_expansion(n):
+    # Rows n-2 and n-1 pick each column pair in both orders, so each term of
+    # the expansion is the one nonzero term twice, once through ad and once
+    # through bc, with opposite parities; a wrong Laplace sign shows as a
+    # determinant of the wrong sign.
+    assert two_row_expansion(n, signed=True) is not None
+    signs = set()
+    for x, y in itertools.combinations(range(n), 2):
+        head = [col for col in range(n) if col not in (x, y)]
+        for image in ((*head, x, y), (*head, y, x)):
+            rows = [[int(image[i] == j) for j in range(n)] for i in range(n)]
+            matrix = _integer_matrix(rows)
+            assert determinant(matrix) == cycle_sign(image)
+            signs.add(cycle_sign(image))
+    assert signs == {1, -1}
+
+
+def test_the_definitional_sums_agree_across_the_expansion_threshold():
+    # A 5x5 matrix with c alone in its first row and column has c times the
+    # determinant and the permanent of the 4x4 block left: one expands along
+    # two rows, the other picks its diagonals.
+    n = EXPANSION_MIN_N
+    assert two_row_expansion(n - 1, signed=True) is None
+    rng = derive_rng(36, "threshold")
+    for _ in range(5):
+        block = [[rng.randint(-9, 9) for _ in range(n - 1)] for _ in range(n - 1)]
+        c = rng.randint(-9, 9) or 1
+        rows = [[c] + [0] * (n - 1)] + [[0] + row for row in block]
+        assert determinant(_integer_matrix(rows)) == c * determinant(_integer_matrix(block))
+        assert permanent(_integer_matrix(rows)) == c * permanent(_integer_matrix(block))
+        assert determinant(_integer_matrix(block)) == gauss_determinant(block)
+
+
+@pytest.mark.parametrize(
+    "method, sizes",
+    [
+        ("det_definitional", range(5, 9)),
+        ("per_definitional", range(5, 9)),
+        ("detp_definitional", [5]),
+        ("per_polarization", [5, 6]),
+    ],
+)
+def test_counted_runs_above_the_expansion_threshold_keep_their_closed_forms(method, sizes):
+    # Counted runs are Ring's loops over every diagonal; the plain run folds
+    # the two-row expansion.  Both give one value, and the counts stay the
+    # closed form's.
+    spec = METHODS[method]
+    for n in sizes:
+        rng = derive_rng(36, method, n)
+        if spec.kind is CubeMatrix:
+            cells = [[[random_rational(rng) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+            obj = CubeMatrix(RATIONAL, cells)
+        else:
+            obj = random_rational_matrix(rng, n)
+        report = run_counted(method, obj)
+        assert report.value == evaluate_method(method, obj)
+        assert dataclasses.replace(report, value=None) == spec.counts(n), n
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from matident import rings
 from matident.bench import CountingRing
-from matident.combinatorics import TABLE_MAX_N, diagonals
+from matident.combinatorics import EXPANSION_MIN_N, TABLE_MAX_N, diagonals, two_row_expansion
 from matident.matrices import CubeMatrix, SquareMatrix
 from matident.methods import METHODS, OpCounts, evaluate_method, lift
 from matident.rings import (
@@ -845,6 +845,48 @@ def test_counted_diagonal_sums_tally_one_add_per_diagonal(n):
         counting = CountingRing(rings._INTEGER)
         assert counting.diagonal_sum(flat, *halves) == expected
         assert counting.counts == OpCounts(adds=size, muls=size * (n - 1))
+
+
+# Entries of every size the lift makes: zeros, small ints of both signs and
+# ints of 64 bits and more.
+wide_integers = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.integers(2**64, 2**80),
+    st.integers(-(2**80), -(2**64)),
+)
+
+
+@pytest.mark.parametrize("n", range(EXPANSION_MIN_N, TABLE_MAX_N + 3))
+@given(st.data())
+@settings(max_examples=3, deadline=None)
+def test_the_two_row_expansion_folds_what_the_full_tables_sum(n, data):
+    # Ring's loop picks all n! diagonals and ignores the expansion; the
+    # integer ring folds one term per column pair.
+    ring = rings._INTEGER
+    flat = tuple(data.draw(st.lists(wide_integers, min_size=n * n, max_size=n * n)))
+    def every(n):
+        return itertools.chain(*diagonals(n)), ()
+
+    for signed, halves in ((True, diagonals), (False, every)):
+        expansion = two_row_expansion(n, signed)
+        expected = rings.Ring.diagonal_sum(ring, flat, *halves(n), expansion)
+        assert ring.diagonal_sum(flat, *halves(n), expansion) == expected
+        assert ring.diagonal_sum(flat, *halves(n)) == expected
+
+
+@pytest.mark.parametrize("n", range(EXPANSION_MIN_N, TABLE_MAX_N + 1))
+@given(st.data())
+@settings(max_examples=6, deadline=None)
+def test_the_two_row_expansion_matches_the_oracles(n, data):
+    ring = rings._INTEGER
+    row = st.lists(wide_integers, min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=n, max_size=n))
+    flat = tuple(itertools.chain.from_iterable(rows))
+    even, odd = diagonals(n)
+    determinant = ring.diagonal_sum(flat, even, odd, two_row_expansion(n, True))
+    permanent = ring.diagonal_sum(flat, even + odd, (), two_row_expansion(n, False))
+    assert (determinant, permanent) == (gauss_determinant(rows), brute_permanent(rows))
 
 
 def test_integer_definitional_sums_call_no_ring_operation(monkeypatch):
