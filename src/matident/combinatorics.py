@@ -10,10 +10,11 @@ each enumerate_* function is a generator, so it is restartable:
   tuple of entries that a diagonal picks from a matrix's row-major entries
   flat.  For n up to TABLE_MAX_N both halves are tuples built once per
   process; above it they are one-shot iterators.
-- two_row_expansion(n, signed) returns the Laplace expansion of the
-  determinant (signed) or the permanent along the last two rows, one term
-  per column pair, each with the pickers of its 2x2 minor's corners and of
-  its complementary minor's entries, beside diagonals(n - 2)'s halves.
+- laplace_plan(n, *signed) returns the row-by-row Laplace expansion of the
+  permanent (False,), the determinant (True,) or the space determinant
+  (False, True): one level per row, each a picker of the partial sums over
+  column subsets that its steps extend, a picker of the entries they
+  multiply by, and the number of steps per subset.
 - enumerate_subdiagonals(n, k, sign) yields a tuple of k (row, col)
   positions.
 - enumerate_submatrices(n) yields (rows, cols), two sorted nonempty tuples.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from operator import add, itemgetter, methodcaller
 from typing import Callable, Iterable, Iterator
 
@@ -43,12 +45,6 @@ MAX_ENUMERATION_N = 10
 # diagonals(n) keeps a table for n up to this size: the tables for n = 1..7
 # take 0.99 MB together (tracemalloc), where one at n = 8 would take 7.4 MB.
 TABLE_MAX_N = 7
-
-# two_row_expansion(n) covers n from this size to TABLE_MAX_N + 2, whose
-# complementary minors read the cached tables.  Below it the integer ring's
-# expanded fold ran slower than its picker fold: 0.65x its speed at n = 3
-# and 0.92x at n = 4, against 1.6x at n = 5 (12-digit entries).
-EXPANSION_MIN_N = 5
 
 # A diagonal's getter: the tuple of its entries from a row-major entry tuple.
 Picker = Callable[[tuple], tuple]
@@ -134,37 +130,79 @@ def diagonals(n: int) -> tuple[Iterable[Picker], Iterable[Picker]]:
 
 
 @functools.cache
-def two_row_expansion(n: int, signed: bool) -> tuple | None:
-    """The Laplace expansion of the determinant (signed) or the permanent
-    of an n x n matrix along its last two rows, as pickers of its row-major
-    entries flat, for n from EXPANSION_MIN_N to TABLE_MAX_N + 2; None at
-    every other n.  Built on the first call for each n and kept.
+def _axis_level(n: int, k: int, signed: bool) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The steps that lead to each k-subset of 0..n-1 from the (k-1)-subsets,
+    one tuple per k-subset in lexicographic order.
 
-    Returns (terms, even, odd), one term (ad, bc, corners, minor) per column
-    pair x < y in lexicographic order.  corners(flat) is (a, b, c, d), the
-    entries of rows n - 2 and n - 1 in columns x and y, and minor(flat) the
-    row-major entries of the complementary minor: rows 0..n-3 without
-    columns x and y.  Each term adds ad*a*d + bc*b*c times the minor's
-    diagonal sum, the sum of its even pickers' products minus that of its
-    odd ones'.  For the determinant these are diagonals(n - 2)'s halves,
-    ad = (-1)**(x + y + 1) and bc = -ad, the signs of the generalized
-    Laplace expansion; for the permanent every diagonal is in the even half
-    and ad = bc = 1 (Minc, Permanents, 1978).
+    A step (source, col, sign) adds col to the source subset, which is the
+    position of the k-subset without col among the (k-1)-subsets in
+    lexicographic order.  signed gives a step the parity of the source's
+    columns greater than col, each picked in an earlier row and so an
+    inversion that the step adds; unsigned gives every step EVEN.
     """
-    if not EXPANSION_MIN_N <= n <= TABLE_MAX_N + 2:
-        return None
-    even, odd = _table(n - 2)
-    if not signed:
-        even, odd = even + odd, ()
-    top = (n - 2) * n
-    terms = []
-    for x, y in itertools.combinations(range(n), 2):
-        others = [col for col in range(n) if col not in (x, y)]
-        ad = -1 if signed and (x + y) % 2 == 0 else 1
-        corners = itemgetter(top + x, top + y, top + n + x, top + n + y)
-        minor = itemgetter(*(i * n + col for i in range(n - 2) for col in others))
-        terms.append((ad, -ad if signed else 1, corners, minor))
-    return tuple(terms), even, odd
+    position = {subset: j for j, subset in enumerate(itertools.combinations(range(n), k - 1))}
+
+    def step(subset: tuple[int, ...], p: int) -> tuple[int, int, int]:
+        # The columns after place p are the ones greater than subset[p].
+        sign = ODD if signed and (k - 1 - p) % 2 else EVEN
+        return position[subset[:p] + subset[p + 1 :]], subset[p], sign
+
+    return tuple(
+        tuple(step(subset, p) for p in range(k)) for subset in itertools.combinations(range(n), k)
+    )
+
+
+def _getter(indices: list[int]) -> Picker:
+    """itemgetter over indices that gives a tuple even for one index."""
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices)
+
+
+@functools.cache
+def laplace_plan(n: int, *signed: bool) -> tuple[tuple[Picker, Picker, int], ...]:
+    """The row-by-row Laplace expansion of a sum over one or two permutation
+    axes of 0..n-1, one level per row i in order.  Built on the first call
+    for each n and axes, and kept.
+
+    The sum is over permutations s_1, ..., s_a (a = len(signed)) of the
+    product over rows i of entry[i][s_1(i)]...[s_a(i)], each axis signed
+    (sgn(s)) or not: (False,) is the permanent of an n x n matrix, (True,)
+    its determinant, and (False, True) the space determinant of an n x n x n
+    cube, sum over s of sgn(s) times sum over sigma of the product over i of
+    section i's (sigma(i), s(i)) entry.  The entries are flat in row-major
+    (section-major) order, entry[i][c] at i*n + c (entry[i][r][c] at
+    i*n*n + r*n + c), and then negated in the same order.
+
+    After level i, partial[t] is the sum over the rows 0..i of the products
+    whose columns on each axis form target t, one (i+1)-subset per axis;
+    the targets are the product of the axes' subsets in lexicographic order.
+    A level (sources, entries, steps) lists steps steps per target, target
+    by target: sources(partial) picks each step's source partial sum, one
+    column fewer on every axis, and entries(flat + negated flat) the entry
+    of row i in the columns that it adds, negated for a step whose sign is
+    -1 (the product of its axes' signs), so
+    partial[t] = sum of source * entry over t's steps
+    and the sum is partial[0] after level n - 1.  That is n * 2**(n-1) steps
+    for one axis, where the diagonals are n!; for two, each step is a pair
+    of one-axis steps (Minc, Permanents, 1978).
+    """
+    _check_n(n)
+    size = n ** (len(signed) + 1)
+    plan = []
+    for i in range(n):
+        width = math.comb(n, i)
+        sources, entries = [], []
+        axes = (_axis_level(n, i + 1, axis) for axis in signed)
+        for target in itertools.product(*axes):
+            for steps in itertools.product(*target):
+                source, at, sign = 0, i, EVEN
+                for axis_source, col, axis_sign in steps:
+                    source, at, sign = source * width + axis_source, at * n + col, sign * axis_sign
+                sources.append(source)
+                entries.append(at if sign == EVEN else at + size)
+        plan.append((_getter(sources), _getter(entries), (i + 1) ** len(signed)))
+    return tuple(plan)
 
 
 def enumerate_subdiagonals(n: int, k: int, sign: int) -> Iterator[tuple[tuple[int, int], ...]]:

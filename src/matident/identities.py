@@ -7,12 +7,13 @@ from `combinatorics`, folded by `Ring.signed_sum`, by `Ring.power_sum` when
 each term is a power, by `Ring.product_sum` when each term is a product of
 row sums, or by `Ring.diagonal_sum` when each term is one diagonal's
 product, picked from the matrix's row-major entries by the even and the odd
-halves of `combinatorics.diagonals`.  The definitional determinant and
-permanent (the space determinant's inner permanents and polarization's F
-among them) also pass `combinatorics.two_row_expansion`, the same sum as a
-Laplace expansion along the last two rows, which the integer ring folds in
-place of the n! diagonals from n = 5 on; every other ring ignores it, and
-counted runs are Ring's loops over the diagonals.  The space determinants
+halves of `combinatorics.diagonals`.  The definitional sums go through
+`Ring.expanded_sum`, which takes that loop and, built only on demand, the
+same sum as a row-by-row Laplace expansion, `combinatorics.laplace_plan`:
+the integer ring folds the plan, the determinant and the permanent (and so
+polarization's F) from n = 5 and the space determinant at every size, in
+place of the n! diagonals; every other ring runs the loop, so counted runs
+are Ring's loops over the diagonals.  The space determinants
 pick from the sections' columns with the same tables, which gives each
 assembled matrix's columns in one C-level call.  The determinant and
 symmetrized-permanent identities use only addition, subtraction, n-th
@@ -35,10 +36,15 @@ from .combinatorics import (
     diagonals,
     enumerate_gray_steps,
     enumerate_transpositions,
-    two_row_expansion,
+    laplace_plan,
 )
 from .matrices import CubeMatrix, SquareMatrix
 from .rings import Ring
+
+# The determinant and the permanent fold a Laplace plan from this size on,
+# and their diagonals below it, where the integer ring's plan fold ran
+# slower than its picker fold (README.md, the integer fold).
+EXPANSION_MIN_N = 5
 
 
 def _require_commutative(ring: Ring, what: str) -> None:
@@ -72,18 +78,29 @@ def _flat(rows: Iterable[Iterable[Any]]) -> tuple:
     return tuple(itertools.chain.from_iterable(rows))
 
 
-def _flat_permanent(ring: Ring, flat: tuple, n: int) -> Any:
-    """The permanent of the n x n matrix whose row-major entries are flat:
-    every diagonal is added, the odd ones too."""
-    expansion = two_row_expansion(n, signed=False)
-    return ring.diagonal_sum(flat, itertools.chain(*diagonals(n)), (), expansion)
+def _diagonal_sum(ring: Ring, flat: tuple, n: int, signed: bool) -> Any:
+    """The determinant (signed) or the permanent of the n x n matrix whose
+    row-major entries are flat: the sum over its diagonals, the odd ones
+    subtracted or added.  From EXPANSION_MIN_N the ring is offered the same
+    sum as a Laplace plan, and only a ring that folds the plan builds it;
+    the tables of diagonals(n) are built only for a ring that loops."""
+
+    def loop():
+        even, odd = diagonals(n)
+        if signed:
+            return ring.diagonal_sum(flat, even, odd)
+        return ring.diagonal_sum(flat, itertools.chain(even, odd), ())
+
+    if n < EXPANSION_MIN_N:
+        return loop()
+    return ring.expanded_sum(lambda: (flat, laplace_plan(n, signed)), loop)
 
 
 def permanent(matrix: SquareMatrix) -> Any:
     """Sum of products over all diagonals (the definitional permanent)."""
     ring = matrix.ring
     _require_commutative(ring, "permanent")
-    return _flat_permanent(ring, _flat(matrix.entries), matrix.n)
+    return _diagonal_sum(ring, _flat(matrix.entries), matrix.n, signed=False)
 
 
 def _gray_sums(
@@ -139,9 +156,7 @@ def determinant(matrix: SquareMatrix) -> Any:
     """Alternating sum of products over all diagonals (the definitional determinant)."""
     ring = matrix.ring
     _require_commutative(ring, "determinant")
-    n = matrix.n
-    expansion = two_row_expansion(n, signed=True)
-    return ring.diagonal_sum(_flat(matrix.entries), *diagonals(n), expansion)
+    return _diagonal_sum(ring, _flat(matrix.entries), matrix.n, signed=True)
 
 
 def _diagonal_residual(matrix: SquareMatrix, t: int, shift: Any) -> Any:
@@ -337,17 +352,26 @@ def space_determinant(cube: CubeMatrix) -> Any:
     pickers of diagonals(n) assemble each one's transpose from the section
     columns, which has the same permanent from the same products; each inner
     permanent picks its diagonals from that transpose's flat entries with
-    diagonals(n) again.
+    diagonals(n) again.  The integer ring folds the same sum as one Laplace
+    plan over the cube's section-major entries, with a row axis for the
+    inner permanents and a signed column axis for s.
     """
     ring = cube.ring
     n = cube.n
-    columns = _section_columns(cube)
-    even, odd = diagonals(n)
-    return ring.signed_sum(
-        (sign, _flat_permanent(ring, _flat(pick(columns)), n))
-        for sign, half in ((EVEN, even), (ODD, odd))
-        for pick in half
-    )
+
+    def loop():
+        columns = _section_columns(cube)
+        even, odd = diagonals(n)
+        return ring.signed_sum(
+            (sign, _diagonal_sum(ring, _flat(pick(columns)), n, signed=False))
+            for sign, half in ((EVEN, even), (ODD, odd))
+            for pick in half
+        )
+
+    def expansion():
+        return _flat(itertools.chain.from_iterable(cube.sections)), laplace_plan(n, False, True)
+
+    return ring.expanded_sum(expansion, loop)
 
 
 def space_determinant_identity(cube: CubeMatrix) -> Any:

@@ -15,10 +15,10 @@ one definition of that scaling for Fractions and MatrixElements, which
 methods.lift and verify both use.  A 2x2 element and its twin share one
 cell layout and one set of formulas, so lifting scales each cell.
 The integer twin runs the folds (sum, signed_sum, product, product_sum,
-power_sum, diagonal_sum) on builtins, and from n = 5 its diagonal_sum
-expands along the last two rows when the caller passes the expansion
-table; the packed-polynomial twin runs signed_sum, product_sum,
-diagonal_sum and power_sum into one accumulating dict.  The 2x2 twin,
+power_sum, diagonal_sum) on builtins, and it is the one ring whose
+expanded_sum folds the Laplace plan that the caller offers in place of a
+loop over the diagonals; the packed-polynomial twin runs signed_sum,
+product_sum, diagonal_sum and power_sum into one accumulating dict.  The 2x2 twin,
 which is noncommutative, keeps Ring's folds.
 """
 
@@ -56,7 +56,9 @@ class Ring:
     diagonal_sum) go through the overrides.  product_sum and power_sum are
     signed_sum over products and powers, and diagonal_sum is the same over
     the products of the diagonals that the even and the odd pickers of
-    combinatorics.diagonals take from a flat entry tuple.
+    combinatorics.diagonals take from a flat entry tuple.  expanded_sum
+    runs the loop it is given, so every ring but the integer one folds a
+    definitional sum through these operations.
     """
 
     def __init__(
@@ -174,21 +176,23 @@ class Ring:
         return self.signed_sum(zip(signs, map(self.power, bases, repeat(exponent))))
 
     def diagonal_sum(
-        self,
-        flat: Sequence[Any],
-        even: Iterable[Callable],
-        odd: Iterable[Callable],
-        expansion: Any = None,
+        self, flat: Sequence[Any], even: Iterable[Callable], odd: Iterable[Callable]
     ) -> Any:
         """Sum over the diagonals of a matrix whose row-major entries are
         flat of their products, added for the pickers in even and subtracted
         for those in odd: pick(flat) gives a diagonal's entries in row order
         (see combinatorics.diagonals).  One product and one add or sub per
-        diagonal.  expansion, the same sum as a two-row Laplace expansion
-        (combinatorics.two_row_expansion) or None, is the integer ring's to
-        fold; this loop picks every diagonal and ignores it."""
+        diagonal."""
         halves = ((1, even), (-1, odd))
         return self._signed_products((sign, pick(flat)) for sign, half in halves for pick in half)
+
+    def expanded_sum(self, expansion: Callable[[], tuple], loop: Callable[[], Any]) -> Any:
+        """The sum that loop() folds with this ring's operations, which
+        expansion() gives again as (flat, plan), a row-by-row Laplace
+        expansion plan over the entries flat (combinatorics.laplace_plan).
+        This ring runs loop and never calls expansion, so no plan or flat
+        entries are built for it; the integer ring folds the plan."""
+        return loop()
 
 
 def _accumulate(terms: dict, pairs: Iterable[tuple[int, Mapping]]) -> dict:
@@ -469,13 +473,6 @@ MATRIX2 = Ring(
 )
 
 
-def _picked_sum(flat: Sequence[int], even: Iterable[Callable], odd: Iterable[Callable]) -> int:
-    """The sum of the products that the pickers in even take from flat, minus
-    that of the ones in odd."""
-    prod = math.prod
-    return sum(prod(pick(flat)) for pick in even) - sum(prod(pick(flat)) for pick in odd)
-
-
 class _IntegerRing(Ring):
     """Python ints, whose exact division refuses to leave a remainder.
 
@@ -485,15 +482,14 @@ class _IntegerRing(Ring):
     square-and-multiply.  product_sum and power_sum map math.prod or pow and
     the signs over their terms, so no Python frame runs per term.
     diagonal_sum sums the even diagonals' products and subtracts the odd
-    ones' sum, so no diagonal pays a sign.  Given a two-row expansion
-    (combinatorics.two_row_expansion, n >= 5), it takes one Python step
-    per column pair instead: the pair's 2x2 minor, ad - bc or ad + bc with
-    the term's sign, times the diagonal sum of its complementary minor,
-    whose entries one picker takes from flat and whose diagonals the
-    cached table at n - 2 picks.  At n = 7 that is 21 steps over 120
-    diagonals of five entries each, in place of 5040 diagonals of seven.
-    A counting ring over this one runs only its operations and powers; its
-    folds are Ring's loops, which pick every diagonal.
+    ones' sum, so no diagonal pays a sign.  expanded_sum folds the
+    Laplace plan instead of running the loop: level by level, one product
+    per step in C, each target's steps summed together, and the entries
+    read from flat followed by their negations, so no step pays a sign
+    either.  At n = 7 that is 448 steps in seven levels, in place of 5040
+    diagonals of seven entries.  A counting ring over this one runs only
+    its operations and powers; its folds are Ring's loops, which pick
+    every diagonal.
     """
 
     add = staticmethod(operator.add)
@@ -516,20 +512,21 @@ class _IntegerRing(Ring):
         return sum(map(mul, signs, map(math.prod, factors)))
 
     def diagonal_sum(
-        self,
-        flat: Sequence[int],
-        even: Iterable[Callable],
-        odd: Iterable[Callable],
-        expansion: Any = None,
+        self, flat: Sequence[int], even: Iterable[Callable], odd: Iterable[Callable]
     ) -> int:
-        if expansion is None:
-            return _picked_sum(flat, even, odd)
-        terms, minor_even, minor_odd = expansion
-        total = 0
-        for ad, bc, corners, minor in terms:
-            a, b, c, d = corners(flat)
-            total += (ad * a * d + bc * b * c) * _picked_sum(minor(flat), minor_even, minor_odd)
-        return total
+        prod = math.prod
+        return sum(prod(pick(flat)) for pick in even) - sum(prod(pick(flat)) for pick in odd)
+
+    def expanded_sum(self, expansion: Callable[[], tuple], loop: Callable[[], int]) -> int:
+        flat, plan = expansion()
+        entries = (*flat, *map(operator.neg, flat))
+        partial = (1,)
+        for sources, picks, steps in plan:
+            # Every step's product, then each target's steps summed: the
+            # same map read steps at a time by zip.
+            products = map(mul, sources(partial), picks(entries))
+            partial = tuple(map(sum, zip(*(products,) * steps)))
+        return partial[0]
 
     def power_sum(self, signs: Iterable[int], bases: Iterable[int], exponent: int) -> int:
         if exponent < 0:

@@ -76,6 +76,12 @@ RECORDED_COMPUTE = {
     # the last two rows (every other recorded matrix is smaller than 5x5).
     "rational9-det-definitional.txt": ["det", "definitional", "rational9.json"],
     "rational9-per-definitional.txt": ["per", "definitional", "rational9.json"],
+    # The largest sizes that reach a two-axis Laplace plan (a 6x6x6 cube) and
+    # a polarization F above n = 4 (128 permanents of 7x7 matrices).
+    "frac_cube6-detp-definitional.txt": ["detp", "definitional", "frac_cube6.json"],
+    "frac_cube6-detp-identity.txt": ["detp", "identity", "frac_cube6.json"],
+    "rational7-per-polarization.txt": ["per", "polarization", "rational7.json"],
+    "rational7-det-definitional.txt": ["det", "definitional", "rational7.json"],
 }
 
 # `bench <argv>`.  Together they pin every counted op count of the compared

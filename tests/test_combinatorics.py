@@ -1,5 +1,6 @@
 """Enumeration order, signs, and the symmetrization operator."""
 
+import functools
 import itertools
 import math
 import subprocess
@@ -7,11 +8,10 @@ import sys
 
 import pytest
 
-from matident import combinatorics
+from matident import combinatorics, identities
 from matident.bench import run_counted
 from matident.combinatorics import (
     EVEN,
-    EXPANSION_MIN_N,
     MAX_ENUMERATION_N,
     ODD,
     TABLE_MAX_N,
@@ -21,9 +21,9 @@ from matident.combinatorics import (
     enumerate_subdiagonals,
     enumerate_submatrices,
     enumerate_transpositions,
-    two_row_expansion,
+    laplace_plan,
 )
-from matident.identities import symmetrize
+from matident.identities import EXPANSION_MIN_N, permanent_ryser, symmetrize
 from matident.matrices import CubeMatrix, symbolic_matrix
 from matident.methods import METHODS, OpCounts, evaluate_method
 from matident.rings import MATRIX2, RATIONAL, MatrixElement, Poly, SYMBOLIC
@@ -35,7 +35,13 @@ from matident.sampling import (
     random_rational_matrix,
 )
 
-from oracles import brute_permanent, cycle_sign, even_transpositions, gauss_determinant
+from oracles import (
+    brute_permanent,
+    brute_space_determinant,
+    cycle_sign,
+    even_transpositions,
+    gauss_determinant,
+)
 from test_cli import _source_env
 
 
@@ -132,36 +138,91 @@ def test_diagonals_above_the_table_cap_stream_the_same_order(n):
         diagonals(0)
 
 
+def _plan_steps(plan, level, sources, size):
+    """The steps of plan's level, target by target, as (source, position,
+    sign): what its pickers take from 0..sources-1 and from the entries and
+    their negations, 0..2*size-1."""
+    pick_sources, pick_entries, steps = plan[level]
+    read = [
+        (source, at % size, ODD if at >= size else EVEN)
+        for source, at in zip(pick_sources(range(sources)), pick_entries(range(2 * size)))
+    ]
+    return [read[t : t + steps] for t in range(0, len(read), steps)]
+
+
+def _expanded_terms(plan, n, size):
+    """Every product that plan sums, as {positions row by row: sign}, from
+    running its levels on terms instead of values."""
+    partial = [{(): EVEN}]
+    for level in range(n):
+        partial = [
+            {
+                positions + (at,): sign * step_sign
+                for source, at, step_sign in target
+                for positions, sign in partial[source].items()
+            }
+            for target in _plan_steps(plan, level, len(partial), size)
+        ]
+    (terms,) = partial
+    return terms
+
+
+@pytest.mark.parametrize(
+    "n, signed",
+    [*((n, (False,)) for n in range(1, 6)), *((n, (True,)) for n in range(1, 6))]
+    + [(n, (False, True)) for n in range(1, 4)],
+)
+def test_laplace_plans_expand_to_every_permutation_once_with_its_sign(n, signed):
+    # One axis: entry (i, s(i)) at i*n + s(i).  Two: section i's entry
+    # (sigma(i), s(i)) at i*n*n + sigma(i)*n + s(i).  Only the last axis is
+    # signed.
+    expected = {}
+    for images in itertools.product(itertools.permutations(range(n)), repeat=len(signed)):
+        positions = tuple(
+            functools.reduce(lambda at, image: at * n + image[i], images, i) for i in range(n)
+        )
+        expected[positions] = cycle_sign(images[-1]) if signed[-1] else EVEN
+    assert _expanded_terms(laplace_plan(n, *signed), n, n ** (len(signed) + 1)) == expected
+
+
 @pytest.mark.parametrize("n", range(1, MAX_ENUMERATION_N + 1))
 def test_two_row_expansions_pair_the_last_rows_with_the_minors_left(n):
-    flat = tuple(range(n * n))
+    # The plan's last two levels are the Laplace expansion along the last two
+    # rows: per column pair x < y, the partial sum over the minor left
+    # (rows 0..n-3 in the other columns) times a*d and b*c, where a, b are
+    # row n-2's entries in columns x, y and c, d row n-1's, with the signs
+    # (-1)**(x + y + 1) and its negation for the determinant and none for
+    # the permanent.
+    size = n * n
     for signed in (True, False):
-        expansion = two_row_expansion(n, signed)
-        if not EXPANSION_MIN_N <= n <= TABLE_MAX_N + 2:
-            assert expansion is None
+        plan = laplace_plan(n, signed)
+        assert laplace_plan(n, signed) is plan
+        assert len(plan) == n
+        if n == 1:
+            assert _plan_steps(plan, 0, 1, size) == [[(0, 0, EVEN)]]
             continue
-        assert two_row_expansion(n, signed) is expansion
-        terms, even, odd = expansion
-        minor_halves = diagonals(n - 2)
-        if not signed:
-            minor_halves = minor_halves[0] + minor_halves[1], ()
-        assert (even, odd) == minor_halves
-        pairs = list(itertools.combinations(range(n), 2))
-        assert len(terms) == len(pairs)
-        for (x, y), (ad, bc, corners, minor) in zip(pairs, terms):
-            last = (n - 2) * n
-            assert corners(flat) == (last + x, last + y, last + n + x, last + n + y)
-            others = [col for col in range(n) if col not in (x, y)]
-            assert minor(flat) == tuple(i * n + col for i in range(n - 2) for col in others)
-            # (-1)**(x + y + 1) on ad and its negation on bc, or no signs.
-            sign = (-1) ** (x + y + 1) if signed else 1
-            assert (ad, bc) == (sign, -sign if signed else 1)
+        minors = list(itertools.combinations(range(n), n - 2))
+        (last,) = _plan_steps(plan, n - 1, n, size)
+        before = _plan_steps(plan, n - 2, len(minors), size)
+        terms = {
+            (at, last_at): (minors[source], sign * last_sign)
+            for target, last_at, last_sign in last
+            for source, at, sign in before[target]
+        }
+        expected = {}
+        top = (n - 2) * n
+        for x, y in itertools.combinations(range(n), 2):
+            minor = tuple(col for col in range(n) if col not in (x, y))
+            ad = (-1) ** (x + y + 1) if signed else 1
+            expected[top + x, top + n + y] = (minor, ad)
+            expected[top + y, top + n + x] = (minor, -ad if signed else 1)
+        assert terms == expected
 
 
 def test_no_expansion_is_built_at_import():
     script = (
         "import matident.cli, matident.combinatorics as c;"
-        " print(c.two_row_expansion.cache_info().currsize)"
+        " print(c.laplace_plan.cache_info().currsize, c._axis_level.cache_info().currsize)"
     )
     result = subprocess.run(
         [sys.executable, "-c", script],
@@ -170,22 +231,42 @@ def test_no_expansion_is_built_at_import():
         env=_source_env(),
         check=True,
     )
-    assert result.stdout == "0\n"
+    assert result.stdout == "0 0\n"
 
 
 def test_definitional_sums_above_the_table_cap_cache_no_table(monkeypatch):
-    # Above the cap the diagonals come block by block from the tables up to
-    # the cap; every table asked for, the recursion's own included, is
-    # recorded.
-    table = combinatorics._table
-    table.cache_clear()
-    asked = []
+    # Lifted requests run on the integer ring, which folds a Laplace plan for
+    # det and per from EXPANSION_MIN_N and for detp at every size, so they
+    # ask for no diagonal table, nor for the block generators that read the
+    # table at the cap above it.  Every table asked for, the recursion's own
+    # included, is recorded, and so is every plan.
+    table, plan = combinatorics._table, identities.laplace_plan
+    asked, planned = [], []
     monkeypatch.setattr(combinatorics, "_table", lambda n: asked.append(n) or table(n))
-    matrix = random_integer_matrix(derive_rng(28, "above the cap"), TABLE_MAX_N + 1)
-    assert evaluate_method("det_definitional", matrix) == gauss_determinant(matrix.entries)
-    assert evaluate_method("per_definitional", matrix) == brute_permanent(matrix.entries)
-    assert max(asked) == TABLE_MAX_N
-    assert table.cache_info().currsize == TABLE_MAX_N
+    monkeypatch.setattr(identities, "laplace_plan", lambda *key: planned.append(key) or plan(*key))
+    rng = derive_rng(37, "no table")
+    for n in range(EXPANSION_MIN_N, 10):
+        matrix = random_rational_matrix(rng, n)
+        assert evaluate_method("det_definitional", matrix) == gauss_determinant(matrix.entries)
+        assert evaluate_method("per_definitional", matrix) == permanent_ryser(matrix)
+    cells = [[[random_rational(rng) for _ in range(4)] for _ in range(4)] for _ in range(4)]
+    assert evaluate_method("detp_definitional", CubeMatrix(RATIONAL, cells)) == (
+        brute_space_determinant(cells)
+    )
+    assert asked == []
+    assert len(planned) == 11
+    # A counted run and a symbolic request loop over the table and fold no
+    # plan; the diagonals of a matrix above the cap still come from the
+    # table at the cap.
+    del planned[:]
+    n = EXPANSION_MIN_N
+    run_counted("det_definitional", random_rational_matrix(rng, n))
+    evaluate_method("per_definitional", symbolic_matrix(n))
+    assert asked == [n, n] and planned == []
+    del asked[:]
+    matrix = random_integer_matrix(rng, TABLE_MAX_N + 1)
+    assert run_counted("det_definitional", matrix).value == gauss_determinant(matrix.entries)
+    assert asked == [TABLE_MAX_N] and planned == []
 
 
 def _requests(method, rng):

@@ -12,8 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matident.bench import CountingRing, run_counted
-from matident.combinatorics import EXPANSION_MIN_N, TABLE_MAX_N, two_row_expansion
+from matident.combinatorics import TABLE_MAX_N
 from matident.identities import (
+    EXPANSION_MIN_N,
     _gray_sums,
     determinant,
     determinant_identity,
@@ -155,11 +156,12 @@ def _integer_matrix(rows):
 
 @pytest.mark.parametrize("n", range(EXPANSION_MIN_N, TABLE_MAX_N + 3))
 def test_permutation_matrices_have_their_signs_through_the_two_row_expansion(n):
-    # Rows n-2 and n-1 pick each column pair in both orders, so each term of
-    # the expansion is the one nonzero term twice, once through ad and once
-    # through bc, with opposite parities; a wrong Laplace sign shows as a
-    # determinant of the wrong sign.
-    assert two_row_expansion(n, signed=True) is not None
+    # The integer ring folds a Laplace plan at these sizes, whose last two
+    # levels expand along the last two rows.  Rows n-2 and n-1 pick each
+    # column pair in both orders, so the one nonzero term reaches the pair
+    # through either of its two steps, with opposite parities; a wrong
+    # Laplace sign in any level shows as a determinant of the wrong sign.
+    assert n >= EXPANSION_MIN_N
     signs = set()
     for x, y in itertools.combinations(range(n), 2):
         head = [col for col in range(n) if col not in (x, y)]
@@ -173,10 +175,9 @@ def test_permutation_matrices_have_their_signs_through_the_two_row_expansion(n):
 
 def test_the_definitional_sums_agree_across_the_expansion_threshold():
     # A 5x5 matrix with c alone in its first row and column has c times the
-    # determinant and the permanent of the 4x4 block left: one expands along
-    # two rows, the other picks its diagonals.
+    # determinant and the permanent of the 4x4 block left: one folds a
+    # Laplace plan, the other picks its diagonals.
     n = EXPANSION_MIN_N
-    assert two_row_expansion(n - 1, signed=True) is None
     rng = derive_rng(36, "threshold")
     for _ in range(5):
         block = [[rng.randint(-9, 9) for _ in range(n - 1)] for _ in range(n - 1)]
@@ -190,16 +191,17 @@ def test_the_definitional_sums_agree_across_the_expansion_threshold():
 @pytest.mark.parametrize(
     "method, sizes",
     [
-        ("det_definitional", range(5, 9)),
-        ("per_definitional", range(5, 9)),
-        ("detp_definitional", [5]),
-        ("per_polarization", [5, 6]),
+        ("det_definitional", range(EXPANSION_MIN_N, 10)),
+        ("per_definitional", range(EXPANSION_MIN_N, 10)),
+        # The space determinant folds its plan at every size.
+        ("detp_definitional", range(1, 7)),
+        ("per_polarization", range(EXPANSION_MIN_N, 8)),
     ],
 )
 def test_counted_runs_above_the_expansion_threshold_keep_their_closed_forms(method, sizes):
     # Counted runs are Ring's loops over every diagonal; the plain run folds
-    # the two-row expansion.  Both give one value, and the counts stay the
-    # closed form's.
+    # a Laplace plan at every size that the registry admits.  Both give one
+    # value, and the counts stay the closed form's.
     spec = METHODS[method]
     for n in sizes:
         rng = derive_rng(36, method, n)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from matident import rings
 from matident.bench import CountingRing
-from matident.combinatorics import EXPANSION_MIN_N, TABLE_MAX_N, diagonals, two_row_expansion
+from matident.combinatorics import TABLE_MAX_N, diagonals, laplace_plan
+from matident.identities import EXPANSION_MIN_N, space_determinant
 from matident.matrices import CubeMatrix, SquareMatrix
 from matident.methods import METHODS, OpCounts, evaluate_method, lift
 from matident.rings import (
@@ -857,36 +858,76 @@ wide_integers = st.one_of(
 )
 
 
+def _plan_sum(flat, *signed):
+    """The integer ring's fold of laplace_plan(n, *signed) over flat, with a
+    loop that must not run."""
+
+    def loop():
+        raise AssertionError("the integer ring ran the loop, not the plan")
+
+    n = round(len(flat) ** (1 / (len(signed) + 1)))
+    return rings._INTEGER.expanded_sum(lambda: (flat, laplace_plan(n, *signed)), loop)
+
+
 @pytest.mark.parametrize("n", range(EXPANSION_MIN_N, TABLE_MAX_N + 3))
 @given(st.data())
 @settings(max_examples=3, deadline=None)
-def test_the_two_row_expansion_folds_what_the_full_tables_sum(n, data):
-    # Ring's loop picks all n! diagonals and ignores the expansion; the
-    # integer ring folds one term per column pair.
+def test_the_laplace_plan_folds_what_the_full_tables_sum(n, data):
+    # Ring's loop picks all n! diagonals, and so does the integer ring's
+    # picker fold; the plan folds n * 2**(n-1) steps.
     ring = rings._INTEGER
     flat = tuple(data.draw(st.lists(wide_integers, min_size=n * n, max_size=n * n)))
+
     def every(n):
         return itertools.chain(*diagonals(n)), ()
 
     for signed, halves in ((True, diagonals), (False, every)):
-        expansion = two_row_expansion(n, signed)
-        expected = rings.Ring.diagonal_sum(ring, flat, *halves(n), expansion)
-        assert ring.diagonal_sum(flat, *halves(n), expansion) == expected
+        expected = rings.Ring.diagonal_sum(ring, flat, *halves(n))
+        assert _plan_sum(flat, signed) == expected
         assert ring.diagonal_sum(flat, *halves(n)) == expected
+
+
+# Python ints through Ring's own folds, which never fold a plan.
+_LOOPING_INTEGERS = rings.Ring("looping integers", int, lambda x: isinstance(x, int))
+
+
+def _draw_sections(data, n):
+    """n n x n sections of wide integers, as tuples."""
+    row = st.tuples(*[wide_integers] * n)
+    return data.draw(st.tuples(*[st.tuples(*[row] * n)] * n))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@given(st.data())
+@settings(max_examples=3, deadline=None)
+def test_the_space_determinant_plan_folds_what_the_full_tables_sum(n, data):
+    # Ring's loop picks n! assembled matrices and n! diagonals of each; the
+    # plan's steps pair a row step with a signed column step.
+    sections = _draw_sections(data, n)
+    flat = tuple(entry for section in sections for row in section for entry in row)
+    looped = space_determinant(CubeMatrix._of(_LOOPING_INTEGERS, sections))
+    assert _plan_sum(flat, False, True) == looped
+    assert space_determinant(CubeMatrix._of(rings._INTEGER, sections)) == looped
 
 
 @pytest.mark.parametrize("n", range(EXPANSION_MIN_N, TABLE_MAX_N + 1))
 @given(st.data())
 @settings(max_examples=6, deadline=None)
-def test_the_two_row_expansion_matches_the_oracles(n, data):
-    ring = rings._INTEGER
+def test_the_laplace_plan_matches_the_oracles(n, data):
     row = st.lists(wide_integers, min_size=n, max_size=n)
     rows = data.draw(st.lists(row, min_size=n, max_size=n))
     flat = tuple(itertools.chain.from_iterable(rows))
-    even, odd = diagonals(n)
-    determinant = ring.diagonal_sum(flat, even, odd, two_row_expansion(n, True))
-    permanent = ring.diagonal_sum(flat, even + odd, (), two_row_expansion(n, False))
+    determinant, permanent = _plan_sum(flat, True), _plan_sum(flat, False)
     assert (determinant, permanent) == (gauss_determinant(rows), brute_permanent(rows))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@given(st.data())
+@settings(max_examples=4, deadline=None)
+def test_the_space_determinant_plan_matches_the_oracle(n, data):
+    sections = _draw_sections(data, n)
+    flat = tuple(entry for section in sections for row in section for entry in row)
+    assert _plan_sum(flat, False, True) == brute_space_determinant(sections)
 
 
 def test_integer_definitional_sums_call_no_ring_operation(monkeypatch):
