@@ -129,7 +129,6 @@ def diagonals(n: int) -> tuple[Iterable[Picker], Iterable[Picker]]:
     return _blocks(n, TABLE_MAX_N)
 
 
-@functools.cache
 def _axis_level(n: int, k: int, signed: bool) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """The steps that lead to each k-subset of 0..n-1 from the (k-1)-subsets,
     one tuple per k-subset in lexicographic order.
