@@ -108,8 +108,8 @@ class MethodSpec:
 METHODS: dict[str, MethodSpec] = {
     spec.name: spec
     for spec in (
-        # n! diagonals, summed from n = 5 to 9 as C(n, 2) 2x2 minors times
-        # their (n - 2)-minors: 0.15-0.27 s at n = 9, 3.1-3.3 s at n = 10;
+        # n! diagonals, folded from n = 5 as a row-by-row Laplace expansion
+        # of n * 2**(n-1) steps: 0.09-0.10 s at n = 9, 0.09 s at n = 10;
         # symbolic 0.73 s at n = 8, 14.6 s at n = 9.
         MethodSpec(
             "per_definitional",
@@ -137,7 +137,7 @@ METHODS: dict[str, MethodSpec] = {
             lambda n: OpCounts(adds=(n + 1) * (2**n - 1), negs=n % 2, muls=(2**n - 1) * (n - 1)),
             symbolic_max_n=6,
         ),
-        # 2^n permanents of n x n matrices: 0.18-0.28 s at n = 7, 1.7-1.8 s
+        # 2^n permanents of n x n matrices: 0.10-0.12 s at n = 7, 0.13-0.18 s
         # at n = 8; symbolic 0.37 s at n = 5, 44 s at n = 6.
         MethodSpec(
             "per_polarization",
@@ -147,9 +147,9 @@ METHODS: dict[str, MethodSpec] = {
             max_n=7,
             symbolic_max_n=5,
         ),
-        # n! diagonals, expanded as for per_definitional: 0.15-0.20 s at
-        # n = 9, 3.1-3.9 s at n = 10; symbolic 0.74-0.75 s at n = 8, 12.1 s
-        # at n = 9.
+        # n! diagonals, expanded as for per_definitional: 0.09 s at n = 9,
+        # 0.09-0.10 s at n = 10; symbolic 0.74-0.75 s at n = 8, 12.1 s at
+        # n = 9.
         MethodSpec(
             "det_definitional",
             SquareMatrix,
@@ -200,8 +200,9 @@ METHODS: dict[str, MethodSpec] = {
             max_n=9,
             symbolic_max_n=4,
         ),
-        # n! permanents of n! diagonals each: 0.16-0.17 s at n = 6, 3.5-3.8 s
-        # at n = 7; symbolic 0.34 s at n = 5, 21.8 s at n = 6.
+        # n! permanents of n! diagonals each, folded as one two-axis Laplace
+        # expansion: 0.10 s at n = 6, 0.15-0.17 s at n = 7; symbolic 0.34 s
+        # at n = 5, 21.8 s at n = 6.
         MethodSpec(
             "detp_definitional",
             CubeMatrix,

@@ -161,7 +161,6 @@ def test_permutation_matrices_have_their_signs_through_the_two_row_expansion(n):
     # column pair in both orders, so the one nonzero term reaches the pair
     # through either of its two steps, with opposite parities; a wrong
     # Laplace sign in any level shows as a determinant of the wrong sign.
-    assert n >= EXPANSION_MIN_N
     signs = set()
     for x, y in itertools.combinations(range(n), 2):
         head = [col for col in range(n) if col not in (x, y)]
@@ -200,8 +199,8 @@ def test_the_definitional_sums_agree_across_the_expansion_threshold():
 )
 def test_counted_runs_above_the_expansion_threshold_keep_their_closed_forms(method, sizes):
     # Counted runs are Ring's loops over every diagonal; the plain run folds
-    # a Laplace plan at every size that the registry admits.  Both give one
-    # value, and the counts stay the closed form's.
+    # a Laplace plan at each of these sizes, up to the registry's limit.
+    # Both give one value, and the counts stay the closed form's.
     spec = METHODS[method]
     for n in sizes:
         rng = derive_rng(36, method, n)
