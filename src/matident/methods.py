@@ -109,14 +109,12 @@ METHODS: dict[str, MethodSpec] = {
     spec.name: spec
     for spec in (
         # n! diagonals, folded from n = 5 as a row-by-row Laplace expansion
-        # of n * 2**(n-1) steps: 0.09-0.10 s at n = 9, 0.09 s at n = 10;
-        # symbolic 0.73 s at n = 8, 14.6 s at n = 9.
+        # of n * 2**(n-1) steps; symbolic 0.73 s at n = 8, 14.6 s at n = 9.
         MethodSpec(
             "per_definitional",
             SquareMatrix,
             lambda m, p, c: identities.permanent(m),
             lambda n: OpCounts(adds=_F(n), muls=_F(n) * (n - 1)),
-            max_n=9,
             symbolic_max_n=8,
         ),
         # per_identity and per_ryser: 2^n products of row sums, 0.04-0.06 s at
@@ -137,25 +135,22 @@ METHODS: dict[str, MethodSpec] = {
             lambda n: OpCounts(adds=(n + 1) * (2**n - 1), negs=n % 2, muls=(2**n - 1) * (n - 1)),
             symbolic_max_n=6,
         ),
-        # 2^n permanents of n x n matrices: 0.10-0.12 s at n = 7, 0.13-0.18 s
-        # at n = 8; symbolic 0.37 s at n = 5, 44 s at n = 6.
+        # 2^n permanents of n x n matrices, each a Laplace expansion from
+        # n = 5; symbolic 0.37 s at n = 5, 44 s at n = 6.
         MethodSpec(
             "per_polarization",
             SquareMatrix,
             _run_per_polarization,
             _per_polarization_counts,
-            max_n=7,
             symbolic_max_n=5,
         ),
-        # n! diagonals, expanded as for per_definitional: 0.09 s at n = 9,
-        # 0.09-0.10 s at n = 10; symbolic 0.74-0.75 s at n = 8, 12.1 s at
-        # n = 9.
+        # n! diagonals, expanded as for per_definitional; symbolic 0.74-0.75 s
+        # at n = 8, 12.1 s at n = 9.
         MethodSpec(
             "det_definitional",
             SquareMatrix,
             lambda m, p, c: identities.determinant(m),
             lambda n: OpCounts(adds=_F(n), muls=_F(n) * (n - 1)),
-            max_n=9,
             symbolic_max_n=8,
         ),
         # n! diagonals of n + 1 powers each: 0.16 s at n = 8, 2.2 s at n = 9;
@@ -174,14 +169,14 @@ METHODS: dict[str, MethodSpec] = {
             max_n=8,
             symbolic_max_n=5,
         ),
-        # n! diagonals of n! orderings each: 0.10 s at n = 5, 1.9 s at n = 6;
-        # symbolic 0.15 s at n = 5.
+        # n! diagonals of n! orderings each: 1.5-1.6 s at n = 6 (n = 7 has 49
+        # times the orderings); symbolic 0.15 s at n = 5.
         MethodSpec(
             "eper_definitional",
             SquareMatrix,
             lambda m, p, c: identities.symmetrized_permanent(m),
             lambda n: OpCounts(adds=_F(n) ** 2, muls=_F(n) ** 2 * (n - 1), int_divs=_F(n)),
-            max_n=5,
+            max_n=6,
             symbolic_max_n=5,
         ),
         # 4^n submatrix sums, each to the n-th power: 1.7 s at n = 9, 5.6 s at
@@ -201,14 +196,15 @@ METHODS: dict[str, MethodSpec] = {
             symbolic_max_n=4,
         ),
         # n! permanents of n! diagonals each, folded as one two-axis Laplace
-        # expansion: 0.10 s at n = 6, 0.15-0.17 s at n = 7; symbolic 0.34 s
-        # at n = 5, 21.8 s at n = 6.
+        # expansion of n^2 * C(2n-2, n-1) steps: 0.27 s at n = 8, 0.65-0.74 s
+        # and 105 MB at n = 9 (n = 10 takes 4.7 times the steps); symbolic
+        # 0.34 s at n = 5, 21.8 s at n = 6.
         MethodSpec(
             "detp_definitional",
             CubeMatrix,
             lambda m, p, c: identities.space_determinant(m),
             lambda n: OpCounts(adds=_F(n) * (_F(n) + 1), muls=_F(n) ** 2 * (n - 1)),
-            max_n=6,
+            max_n=9,
             symbolic_max_n=5,
         ),
         # n! permutations of n + 1 row-sum products each: 0.55 s at n = 8,

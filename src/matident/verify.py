@@ -30,7 +30,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import starmap
 from typing import Callable
 
 from .identities import (
@@ -43,7 +42,7 @@ from .identities import (
 from .matrices import CubeMatrix, SquareMatrix
 from .methods import OpCounts, checked_spec
 from .polarization import DiagonalFunction, polarize
-from .rings import _INTEGER, _INTEGER_MATRIX, MATRIX2, RATIONAL, scale_down, scale_up
+from .rings import _INTEGER, _INTEGER_MATRIX, MATRIX2, scale_down, scale_up
 from .sampling import (
     derive_rng,
     integer_rows,
@@ -138,33 +137,32 @@ def _trial_space_determinant(rng, n: int) -> tuple[bool, str]:
     return _agree(cube, 1, "detp_definitional", [("detp_identity", {})])
 
 
-def _nonzero_residual_exponent(lifted: SquareMatrix) -> int:
-    """The first t in 1..n-1 whose diagonal power sum residual is nonzero, else 0."""
+def _nonzero_residual_exponent(lifted: SquareMatrix) -> tuple[int, object]:
+    """The first t in 1..n-1 whose diagonal power sum residual is nonzero,
+    with that residual, else (0, None)."""
     ring = lifted.ring
     for t in range(1, lifted.n):
-        if not ring.is_zero(diagonal_power_residual(lifted, t)):
-            return t
-    return 0
+        residual = diagonal_power_residual(lifted, t)
+        if not ring.is_zero(residual):
+            return t, residual
+    return 0, None
 
 
 def _trial_diagonal_power_sums(rng, n: int) -> tuple[bool, str]:
-    # A failure note recomputes its residual on the matrix as drawn, so it
-    # prints in the drawn matrix's scale.
-    rows = rational_rows(rng, n)
-    lifted = _rational_matrix(rows, ())[0]
-    t = _nonzero_residual_exponent(lifted)
+    # A residual of degree t on the matrix lifted by scale is scale**t times
+    # the drawn one, so a failure note moves it back by that much.
+    lifted, scale = _rational_matrix(rational_rows(rng, n), ())
+    t, residual = _nonzero_residual_exponent(lifted)
     if t:
-        drawn = SquareMatrix._of(RATIONAL, tuple(tuple(starmap(Fraction, row)) for row in rows))
-        return False, f"power sum residual {diagonal_power_residual(drawn, t)} at exponent {t}"
+        return False, f"power sum residual {scale_down(residual, scale, t)} at exponent {t}"
     claims_zero = determinant_zero_criterion(lifted)
     is_zero = lifted.ring.is_zero(_run("det_definitional", lifted, {}))
     if claims_zero != is_zero:
         return False, "zero criterion disagrees with the determinant"
     # The singular matrix is drawn as integers: its scale is 1, so it runs as drawn.
     singular = SquareMatrix._of(_INTEGER, singular_rows(rng, n))
-    t = _nonzero_residual_exponent(singular)
+    t, residual = _nonzero_residual_exponent(singular)
     if t:
-        residual = diagonal_power_residual(singular, t)
         return False, f"power sum residual {residual} at exponent {t} on a singular matrix"
     if not determinant_zero_criterion(singular):
         return False, "zero criterion missed a singular matrix"
@@ -263,9 +261,8 @@ SUITES: dict[str, SuiteSpec] = {
 }
 
 
-def _run_job(job: tuple[str, int, int, int]) -> tuple[bool, str]:
-    """Run one trial on its job's random stream; an exception fails the trial, not the run."""
-    suite, n, seed, trial = job
+def _run_job(suite: str, n: int, seed: int, trial: int) -> tuple[bool, str]:
+    """Run one trial on its own random stream; an exception fails the trial, not the run."""
     try:
         return SUITES[suite].run_trial(derive_rng(seed, suite, n, trial), n)
     except Exception as exc:
@@ -310,7 +307,7 @@ def run_suites(
     lines = []
     passed_total = 0
     for name, n in groups:
-        results = [_run_job((name, n, seed, trial)) for trial in range(1, trials + 1)]
+        results = [_run_job(name, n, seed, trial) for trial in range(1, trials + 1)]
         ok_count = sum(1 for ok, _ in results if ok)
         passed_total += ok_count
         line = f"{name} n={n}: {ok_count}/{trials} ok: {'PASS' if ok_count == trials else 'FAIL'}"

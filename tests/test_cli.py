@@ -420,7 +420,7 @@ def test_verify_refuses_a_size_above_the_suite_limit_before_printing(capsys):
 def no_trials(monkeypatch):
     """Fail the test if any verify trial runs."""
 
-    def never(job):
+    def never(*job):
         raise AssertionError(f"trial {job} was run")
 
     monkeypatch.setattr(verify, "_run_job", never)
@@ -483,7 +483,8 @@ def test_verify_reports_a_raising_trial_as_a_failure(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "suite, helper, note",
     [
-        ("cor1", "_diagonal_residual", "power sum residual 1 at exponent 1"),
+        # The drawn matrix's corner entry is 2/3.
+        ("cor1", "_diagonal_residual", "power sum residual 2/3 at exponent 1"),
         (
             "cor2",
             "_signed_submatrix_power_sum",
@@ -494,7 +495,12 @@ def test_verify_reports_a_raising_trial_as_a_failure(monkeypatch, capsys):
 def test_verify_prints_a_nonzero_corollary_residual_as_a_failure(
     monkeypatch, capsys, suite, helper, note
 ):
-    monkeypatch.setattr(identities, helper, lambda matrix, exponent, shift: matrix.ring.one())
+    # A stand-in homogeneous of degree exponent, like the real residual: the
+    # corner entry's power.
+    def corner_power(matrix, exponent, shift):
+        return matrix.ring.power(matrix.entries[0][0], exponent)
+
+    monkeypatch.setattr(identities, helper, corner_power)
     code, out, _ = run(capsys, "verify", "--suite", suite, "--n", "3", "--trials", "1")
     assert code == 1
     assert out == (

@@ -79,7 +79,7 @@ def test_invariant_trials_reach_the_evaluators_on_exact_integers(monkeypatch):
     for suite, (names, element) in expected.items():
         for n in (1, 2, 3):
             seen.clear()
-            assert verify._run_job((suite, n, 1, 1)) == (True, "")
+            assert verify._run_job(suite, n, 1, 1) == (True, "")
             # At n = 1 there is no residual below degree n to check.
             called = {name for name in names if n > 1 or "residual" not in name}
             assert {name for name, _ in seen} == called, (suite, n)
@@ -262,7 +262,7 @@ def test_each_trial_lifts_each_instance_it_draws_once(monkeypatch):
         ring = rings._INTEGER_MATRIX if suite in ("thm4", "cor2") else rings._INTEGER
         for n in (2, 3):
             handed.clear()
-            assert verify._run_job((suite, n, 1, 1)) == (True, "")
+            assert verify._run_job(suite, n, 1, 1) == (True, "")
             instances = {id(obj): obj for obj in handed}.values()
             assert len(instances) == per_trial.get(suite, 1), (suite, n)
             assert all(obj.ring is ring for obj in instances), (suite, n)
@@ -442,7 +442,7 @@ def _instance_digests(monkeypatch) -> dict:
             records.clear()
             for seed in (1, 2, 3):
                 for trial in (1, 2, 3):
-                    assert verify._run_job((suite, n, seed, trial)) == (True, ""), (suite, n)
+                    assert verify._run_job(suite, n, seed, trial) == (True, ""), (suite, n)
             digests[f"{suite} n={n}"] = hashlib.sha256(repr(records).encode()).hexdigest()
     return digests
 
