@@ -72,8 +72,8 @@ RECORDED_COMPUTE = {
     # symmetrize folds every ordering with the integer ring's product.
     "rational-eper-definitional.txt": ["eper", "definitional", "rational.json"],
     "rational-eper-identity.txt": ["eper", "identity", "rational.json"],
-    # p/q entries at n = 9, where the lifted definitional sums expand along
-    # the last two rows (every other recorded matrix is smaller than 5x5).
+    # p/q entries at n = 9, where the lifted definitional sums fold a
+    # row-by-row Laplace plan of 2,304 steps.
     "rational9-det-definitional.txt": ["det", "definitional", "rational9.json"],
     "rational9-per-definitional.txt": ["per", "definitional", "rational9.json"],
     # The largest sizes that reach a two-axis Laplace plan (a 6x6x6 cube) and
@@ -82,6 +82,13 @@ RECORDED_COMPUTE = {
     "frac_cube6-detp-identity.txt": ["detp", "identity", "frac_cube6.json"],
     "rational7-per-polarization.txt": ["per", "polarization", "rational7.json"],
     "rational7-det-definitional.txt": ["det", "definitional", "rational7.json"],
+    # The largest sizes each definitional sum admits: the document maximum,
+    # 10, for det, per and per polarization (1,024 permanents of 10x10
+    # matrices), and a 9x9x9 cube for detp.
+    "rational10-det-definitional.txt": ["det", "definitional", "rational10.json"],
+    "rational10-per-definitional.txt": ["per", "definitional", "rational10.json"],
+    "rational10-per-polarization.txt": ["per", "polarization", "rational10.json"],
+    "frac_cube9-detp-definitional.txt": ["detp", "definitional", "frac_cube9.json"],
 }
 
 # `bench <argv>`.  Together they pin every counted op count of the compared

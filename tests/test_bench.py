@@ -43,7 +43,7 @@ from matident.sampling import (
     random_rational,
     random_rational_matrix,
 )
-from oracles import brute_permanent
+from oracles import brute_permanent, gauss_determinant
 
 M3 = SquareMatrix(RATIONAL, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
 
@@ -380,14 +380,30 @@ def test_a_polynomial_shift_on_a_rational_matrix_keeps_its_error():
         run_counted("det_identity", matrix, {"gamma": Poly.variable("g")})
 
 
+def test_the_plan_folded_sums_run_up_to_the_document_maximum():
+    # No max_n of their own: the document maximum bounds them, and at it each
+    # agrees with an oracle, the permanents with Ryser's 2**n sum.
+    n = MAX_ENUMERATION_N
+    matrix = random_rational_matrix(derive_rng(38, "document maximum"), n)
+    ryser = evaluate_method("per_ryser", matrix)
+    assert ryser.denominator > 1
+    expected = {
+        "det_definitional": gauss_determinant(matrix.entries),
+        "per_definitional": ryser,
+        "per_polarization": ryser,
+    }
+    above = SquareMatrix(RATIONAL, [[1] * (n + 1)] * (n + 1))
+    for method, value in expected.items():
+        assert evaluate_method(method, matrix) == value
+        with pytest.raises(ValueError, match=f"{method} supports n up to {n}, got {n + 1}"):
+            evaluate_method(method, above)
+
+
 SIZE_LIMITS = {
-    "per_definitional": 9,
-    "per_polarization": 7,
-    "det_definitional": 9,
     "det_identity": 8,
-    "eper_definitional": 5,
+    "eper_definitional": 6,
     "eper_identity": 9,
-    "detp_definitional": 6,
+    "detp_definitional": 9,
     "detp_identity": 8,
 }
 

@@ -122,20 +122,20 @@ def test_compute_permanent_by_polarization(docs, capsys):
     assert lines[1].endswith(" f_evals=8")
 
 
-def test_compute_refuses_polarization_above_n_7(tmp_path, capsys, monkeypatch):
+def test_compute_refuses_the_space_determinant_above_n_9(tmp_path, capsys, monkeypatch):
     def wrap(real):
         def never(matrix, params, counts):
             raise AssertionError("evaluated")
 
         return never
 
-    _wrapped_run(monkeypatch, "per_polarization", wrap)
-    path = tmp_path / "m8.json"
-    entries = [[f"{i + j}/3" for j in range(8)] for i in range(8)]
-    path.write_text(json.dumps({"kind": "matrix", "ring": "rational", "n": 8, "entries": entries}))
-    code, out, err = run(capsys, "compute", "--fn", "per", "--method", "polarization", str(path))
+    _wrapped_run(monkeypatch, "detp_definitional", wrap)
+    path = tmp_path / "c10.json"
+    entries = [[[f"{i + j + k}/3" for k in range(10)] for j in range(10)] for i in range(10)]
+    path.write_text(json.dumps({"kind": "cube", "ring": "rational", "n": 10, "entries": entries}))
+    code, out, err = run(capsys, "compute", "--fn", "detp", "--method", "definitional", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: method per_polarization supports n up to 7, got 8\n"
+    assert err == "error: method detp_definitional supports n up to 9, got 10\n"
 
 
 SYMBOLIC_SIZE_LIMITS = {

@@ -186,7 +186,7 @@ def test_laplace_plans_expand_to_every_permutation_once_with_its_sign(n, signed)
 
 
 @pytest.mark.parametrize("n", range(1, MAX_ENUMERATION_N + 1))
-def test_two_row_expansions_pair_the_last_rows_with_the_minors_left(n):
+def test_laplace_plans_are_cached_and_end_in_the_two_row_expansion(n):
     # The plan's last two levels are the Laplace expansion along the last two
     # rows: per column pair x < y, the partial sum over the minor left
     # (rows 0..n-3 in the other columns) times a*d and b*c, where a, b are

@@ -155,7 +155,7 @@ def _integer_matrix(rows):
 
 
 @pytest.mark.parametrize("n", range(EXPANSION_MIN_N, TABLE_MAX_N + 3))
-def test_permutation_matrices_have_their_signs_through_the_two_row_expansion(n):
+def test_permutation_matrices_have_their_signs_through_the_laplace_plan(n):
     # The integer ring folds a Laplace plan at these sizes, whose last two
     # levels expand along the last two rows.  Rows n-2 and n-1 pick each
     # column pair in both orders, so the one nonzero term reaches the pair

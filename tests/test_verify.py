@@ -106,6 +106,36 @@ def test_a_failing_cor1_note_prints_the_residual_of_the_matrix_as_drawn(monkeypa
     )
 
 
+def test_a_failing_cor1_trial_evaluates_each_residual_once(monkeypatch):
+    # A note prints the residual its trial found, moved back by the scale; no
+    # residual is evaluated again, on the matrix as drawn or on the singular
+    # one.
+    calls = []
+
+    def recording(stand_in):
+        def residual(matrix, t):
+            calls.append((matrix.ring, t))
+            return stand_in(matrix, t)
+
+        return residual
+
+    def first_row_power(matrix, t):
+        ring = matrix.ring
+        return ring.power(ring.sum(matrix.entries[0]), t)
+
+    for stand_in, expected in (
+        (first_row_power, [1]),
+        # The drawn matrix's residuals at t = 1, 2 vanish; the singular one's
+        # at t = 1 does not.
+        (_corner_power_when_singular, [1, 2, 1]),
+    ):
+        calls.clear()
+        monkeypatch.setattr(verify, "diagonal_power_residual", recording(stand_in))
+        ok, note = verify._run_job("cor1", 3, 1, 1)
+        assert not ok and note.startswith("power sum residual "), note
+        assert calls == [(rings._INTEGER, t) for t in expected]
+
+
 def _corner_power_when_singular(matrix, t):
     """The real residual, but on a singular matrix the t-th power of its
     corner entry; singularity survives the lift, so both see the same."""
